@@ -58,12 +58,11 @@ def _baseline_max_flow(self, s: int, t: int, kernel: str = "py",
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     if limit is not None and limit <= 0:
         return 0
-    bfs = self._bfs_np if kernel == "np" else self._bfs_py
     to, cap, head, elist = self.to, self.cap, self._head, self._elist
     it = self._it
     added = 0
     while True:
-        level = bfs(s, t)
+        level = self._bfs_py(s, t)
         if level[t] < 0:
             return added
         it[:] = head[: self.n]

@@ -19,6 +19,8 @@ from repro.online.edf import EDF
 from repro.online.engine import simulate
 from repro.online.nonmigratory import FirstFitEDF
 
+from tests import oracles
+
 
 @pytest.mark.parametrize("n", [300, 1000, 3000])
 def test_engine_throughput_first_fit(benchmark, n):
@@ -42,10 +44,10 @@ def test_engine_throughput_edf(benchmark, n):
     assert not engine.missed_jobs
 
 
-@pytest.mark.parametrize("backend", ["dinic", "networkx"])
+@pytest.mark.parametrize("backend", ["dinic"])
 @pytest.mark.parametrize("n", [50, 150, 400])
 def test_flow_optimum_scaling(benchmark, n, backend):
-    """Both feasibility backends, cold cache per round (fresh instance)."""
+    """The pure-Python kernel, cold cache per round (fresh instance)."""
     jobs = list(uniform_random_instance(n, horizon=2 * n, seed=n))
     m = benchmark(lambda: migratory_optimum(Instance(jobs), backend=backend))
     assert m >= 1
@@ -60,16 +62,17 @@ def test_flow_optimum_warm_cache(benchmark):
 
 
 def test_flow_optimum_speedup_n1000(benchmark):
-    """Acceptance gate: dinic ≥ 5× faster than networkx at n = 1000.
+    """Acceptance gate: dinic ≥ 5× faster than the networkx oracle at n = 1000.
 
     Timed with cold caches on both sides (fresh Instance per run).  The
     incremental dinic path is additionally benchmarked through the fixture;
-    the networkx baseline is timed once (it is ~minutes-scale).
+    the networkx optimum of ``tests/oracles.py`` is timed once (it is
+    ~minutes-scale).
     """
     jobs = list(uniform_random_instance(1000, horizon=2000, seed=1000))
 
     t0 = time.perf_counter()
-    m_nx = migratory_optimum(Instance(jobs), backend="networkx")
+    m_nx = oracles.migratory_optimum(Instance(jobs))
     t_nx = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -94,20 +97,16 @@ def test_flow_optimum_speedup_n1000(benchmark):
     assert speedup >= 5
 
 
-@pytest.mark.parametrize("backend", ["dinic", "dinic_np", "dinic_c"])
+@pytest.mark.parametrize("backend", ["dinic", "dinic_c"])
 def test_flow_optimum_kernels_n1000(benchmark, backend):
-    """All three Dinic kernels on the flat-buffer solver, cold cache.
+    """Both Dinic kernels on the flat-buffer solver, cold cache.
 
-    The numpy BFS (``dinic_np``) and the compiled kernel (``dinic_c``)
-    produce bit-identical flows (differential-tested in
-    ``tests/test_sparsify.py`` and ``tests/test_kernel.py``); this
-    benchmark is the cross-kernel trajectory — it tracks whether the
-    vectorized level build pays for its buffer-view overhead and how much
-    the native BFS+DFS buys at n = 1000 (the ISSUE 9 acceptance gate:
-    ``dinic_c`` ≤ 10 ms here).
+    The compiled kernel (``dinic_c``) produces bit-identical flows
+    (differential-tested in ``tests/test_sparsify.py`` and
+    ``tests/test_kernel.py``); this benchmark is the cross-kernel
+    trajectory — it tracks how much the native BFS+DFS buys at n = 1000
+    (the compiled kernel's acceptance gate: ``dinic_c`` ≤ 10 ms here).
     """
-    if backend == "dinic_np":
-        pytest.importorskip("numpy")
     if backend == "dinic_c":
         from repro.offline import kernel
 

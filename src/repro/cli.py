@@ -572,10 +572,7 @@ def cmd_sweep(args) -> int:
             for i in range(args.seeds)
         ]
         plan = SweepPlan.differential(
-            specs,
-            speeds=[s for s in args.speeds.split(",") if s],
-            use_lp=not args.no_lp,
-            lp_deadline=args.item_timeout,
+            specs, speeds=[s for s in args.speeds.split(",") if s]
         )
     elif args.kind == "corpus":
         plan = SweepPlan.corpus(args.dir)
@@ -846,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule",
                    help="verify this schedule JSON against the instance instead")
     p.add_argument("--differential", action="store_true",
-                   help="cross-check dinic vs networkx vs LP at OPT and OPT−1")
+                   help="cross-check every available kernel at OPT and OPT−1")
     p.add_argument("-o", "--output", help="write the certificate(s) as JSON")
     p.set_defaults(func=cmd_verify)
 
@@ -909,8 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root-seed", type=int, default=0)
     p.add_argument("--speeds", default="1",
                    help="comma-separated speeds (differential sweeps)")
-    p.add_argument("--no-lp", action="store_true",
-                   help="skip the advisory LP leg (differential sweeps)")
     p.add_argument("--dir", default="tests/data/corpus",
                    help="corpus directory (corpus sweeps)")
     p.add_argument("--workers", type=int, default=1,
@@ -940,8 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'failed', not fatal)")
     p.add_argument("--item-timeout", type=float, default=None, metavar="SEC",
                    help="per-item deadline in seconds (timeouts are "
-                        "transient: retried, then quarantined); also bounds "
-                        "the advisory LP leg of differential sweeps")
+                        "transient: retried, then quarantined)")
     p.add_argument("--chaos", metavar="SPEC", default=None,
                    help="inject deterministic faults for chaos testing, "
                         "e.g. 'sigkill:2,transient:4,hang:0@1' "

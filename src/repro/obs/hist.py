@@ -121,6 +121,11 @@ def _exact(value: Number) -> Union[int, Fraction]:
     return Fraction(value)
 
 
+def _rank(value: Number) -> int:
+    """Type order that picks one representative among equal extremes."""
+    return 0 if isinstance(value, int) else 1 if isinstance(value, Fraction) else 2
+
+
 def _jsonable_number(value: Any) -> Any:
     """Ints and floats pass through; Fractions serialize as ``"p/q"``."""
     if isinstance(value, Fraction):
@@ -153,9 +158,12 @@ class Hist:
         """Record one value (any real number; ``<= 0`` lands in ``zeros``)."""
         self.count += 1
         self.sum += _exact(value)
-        if self.min is None or value < self.min:
+        # Equal extremes (0, 0.0, Fraction(0)) keep the int, then the
+        # Fraction, in any arrival order, so merge order never shows.
+        rank = _rank(value)
+        if self.min is None or (value, rank) < (self.min, _rank(self.min)):
             self.min = value
-        if self.max is None or value > self.max:
+        if self.max is None or (value, -rank) > (self.max, -_rank(self.max)):
             self.max = value
         if value <= 0:
             self.zeros += 1
@@ -168,9 +176,15 @@ class Hist:
         self.count += other.count
         self.zeros += other.zeros
         self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
+        if other.min is not None and (
+            self.min is None
+            or (other.min, _rank(other.min)) < (self.min, _rank(self.min))
+        ):
             self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
+        if other.max is not None and (
+            self.max is None
+            or (other.max, -_rank(other.max)) > (self.max, -_rank(self.max))
+        ):
             self.max = other.max
         for index, n in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + n

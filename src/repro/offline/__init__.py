@@ -1,6 +1,5 @@
 """Substrate: exact offline optima (migratory flow, non-migratory search)."""
 
-from .lp import lp_feasible
 from .nonpreemptive import (
     exact_np_optimum,
     np_first_fit,
@@ -18,7 +17,6 @@ from .flow import (
     mcnaughton,
     migratory_feasible,
     migratory_schedule,
-    networkx_min_cut,
     resolve_backend,
     schedule_from_work,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "available_backends",
     "resolve_backend",
     "scaled_lower_bound",
-    "lp_feasible",
     "exact_np_optimum",
     "np_first_fit",
     "single_machine_np_feasible",
@@ -67,7 +64,6 @@ __all__ = [
     "mcnaughton",
     "migratory_feasible",
     "migratory_schedule",
-    "networkx_min_cut",
     "schedule_from_work",
     "edf_single_machine_schedule",
     "exact_nonmigratory_optimum",

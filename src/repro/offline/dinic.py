@@ -13,13 +13,11 @@ buffers so a probe is allocation-free and snapshots are single ``memcpy``s:
   loops do nothing but index them).  Blocking
   flows are found by an iterative DFS with current-arc pointers (no
   recursion limits at scale); the per-phase ``level``/``it`` scratch
-  buffers are preallocated once and reset by slice copies.  An optional
-  numpy-vectorized BFS (``kernel="np"``) builds the level graph with array
-  operations over zero-copy views of the same buffers — bit-identical
-  levels, hence bit-identical flows.  A compiled kernel (``kernel="c"``,
-  lazily built by :mod:`repro.offline.kernel`) runs the whole phase loop
-  natively over the *same* capacity buffer, zero-copy, mirroring the
-  Python loop step for step so its flows are bit-identical too.
+  buffers are preallocated once and reset by slice copies.  A compiled
+  kernel (``kernel="c"``, lazily built by :mod:`repro.offline.kernel`)
+  runs the whole phase loop natively over the *same* capacity buffer,
+  zero-copy, mirroring the Python loop step for step so its flows are
+  bit-identical.
 * :class:`FeasibilityNetwork` — the ``source → job → interval → sink``
   network specialized to the job/interval bipartite structure.  Edge ids
   are *arithmetic*: sink arc of interval ``k`` is ``2k``, and each job's
@@ -54,16 +52,9 @@ from ..obs import core as _obs
 from . import kernel as _ckernel
 
 #: Level-graph kernels accepted by :meth:`Dinic.max_flow`.
-KERNELS = ("py", "np", "c")
+KERNELS = ("py", "c")
 
 _EMPTY_I = array("i")
-
-
-def _np():
-    """Import numpy lazily; the ``"np"`` kernel is strictly opt-in."""
-    import numpy
-
-    return numpy
 
 
 class Dinic:
@@ -82,7 +73,7 @@ class Dinic:
 
     __slots__ = (
         "n", "to", "cap", "_head", "_elist",
-        "_level", "_it", "_minus1", "_np_csr", "_c_csr",
+        "_level", "_it", "_minus1", "_c_csr",
     )
 
     def __init__(self, n_nodes: int) -> None:
@@ -91,7 +82,6 @@ class Dinic:
         self.cap: List[int] = []         # packed to array('q') by finalize
         self._head: Optional[array] = None
         self._elist: Optional[array] = None
-        self._np_csr = None
         self._c_csr = None
 
     # -- construction ---------------------------------------------------------
@@ -136,7 +126,8 @@ class Dinic:
         """Freeze the edge set and build the CSR adjacency.
 
         Idempotent.  The capacity buffer is packed into a flat ``array('q')``
-        (so snapshots are single ``memcpy``s and numpy can view it zero-copy)
+        (so snapshots are single ``memcpy``s and the compiled kernel reads
+        it zero-copy)
         while the static topology — ``to``, the ``head`` offsets, and the
         ``elist`` edge ids — stays in plain Python lists: list indexing skips
         the per-access ``int`` boxing of ``array`` and the DFS/BFS inner
@@ -170,10 +161,6 @@ class Dinic:
         self._it = head[:n]
 
     # -- introspection --------------------------------------------------------
-
-    def edge_flow(self, e: int) -> int:
-        """Flow currently routed through forward edge ``e``."""
-        return self.cap[e ^ 1]
 
     def residual_reachable(self, s: int) -> List[bool]:
         """Nodes reachable from ``s`` through positive-residual edges.
@@ -226,51 +213,6 @@ class Dinic:
             frontier = nxt
         return level
 
-    def _bfs_np(self, s: int, t: int) -> List[int]:
-        """Level graph via vectorized frontier expansion (numpy kernel).
-
-        Computes exactly the BFS distances of :meth:`_bfs_py` (levels are
-        shortest-path distances, unique by definition), so the blocking-flow
-        DFS — and therefore the resulting flow — is bit-identical across
-        kernels.  Reads ``cap`` through a zero-copy view of the live buffer.
-        """
-        np = _np()
-        if self._np_csr is None:
-            head = np.asarray(self._head, dtype=np.int64)
-            elist = np.asarray(self._elist, dtype=np.int64)
-            to = np.asarray(self.to, dtype=np.int64)
-            self._np_csr = (head, elist, to)
-        head, elist, to = self._np_csr
-        cap = np.frombuffer(self.cap, dtype=np.int64)
-        level = np.full(self.n, -1, dtype=np.int64)
-        level[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            depth += 1
-            starts = head[frontier]
-            counts = head[frontier + 1] - starts
-            total = int(counts.sum())
-            if not total:
-                break
-            ends = np.cumsum(counts)
-            # Concatenated [head[u], head[u+1]) ranges without a Python loop.
-            idx = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - (ends - counts), counts
-            )
-            eids = elist[idx]
-            vs = to[eids]
-            fresh = vs[(cap[eids] > 0) & (level[vs] < 0)]
-            if not fresh.size:
-                break
-            level[fresh] = depth
-            if level[t] >= 0:
-                break
-            frontier = np.unique(fresh)
-        out = self._level
-        out[:] = level.tolist()
-        return out
-
     def _csr_c(self) -> Tuple[array, array, array]:
         """The CSR topology as int32 arrays for the compiled kernel.
 
@@ -320,10 +262,9 @@ class Dinic:
 
         Starting from the current residual capacities, so repeated calls
         after capacity increases implement a warm start.  ``kernel``
-        selects the level-graph build: ``"py"`` (pure stdlib, default),
-        ``"np"`` (numpy-vectorized BFS, identical results), or ``"c"``
-        (the compiled kernel of :mod:`repro.offline.kernel`, which runs
-        BFS *and* the blocking-flow DFS natively — identical results).
+        selects the implementation: ``"py"`` (pure stdlib, default) or
+        ``"c"`` (the compiled kernel of :mod:`repro.offline.kernel`, which
+        runs BFS *and* the blocking-flow DFS natively — identical results).
 
         ``limit`` is an optional *known upper bound* on the flow still
         missing (e.g. the unmet demand in a feasibility probe).  Once the
@@ -337,7 +278,6 @@ class Dinic:
             return 0
         if kernel == "c":
             return self._max_flow_c(s, t, limit)
-        bfs = self._bfs_np if kernel == "np" else self._bfs_py
         to, cap, head, elist = self.to, self.cap, self._head, self._elist
         it = self._it
         added = 0
@@ -347,7 +287,7 @@ class Dinic:
         t0 = time.perf_counter_ns() if _obs.enabled() else 0
         while True:
             phases += 1
-            level = bfs(s, t)
+            level = self._bfs_py(s, t)
             if level[t] < 0:
                 if _obs.enabled():
                     dt = time.perf_counter_ns() - t0
@@ -418,7 +358,7 @@ class Dinic:
 
 def _feasibility_topology(
     n: int, n_iv: int, k0s: Sequence[int], k1s: Sequence[int],
-    srcs: Sequence[int],
+    srcs: Sequence[int], e2: int,
 ) -> Tuple[List[int], List[int], List[int]]:
     """Build the shared CSR topology ``(to, head, elist)`` arithmetically.
 
@@ -429,13 +369,9 @@ def _feasibility_topology(
     interval: sink arc + one per covering job), which skips the generic
     counting sort of :meth:`Dinic.finalize`.  The produced ``elist`` holds
     each node's incident edge ids in ascending order, exactly what the
-    counting sort yields.
+    counting sort yields, and what the compiled kernel's ``build_topology``
+    writes; ``e2`` is the paired edge count ``2 · NetworkTables.n_edges``.
     """
-    if n:
-        last = n - 1
-        e2 = srcs[last] + 2 * (1 + k1s[last] - k0s[last])
-    else:
-        e2 = 2 * n_iv
     base_iv = 2 + n
     to = [0] * e2
     cover = [0] * (n_iv + 1)
@@ -486,26 +422,6 @@ def _feasibility_topology(
             elist[ivfill[k]] = e + 1    # reverse window arc on the interval
             ivfill[k] += 1
     return to, head, elist
-
-
-def _feasibility_topology_c(
-    ck, n: int, n_iv: int, k0s: array, k1s: array, srcs: array,
-) -> Tuple[array, array, array]:
-    """:func:`_feasibility_topology` built natively, as int32 arrays.
-
-    Byte-for-byte the same ``(to, head, elist)`` contents (pinned by
-    ``tests/test_kernel.py``); arrays instead of lists so the compiled
-    kernel reads them zero-copy.  The interpreted kernels can index them
-    too, but each kernel keeps its own cached topology representation
-    (``NetworkTables.topology`` vs ``topology_c``) so neither pays the
-    other's access cost.
-    """
-    if n:
-        last = n - 1
-        e2 = srcs[last] + 2 * (1 + k1s[last] - k0s[last])
-    else:
-        e2 = 2 * n_iv
-    return ck.build_topology(n, n_iv, k0s, k1s, srcs, e2, 2 + n + n_iv)
 
 
 class FeasibilityNetwork:
@@ -590,8 +506,8 @@ class FeasibilityNetwork:
                 # buffers — identical contents to the Python build.
                 iv_caps = ck.scale_caps(tables.len_base, lenfac)
                 if tables.topology_c is None:
-                    tables.topology_c = _feasibility_topology_c(
-                        ck, n, n_iv, k0s, k1s, srcs
+                    tables.topology_c = ck.build_topology(
+                        n, n_iv, k0s, k1s, srcs, 2 * tables.n_edges, 2 + n + n_iv
                     )
                 to_l, head, elist = tables.topology_c
                 cap_arr = array("q", bytes(8 * len(to_l)))
@@ -603,7 +519,9 @@ class FeasibilityNetwork:
             else:
                 iv_caps = [lb * lenfac for lb in tables.len_base]
                 if tables.topology is None:
-                    tables.topology = _feasibility_topology(n, n_iv, k0s, k1s, srcs)
+                    tables.topology = _feasibility_topology(
+                        n, n_iv, k0s, k1s, srcs, 2 * tables.n_edges
+                    )
                 to_l, head, elist = tables.topology
                 cap_arr = array("q", bytes(8 * len(to_l)))
                 for idx in range(n):
@@ -621,11 +539,7 @@ class FeasibilityNetwork:
             # it (a job cannot self-parallelize, so its per-interval cap
             # equals the interval's unit capacity).
             sp = speed * scale
-            if sp.denominator == 1:
-                spi = sp.numerator
-                iv_caps = [int((b - a) * spi) for a, b in intervals]
-            else:
-                iv_caps = [int((b - a) * sp) for a, b in intervals]
+            iv_caps = [int((b - a) * sp) for a, b in intervals]
             add_edge = dinic.add_edge
             for k in range(n_iv):
                 add_edge(2 + n + k, self.SINK, 0)  # sink arc of interval k == 2k

@@ -94,7 +94,7 @@ class NetworkTables:
     array work.  ``topology`` starts ``None`` and is filled by the first
     :class:`~repro.offline.dinic.FeasibilityNetwork` build with the shared
     immutable CSR arrays ``(to, head, elist)``; later builds (other speeds,
-    the numpy kernel) reuse them and only allocate a capacity array.
+    the other kernel) reuse them and only allocate a capacity array.
     """
 
     __slots__ = (
@@ -212,7 +212,10 @@ def _build_tables(
             newindex[k] = len(kept) - 1
         else:
             newindex[k] = len(kept)
-            kept.append((a, b))
+            # Share the elementary tuple: both lists live as long as the
+            # cache, and each extra tuple is one more object for the cyclic
+            # GC to traverse (about 10^5 of them at n = 10^5).
+            kept.append(elementary[k])
             len_base.append(len_el[k])
         kept_end = pts_int[k + 1]
 
@@ -358,8 +361,7 @@ class FeasibilityCache:
         """Scale making both ``p_j`` and ``(b − a)·speed`` integral.
 
         ``lcm(base, q) · q`` for ``speed = p/q`` — the extra factor of ``q``
-        guarantees divisibility of the *product* of two fractional factors
-        (matches ``flow._common_scale(instance, extra=[speed]) · q``).
+        guarantees divisibility of the *product* of two fractional factors.
         """
         q = speed.denominator
         base = self.base_scale

@@ -17,27 +17,25 @@ All rational data is scaled by the common denominator so the flow problem is
 explicit migratory :class:`~repro.model.schedule.Schedule` by McNaughton's
 wrap-around rule inside each elementary interval.
 
-Four interchangeable solver backends answer the flow question (the default
+Two interchangeable Dinic kernels answer the flow question (the default
 ``"auto"`` resolves to the fastest one available — see
 :func:`resolve_backend`):
 
 * ``"dinic"`` — the flat-array solver in :mod:`repro.offline.dinic`, fed by
   the per-instance memo in :mod:`repro.offline.feascache` (event intervals,
   scales, and verdicts are computed once per instance; feasibility probes
-  warm-start each other);
-* ``"dinic_np"`` — the same solver with a numpy-vectorized BFS level build
-  (bit-identical levels, hence bit-identical flows); opt-in and
-  differential-tested against the pure-stdlib kernel;
+  warm-start each other); the fallback without a compiler and the
+  bit-identity reference for the compiled kernel;
 * ``"dinic_c"`` — the compiled kernel of :mod:`repro.offline.kernel`: the
   whole blocking-flow loop (plus the greedy pass, topology build, and
   warm-start capacity updates) runs natively over the same zero-copy
   buffers, bit-identical again; lazily compiled at first use and
-  unavailable (gracefully) when no C compiler or cached build exists;
-* ``"networkx"`` — the original generic ``nx.maximum_flow`` formulation,
-  kept as an independent implementation for differential testing and as the
-  baseline in ``benchmarks/bench_scale.py``.
+  unavailable (gracefully) when no C compiler or cached build exists.
 
-All backends consume the *sparsified* event intervals by default (zero-
+Independent oracles (a generic max-flow formulation of this network and
+an LP relaxation) live with the tests that cross-check against them.
+
+Both kernels consume the *sparsified* event intervals by default (zero-
 demand elementary intervals dropped before the network is built — see
 :mod:`repro.offline.feascache`); ``sparsify=False`` rebuilds over the full
 elementary structure, with provably identical results.
@@ -45,32 +43,26 @@ elementary structure, with provably identical results.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..model.instance import Instance
 from ..model.intervals import Numeric, to_fraction
 from ..model.schedule import Schedule, Segment
 from .feascache import cache_for
 
-_SOURCE = "s"
-_SINK = "t"
-
 #: Solver backends accepted by :func:`max_flow_assignment` and friends.
-BACKENDS = ("dinic", "dinic_np", "dinic_c", "networkx")
+BACKENDS = ("dinic", "dinic_c")
 
 #: ``"auto"`` resolves to the fastest kernel available in this process
-#: (``dinic_c`` → ``dinic_np`` → ``dinic``); see :func:`resolve_backend`.
+#: (``dinic_c`` → ``dinic``); see :func:`resolve_backend`.
 DEFAULT_BACKEND = "auto"
 
-#: Dinic-family backends and the level-graph kernel each one selects.
-_DINIC_KERNELS = {"dinic": "py", "dinic_np": "np", "dinic_c": "c"}
+#: Backends and the level-graph kernel each one selects.
+_DINIC_KERNELS = {"dinic": "py", "dinic_c": "c"}
 
 #: Inverse map: kernel name → backend name (used by the auto resolution).
-_KERNEL_BACKENDS = {"py": "dinic", "np": "dinic_np", "c": "dinic_c"}
+_KERNEL_BACKENDS = {"py": "dinic", "c": "dinic_c"}
 
 
 def _check_backend(backend: str) -> None:
@@ -86,9 +78,9 @@ def resolve_backend(backend: str = DEFAULT_BACKEND) -> str:
 
     ``"auto"`` picks the fastest kernel usable in this process, probing the
     ladder ``dinic_c`` (compiled; needs a C compiler or a warm build cache)
-    → ``dinic_np`` (numpy BFS) → ``dinic`` (pure stdlib).  All three
-    produce bit-identical flows, so the choice is invisible except in
-    speed; the resolved name is what result metadata and obs spans record.
+    → ``dinic`` (pure stdlib).  Both produce bit-identical flows, so the
+    choice is invisible except in speed; the resolved name is what result
+    metadata and obs spans record.
     Concrete names pass through unchanged (after validation) — including
     ``dinic_c`` on a host that cannot provide it, which then raises
     :class:`~repro.offline.kernel.KernelUnavailable` at first use rather
@@ -115,64 +107,6 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(b for b in BACKENDS if b != "dinic_c" or available())
 
 
-def _event_intervals(instance: Instance) -> List[Tuple[Fraction, Fraction]]:
-    """Elementary intervals between consecutive release/deadline events.
-
-    Memoized per instance — instances are immutable, so the structure is
-    computed at most once no matter how many probes ask for it.
-    """
-    return cache_for(instance).intervals
-
-
-def _common_scale(instance: Instance, extra: Sequence[Fraction] = ()) -> int:
-    """LCM of all denominators appearing in the instance (and ``extra``).
-
-    The instance part is memoized per instance; only the (tiny) ``extra``
-    fold-in is recomputed.
-    """
-    scale = cache_for(instance).base_scale
-    for x in extra:
-        d = x.denominator
-        scale = scale * d // math.gcd(scale, d)
-    return scale
-
-
-def _build_network(
-    instance: Instance,
-    m: int,
-    speed: Fraction,
-    intervals: List[Tuple[Fraction, Fraction]],
-    scale: int,
-) -> nx.DiGraph:
-    graph = nx.DiGraph()
-    for k, (a, b) in enumerate(intervals):
-        cap = int((b - a) * speed * scale)
-        graph.add_edge(("iv", k), _SINK, capacity=m * cap)
-    for job in instance:
-        graph.add_edge(_SOURCE, ("job", job.id), capacity=int(job.processing * scale))
-        for k, (a, b) in enumerate(intervals):
-            if job.release <= a and b <= job.deadline:
-                graph.add_edge(
-                    ("job", job.id), ("iv", k), capacity=int((b - a) * speed * scale)
-                )
-    return graph
-
-
-def _scaled_inputs(
-    instance: Instance, speed: Fraction, sparsify: bool = True
-) -> Tuple[List[Tuple[Fraction, Fraction]], int]:
-    """Memoized ``(network intervals, scale)`` for one ``(instance, speed)``.
-
-    The interval list is the one the networks are built over (sparsified by
-    default).  Capacities ``(b−a)·speed·scale`` and ``p_j·scale`` must be
-    integral: take the LCM of all data denominators and one extra factor of
-    ``speed.denominator`` (the LCM alone does not guarantee divisibility of
-    the *product* of two fractional factors).
-    """
-    cache = cache_for(instance, sparsify=sparsify)
-    return cache.network_intervals, cache.scale_for(speed)
-
-
 def max_flow_assignment(
     instance: Instance,
     m: int,
@@ -194,27 +128,10 @@ def max_flow_assignment(
     if m <= 0:
         return False, {}, []
     speed = to_fraction(speed)
-    intervals, scale = _scaled_inputs(instance, speed, sparsify)
-    kernel = _DINIC_KERNELS.get(backend)
-    if kernel is not None:
-        cache = cache_for(instance, sparsify=sparsify)
-        network = cache.solved_network(m, speed, kernel)
-        return network.feasible, network.work_by_job(speed, scale), intervals
-    graph = _build_network(instance, m, speed, intervals, scale)
-    total = sum(int(j.processing * scale) for j in instance)
-    flow_value, flow_dict = nx.maximum_flow(
-        graph, _SOURCE, _SINK, flow_func=nx.algorithms.flow.dinitz
-    )
-    feasible = flow_value == total
-    work: Dict[int, Dict[int, Fraction]] = {}
-    for job in instance:
-        row: Dict[int, Fraction] = {}
-        for node, amount in flow_dict.get(("job", job.id), {}).items():
-            if amount > 0 and isinstance(node, tuple) and node[0] == "iv":
-                # amount is work in scaled units; machine time = work / speed
-                row[node[1]] = Fraction(amount, scale) / speed
-        work[job.id] = row
-    return feasible, work, intervals
+    cache = cache_for(instance, sparsify=sparsify)
+    intervals, scale = cache.network_intervals, cache.scale_for(speed)
+    network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
+    return network.feasible, network.work_by_job(speed, scale), intervals
 
 
 def migratory_feasible(
@@ -226,24 +143,18 @@ def migratory_feasible(
 ) -> bool:
     """Exact test: does a feasible migratory schedule on ``m`` machines exist?
 
-    The dinic backends answer through the per-instance cache: repeated
-    probes on the same instance reuse the built network, warm-start from
-    each other's residual flows, and memoize ``(m, speed)`` verdicts.
+    Answered through the per-instance cache: repeated probes on the same
+    instance reuse the built network, warm-start from each other's residual
+    flows, and memoize ``(m, speed)`` verdicts.
     """
-    backend = resolve_backend(backend)
-    kernel = _DINIC_KERNELS.get(backend)
-    if kernel is not None:
-        if len(instance) == 0:
-            return True
-        if m <= 0:
-            return False
-        return cache_for(instance, sparsify=sparsify).feasible(
-            m, to_fraction(speed), kernel
-        )
-    feasible, _, _ = max_flow_assignment(
-        instance, m, speed, backend=backend, sparsify=sparsify
+    kernel = _DINIC_KERNELS[resolve_backend(backend)]
+    if len(instance) == 0:
+        return True
+    if m <= 0:
+        return False
+    return cache_for(instance, sparsify=sparsify).feasible(
+        m, to_fraction(speed), kernel
     )
-    return feasible
 
 
 def mcnaughton(
@@ -327,28 +238,3 @@ def migratory_schedule(
     if not feasible:
         return None
     return schedule_from_work(work, intervals, m)
-
-
-def networkx_min_cut(
-    instance: Instance, m: int, speed: Numeric = 1, sparsify: bool = True
-) -> Tuple[List[int], List[int]]:
-    """Source side of a minimum cut of the networkx-built feasibility network.
-
-    Returns ``(job_ids, interval_indices)`` — the independent counterpart of
-    :meth:`repro.offline.dinic.FeasibilityNetwork.min_cut`, used to extract
-    Theorem 1 overloaded-interval witnesses from the networkx backend.
-    """
-    if len(instance) == 0 or m <= 0:
-        # No network to cut: every job (with its whole window) is a witness.
-        return [j.id for j in instance], []
-    speed = to_fraction(speed)
-    intervals, scale = _scaled_inputs(instance, speed, sparsify)
-    graph = _build_network(instance, m, speed, intervals, scale)
-    _, (reachable, _) = nx.minimum_cut(
-        graph, _SOURCE, _SINK, flow_func=nx.algorithms.flow.dinitz
-    )
-    jobs = sorted(node[1] for node in reachable
-                  if isinstance(node, tuple) and node[0] == "job")
-    ivs = sorted(node[1] for node in reachable
-                 if isinstance(node, tuple) and node[0] == "iv")
-    return jobs, ivs

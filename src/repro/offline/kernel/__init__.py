@@ -7,10 +7,10 @@ Public surface:
   raises :class:`KernelUnavailable` when it cannot be provided.
 * :func:`available` — ``True`` iff :func:`load` would succeed (memoized,
   including the negative answer).
-* :func:`best_kernel` — the fastest usable level-graph kernel name for
+* :func:`best_kernel` — the fastest usable kernel name for
   :meth:`repro.offline.dinic.Dinic.max_flow`: ``"c"`` when the compiled
-  kernel loads, else ``"np"`` when numpy imports, else ``"py"``.  This is
-  the resolution ladder behind ``backend="auto"``.
+  kernel loads, else ``"py"``.  This is the resolution ladder behind
+  ``backend="auto"``.
 * :func:`build_info` — how the kernel was provided (cache hit, compiler,
   object path, content key), surfaced by ``repro stats``.
 * :func:`reset` — drop the memoized state (tests flip the env knobs).
@@ -54,7 +54,6 @@ __all__ = [
 _kernel: Optional[DinicCKernel] = None
 _build: Optional[BuildResult] = None
 _error: Optional[KernelUnavailable] = None
-_best: Optional[str] = None
 
 
 def load() -> DinicCKernel:
@@ -92,19 +91,8 @@ def available() -> bool:
 
 
 def best_kernel() -> str:
-    """The fastest usable kernel name: ``"c"`` → ``"np"`` → ``"py"``."""
-    global _best
-    if _best is None:
-        if available():
-            _best = "c"
-        else:
-            try:
-                import numpy  # noqa: F401
-            except ImportError:
-                _best = "py"
-            else:
-                _best = "np"
-    return _best
+    """The fastest usable kernel name: ``"c"`` → ``"py"``."""
+    return "c" if available() else "py"
 
 
 def build_info() -> Dict[str, Any]:
@@ -128,5 +116,5 @@ def build_info() -> Dict[str, Any]:
 
 def reset() -> None:
     """Forget the memoized kernel/verdict (after env-knob changes in tests)."""
-    global _kernel, _build, _error, _best
-    _kernel = _build = _error = _best = None
+    global _kernel, _build, _error
+    _kernel = _build = _error = None

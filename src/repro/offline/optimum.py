@@ -11,11 +11,9 @@ from ..obs import core as _obs
 from .feascache import cache_for
 from .flow import (
     DEFAULT_BACKEND,
-    _DINIC_KERNELS,
     migratory_feasible,
     migratory_schedule,
     resolve_backend,
-    schedule_from_work,
 )
 from .workload import scaled_lower_bound
 
@@ -40,12 +38,12 @@ def migratory_optimum(
     """The exact minimum number of speed-``speed`` machines (migratory).
 
     Binary search over the flow feasibility test between the speed-scaled
-    workload lower bound and the window-concurrency upper bound.  With the
-    default dinic backend the search is *incremental*: the per-instance
-    cache builds the flow network once, probes warm-start from each other's
-    residual flows (sink capacities only grow with ``m``), and resolved
-    ``(m, speed)`` verdicts are memoized, so repeated calls on the same
-    instance — the common pattern across the analysis layer — cost nothing.
+    workload lower bound and the window-concurrency upper bound.  The
+    search is *incremental*: the per-instance cache builds the flow network
+    once, probes warm-start from each other's residual flows (sink
+    capacities only grow with ``m``), and resolved ``(m, speed)`` verdicts
+    are memoized, so repeated calls on the same instance — the common
+    pattern across the analysis layer — cost nothing.
 
     Raises :class:`ValueError` when no machine count is feasible (a job with
     ``p_j / speed > d_j − r_j`` cannot finish at any ``m`` because it cannot
@@ -104,26 +102,17 @@ def optimal_migratory_schedule(
 ) -> Tuple[int, Optional[Schedule]]:
     """``(OPT, schedule)`` for the migratory problem.
 
-    With the dinic backends the binary search leaves the per-instance cache
-    holding a solved snapshot at the optimum, so the schedule is extracted
-    straight from that residual flow — no fresh feasibility solve (pinned by
-    a :class:`~repro.offline.feascache.CacheStats` regression test).  The
-    networkx backend stays a deliberately independent implementation and
-    re-solves at the optimum.
+    The binary search leaves the per-instance cache holding a solved
+    snapshot at the optimum, so the schedule is extracted straight from
+    that residual flow — no fresh feasibility solve (pinned by a
+    :class:`~repro.offline.feascache.CacheStats` regression test).
     """
     backend = resolve_backend(backend)
     m = migratory_optimum(instance, speed, backend=backend, sparsify=sparsify)
     if m == 0:
         return 0, Schedule([])
-    kernel = _DINIC_KERNELS.get(backend)
-    if kernel is not None:
-        speed = to_fraction(speed)
-        cache = cache_for(instance, sparsify=sparsify)
-        with _obs.span("optimum.extract_schedule", m=m):
-            # snapshot restore, no probe
-            network = cache.solved_network(m, speed, kernel)
-            work = network.work_by_job(speed, cache.scale_for(speed))
-            return m, schedule_from_work(work, cache.network_intervals, m)
-    return m, migratory_schedule(
-        instance, m, speed, backend=backend, sparsify=sparsify
-    )
+    with _obs.span("optimum.extract_schedule", m=m):
+        # snapshot restore, no probe
+        return m, migratory_schedule(
+            instance, m, speed, backend=backend, sparsify=sparsify
+        )

@@ -33,23 +33,6 @@ from .base import EngineError, InfeasibleOnline, JobState, Policy
 _MAX_EVENTS_FACTOR = 2000  # safety valve against pathological policies
 
 
-class TraceEvent:
-    """One decision point of a traced run (see ``OnlineEngine(trace=True)``)."""
-
-    __slots__ = ("time", "running", "admitted", "completed", "missed")
-
-    def __init__(self, time, running, admitted, completed, missed):
-        self.time = time
-        self.running = running  # machine -> job_id at this decision point
-        self.admitted = admitted  # job ids released at this instant
-        self.completed = completed  # job ids finished at slice end
-        self.missed = missed  # job ids missed at slice end
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (f"TraceEvent(t={self.time}, running={self.running}, "
-                f"+{self.admitted} ✓{self.completed} ✗{self.missed})")
-
-
 class OnlineEngine:
     """Simulates a :class:`Policy` on ``machines`` speed-``speed`` machines."""
 
@@ -59,7 +42,6 @@ class OnlineEngine:
         machines: int,
         speed: Numeric = 1,
         on_miss: str = "record",
-        trace: bool = False,
         migration_cost: Numeric = 0,
     ) -> None:
         if machines < 0:
@@ -97,8 +79,9 @@ class OnlineEngine:
         self._job_seq: Dict[int, int] = {}
         #: machines that ever got a commitment or processed work
         self._ever_used: Set[int] = set()
-        #: decision-point log when constructed with ``trace=True``
-        self.trace: Optional[List[TraceEvent]] = [] if trace else None
+        #: ids released at the latest admission (the ``engine.decision``
+        #: event's ``admitted`` count)
+        self._last_admitted: Tuple[int, ...] = ()
 
     # -- driver API ----------------------------------------------------------
 
@@ -396,18 +379,6 @@ class OnlineEngine:
         missed_before = len(self.missed_jobs)
         self._check_misses()
         newly_missed = tuple(self.missed_jobs[missed_before:])
-        admitted = getattr(self, "_last_admitted", ())
-        if self.trace is not None:
-            self.trace.append(
-                TraceEvent(
-                    time=start_time,
-                    running=dict(selection),
-                    admitted=admitted,
-                    completed=tuple(completed),
-                    missed=newly_missed,
-                )
-            )
-            self._last_admitted = ()
         if _obs.enabled():
             if completed:
                 _obs.incr("engine.completions", len(completed))
@@ -417,7 +388,7 @@ class OnlineEngine:
                 "engine.decision",
                 t=str(start_time),
                 machines=len(selection),
-                admitted=len(admitted),
+                admitted=len(self._last_admitted),
                 completed=len(completed),
                 missed=len(newly_missed),
             )

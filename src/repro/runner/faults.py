@@ -4,7 +4,7 @@ Three pieces, all picklable so they travel to pool workers:
 
 * :func:`time_limit` — a POSIX ``SIGALRM`` per-item deadline.  A task that
   outlives its budget raises :class:`ItemTimeout` *inside the worker*, so a
-  pathological probe (a degenerate LP, a runaway search) cannot stall the
+  pathological probe (a runaway search or simulation) cannot stall the
   whole sweep.  On platforms without ``SIGALRM`` (or off the main thread)
   the limit degrades to unenforced — documented, never wrong.
 * :class:`RetryPolicy` — bounded retries for *transient* failures
@@ -74,13 +74,13 @@ def time_limit(seconds: Optional[float], label: str = "item") -> Iterator[None]:
 
     ``SIGALRM``-based: the handler interrupts pure-Python execution (and
     ``time.sleep``) at the next bytecode boundary, which covers every hang
-    this codebase can produce — solver loops, LP probes, injected sleeps.
+    this codebase can produce — solver loops, engine runs, injected sleeps.
     A C extension that never yields the GIL is out of reach; that case is
     handled one level up by the pool's crash containment.  With
     ``seconds=None``, off the main thread, or without ``SIGALRM`` the block
     runs unguarded.
 
-    Limits nest: an inner limit (the advisory-LP deadline inside a sweep
+    Limits nest: an inner limit (a caller's own budget inside a sweep
     item's deadline) is clamped to whatever the outer one has left, and the
     outer timer is re-armed with its remaining budget on exit — so the
     tighter deadline always wins and the outer one is never silently lost.

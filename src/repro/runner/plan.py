@@ -307,22 +307,13 @@ class SweepPlan:
         cls,
         targets: Sequence[Union[InstanceSpec, Instance]],
         speeds: Sequence[Any] = ("1",),
-        use_lp: bool = True,
-        lp_deadline: Optional[float] = None,
     ) -> "SweepPlan":
-        """Differential verification of each target at each speed.
-
-        ``lp_deadline`` bounds the advisory LP leg of every probe (seconds);
-        a stalled LP records a timeout leg instead of blocking the item.
-        """
-        entries = []
-        for target in targets:
-            for speed in speeds:
-                params: Dict[str, Any] = {"speed": str(speed), "use_lp": use_lp}
-                if lp_deadline is not None:
-                    params["lp_deadline"] = lp_deadline
-                entries.append(("differential_optimum", target, params))
-        return cls.build(entries)
+        """Differential verification of each target at each speed."""
+        return cls.build(
+            ("differential_optimum", target, {"speed": str(speed)})
+            for target in targets
+            for speed in speeds
+        )
 
     @classmethod
     def corpus(cls, corpus_dir: str) -> "SweepPlan":

@@ -525,6 +525,9 @@ def _isolated_retry(
                 item_rows = run_pooled((item,), base_attempt=3)
                 if item_rows is None:
                     rows[item.index] = _crash_row(item, attempts=3)
+                else:
+                    for row in item_rows:
+                        rows[row[0]] = row
         else:
             for row in group_rows:
                 rows[row[0]] = row

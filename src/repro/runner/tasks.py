@@ -112,27 +112,12 @@ def task_differential_optimum(
     instance: Instance,
     *,
     speed: str = "1",
-    use_lp: bool = True,
     backends=None,
-    lp_deadline: float = None,
 ):
-    """Differential cross-check at the certified optimum (records tuple).
-
-    ``lp_deadline`` bounds the advisory LP leg per probe; a pathological LP
-    shows up as a ``("timeout", …)`` leg in the record's timings instead of
-    eating the whole item deadline.
-    """
-    from ..offline.flow import available_backends
+    """Differential cross-check at the certified optimum (records tuple)."""
     from ..verify.differential import differential_optimum
 
-    report = differential_optimum(
-        instance,
-        Fraction(speed),
-        backends=backends or available_backends(),
-        use_lp=use_lp,
-        lp_deadline=lp_deadline,
-    )
-    return report.records
+    return differential_optimum(instance, Fraction(speed), backends=backends).records
 
 
 def task_corpus_case(

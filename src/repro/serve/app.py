@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..model.io import InstanceFormatError, instance_from_dict
 from ..obs.prom import render_prometheus
 from ..obs.sinks import Registry, jsonable
+from ..offline.flow import BACKENDS
 from .cache import TenantCachePool
 from .errors import (
     ApiError,
@@ -278,8 +279,11 @@ class ServeApp:
         if speed <= 0:
             raise BadRequest(f"speed must be positive, got {speed}")
         backend = body.get("backend", "auto")
-        if backend not in ("auto", "dinic", "dinic_np", "dinic_c", "networkx"):
-            raise BadRequest(f"unknown backend {backend!r}")
+        allowed = BACKENDS + ("auto",)
+        if backend not in allowed:
+            raise BadRequest(
+                f"unknown backend {backend!r}; expected one of {allowed}"
+            )
         return tenant, instance, speed, backend
 
     # -- compute endpoints -----------------------------------------------------

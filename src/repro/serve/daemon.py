@@ -9,13 +9,16 @@ graceful drain sequence — the running theme is that *every* step is safe
 to skip by dying instead, because the queue is crash-only:
 
 1. ``app.begin_drain()`` — ``/readyz`` flips 503, submits answer 503,
-2. ``server.shutdown()`` from a helper thread (calling it from the signal
+2. ``server.close_idle()`` — keep-alive connections waiting for their next
+   request are closed; a request already being read or answered finishes
+   and its response carries ``Connection: close``,
+3. ``server.shutdown()`` from a helper thread (calling it from the signal
    handler would deadlock the ``serve_forever`` loop it interrupts);
    with non-daemon handler threads the server then joins every in-flight
    request,
-3. ``queue.drain()`` — the in-flight sweep finishes or journal-checkpoints
+4. ``queue.drain()`` — the in-flight sweep finishes or journal-checkpoints
    (fsynced) and the executor thread exits,
-4. exit 0.
+5. exit 0.
 
 A SIGKILL at any point in (or before) this sequence leaves the journal
 directory in a state the next ``repro serve`` recovers exactly — that is
@@ -25,6 +28,7 @@ the kill-resume conformance the chaos suite pins.
 from __future__ import annotations
 
 import signal
+import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -41,6 +45,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+
+    def handle_one_request(self) -> None:
+        if not self.server.await_request(self):  # type: ignore[attr-defined]
+            self.close_connection = True  # draining: take no further request
+            return
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        # The request line is in: from here on the request is in flight,
+        # unless the drain closed this connection first.
+        if not self.server.leave_idle(self):  # type: ignore[attr-defined]
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def finish(self) -> None:
+        self.server.leave_idle(self)  # type: ignore[attr-defined]
+        super().finish()
 
     def _dispatch(self) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
@@ -74,6 +96,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         for name, value in response.headers.items():
             self.send_header(name, value)
+        if self.server.draining:  # type: ignore[attr-defined]
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -85,6 +109,46 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    """Threaded server whose drain closes connections idle between requests."""
+
+    daemon_threads = False
+
+    def __init__(self, address, app: ServeApp) -> None:
+        super().__init__(address, _Handler)
+        self.app = app
+        self.draining = False
+        self._lock = threading.Lock()
+        self._idle: set = set()  # handlers blocked reading a request line
+
+    def await_request(self, handler) -> bool:
+        """Register ``handler`` as idle before it reads; False once draining."""
+        with self._lock:
+            if self.draining:
+                return False
+            self._idle.add(handler)
+            return True
+
+    def leave_idle(self, handler) -> bool:
+        """Unregister ``handler``; False if it was not idle (the drain
+        closed its connection first)."""
+        with self._lock:
+            idle = handler in self._idle
+            self._idle.discard(handler)
+            return idle
+
+    def close_idle(self) -> None:
+        """Start draining: close every connection idle between requests."""
+        with self._lock:
+            self.draining = True
+            idle, self._idle = self._idle, set()
+        for handler in idle:
+            try:
+                handler.connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client closed it already
+
+
 def make_server(app: ServeApp, host: str = "127.0.0.1", port: int = 0):
     """A bound (not yet serving) threaded HTTP server for ``app``.
 
@@ -92,10 +156,7 @@ def make_server(app: ServeApp, host: str = "127.0.0.1", port: int = 0):
     ``server.server_address``.  Handler threads are non-daemon so shutdown
     joins in-flight requests instead of abandoning them mid-response.
     """
-    server = ThreadingHTTPServer((host, port), _Handler)
-    server.daemon_threads = False
-    server.app = app  # type: ignore[attr-defined]
-    return server
+    return _Server((host, port), app)
 
 
 class ServeDaemon:
@@ -139,6 +200,7 @@ class ServeDaemon:
         self._stopped.set()
         self.app.begin_drain()
         self.queue.begin_drain()
+        self.server.close_idle()
         # serve_forever() must not be shut down from its own thread (the
         # signal handler runs there): hand it to a helper.
         threading.Thread(target=self.server.shutdown, daemon=True).start()
@@ -159,7 +221,9 @@ class ServeDaemon:
         try:
             self.server.serve_forever(poll_interval=0.1)
         finally:
-            # Joins in-flight request threads (non-daemon handler threads).
+            # Connections accepted while serve_forever wound down are idle
+            # too; then join the in-flight request threads.
+            self.server.close_idle()
             self.server.server_close()
             drained = self.queue.drain(timeout=60.0)
             self.app.close()

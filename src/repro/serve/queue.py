@@ -62,7 +62,7 @@ SERVING, DRAINING, STOPPED = _LIFECYCLE_NAMES
 
 _SPEC_FIELDS = {
     "kind", "policies", "families", "n", "seeds", "root_seed",
-    "speeds", "no_lp", "dir",
+    "speeds", "dir",
     "workers", "chunksize", "retries", "item_timeout", "chaos",
 }
 
@@ -138,7 +138,6 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
             except (ValueError, ZeroDivisionError):
                 raise BadRequest(f"unparsable or non-positive speed {s!r}")
         out["speeds"] = list(speeds)
-        out["no_lp"] = bool(spec.get("no_lp", False))
     else:  # corpus
         corpus_dir = spec.get("dir")
         if not isinstance(corpus_dir, str) or not corpus_dir:
@@ -191,12 +190,7 @@ def plan_from_spec(spec: Dict[str, Any]) -> SweepPlan:
             for family in spec["families"]
             for i in range(spec["seeds"])
         ]
-        return SweepPlan.differential(
-            specs,
-            speeds=spec["speeds"],
-            use_lp=not spec["no_lp"],
-            lp_deadline=spec["item_timeout"],
-        )
+        return SweepPlan.differential(specs, speeds=spec["speeds"])
     return SweepPlan.corpus(spec["dir"])
 
 

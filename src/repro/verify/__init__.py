@@ -3,14 +3,14 @@
 The layer every experiment certifies against: feasibility answers from the
 flow core come with witnesses (:mod:`certificates <repro.verify.certificates>`),
 witnesses are re-checked by solver-independent exact arithmetic
-(:mod:`checkers <repro.verify.checkers>`), and the independent backends are
+(:mod:`checkers <repro.verify.checkers>`), and the available kernels are
 cross-examined on the same probes
 (:mod:`differential <repro.verify.differential>`).  Entry points:
 
 * :func:`certify` — feasibility verdict at ``m`` with an attached witness,
 * :func:`certified_optimum` — the optimum sandwiched by certificates,
-* :func:`differential_optimum` / :func:`differential_sweep` — dinic vs
-  networkx vs LP on the same instances, arbitrated by certificates.
+* :func:`differential_optimum` / :func:`differential_sweep` — every
+  available kernel on the same instances, arbitrated by certificates.
 """
 
 from .certificates import (

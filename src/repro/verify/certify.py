@@ -31,8 +31,6 @@ from ..offline.feascache import cache_for
 from ..offline.flow import (
     DEFAULT_BACKEND,
     _DINIC_KERNELS,
-    max_flow_assignment,
-    networkx_min_cut,
     resolve_backend,
     schedule_from_work,
 )
@@ -97,10 +95,9 @@ def certify(
             cert = InfeasibleCertificate(
                 0, speed, tuple(j.id for j in instance), instance.intervals()
             )
-        elif backend in _DINIC_KERNELS:
-            kernel = _DINIC_KERNELS[backend]
+        else:
             cache = cache_for(instance, sparsify=sparsify)
-            network = cache.solved_network(m, speed, kernel)
+            network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
             # Work maps and cut indices refer to the interval list the
             # network was built over (sparsified by default).
             intervals = cache.network_intervals
@@ -120,24 +117,6 @@ def certify(
                     tuple(job_ids),
                     IntervalUnion.from_pairs(intervals[k] for k in iv_idx),
                     cache_stats=cache.stats.snapshot(),
-                )
-        else:
-            feasible, work, intervals = max_flow_assignment(
-                instance, m, speed, backend=backend, sparsify=sparsify
-            )
-            if feasible:
-                cert = FeasibleCertificate(
-                    m, speed, schedule_from_work(work, intervals, m)
-                )
-            else:
-                job_ids, iv_idx = networkx_min_cut(
-                    instance, m, speed, sparsify=sparsify
-                )
-                cert = InfeasibleCertificate(
-                    m,
-                    speed,
-                    tuple(job_ids),
-                    IntervalUnion.from_pairs(intervals[k] for k in iv_idx),
                 )
         if check:
             with _obs.span("verify.check", kind=cert.kind, m=m):
@@ -189,7 +168,7 @@ def certified_optimum(
             assert isinstance(below, InfeasibleCertificate)
             infeasible = below
     stats = None
-    if backend in _DINIC_KERNELS and len(instance) > 0:
+    if len(instance) > 0:
         # Snapshot *after* both sandwich probes: the total solver effort.
         stats = cache_for(instance, sparsify=sparsify).stats.snapshot()
     return CertifiedOptimum(m, feasible, infeasible, cache_stats=stats)

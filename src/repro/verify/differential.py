@@ -1,17 +1,10 @@
-"""Differential verification harness: dinic vs networkx vs LP.
+"""Differential verification harness: every available kernel, side by side.
 
-Three independent implementations answer the same feasibility question:
-
-* the flat-array Dinic solver (the hot path),
-* the generic networkx max-flow formulation,
-* the float-based HiGHS LP relaxation (advisory).
-
-This module runs them side by side on the same ``(instance, m, speed)``
-probes and *arbitrates with certificates*: the exact backends must agree
-verdict-for-verdict and each verdict must come with a certificate that
-passes the solver-independent checkers.  The LP is float-based, so a lone
-LP disagreement is recorded (``lp_disagreements``) but does not fail the
-run when the exact consensus is backed by a valid certificate — the
+The pure-Python Dinic kernel and, where it builds, the compiled one answer
+the same feasibility question.  This module runs them side by side on the
+same ``(instance, m, speed)`` probes and *arbitrates with certificates*:
+the backends must agree verdict-for-verdict and each verdict must come with
+a certificate that passes the solver-independent checkers — the
 certificate, not the majority, is the ground truth.
 """
 
@@ -38,11 +31,9 @@ class DifferentialRecord:
     m: int
     speed: Fraction
     verdicts: Tuple[Tuple[str, bool], ...]  # backend → feasible
-    lp_verdict: Optional[bool]  # None: LP skipped or solver failure
-    failures: Tuple[str, ...]  # exact-backend disagreements / bad certificates
-    lp_disagreement: bool
-    #: backend → seconds spent on this probe (verdict + certificate + check;
-    #: the LP leg appears as "lp"), so disagreement cost is attributable.
+    failures: Tuple[str, ...]  # backend disagreements / bad certificates
+    #: backend → seconds spent on this probe (verdict + certificate + check),
+    #: so disagreement cost is attributable.
     timings: Tuple[Tuple[str, float], ...] = field(default=(), compare=False)
 
     @property
@@ -65,10 +56,6 @@ class DifferentialReport:
         return [f for r in self.records for f in r.failures]
 
     @property
-    def lp_disagreements(self) -> int:
-        return sum(1 for r in self.records if r.lp_disagreement)
-
-    @property
     def backend_seconds(self) -> Dict[str, float]:
         """Total wall time attributed to each backend across all probes."""
         totals: Dict[str, float] = {}
@@ -79,11 +66,6 @@ class DifferentialReport:
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"FAILED ({len(self.failures)} failures)"
-        lp = (
-            f", {self.lp_disagreements} advisory LP disagreement(s)"
-            if self.lp_disagreements
-            else ""
-        )
         seconds = self.backend_seconds
         timing = (
             " ["
@@ -92,40 +74,7 @@ class DifferentialReport:
             if seconds
             else ""
         )
-        return f"differential: {len(self.records)} probes {status}{lp}{timing}"
-
-
-def _lp_verdict(
-    instance: Instance,
-    m: int,
-    speed: Fraction,
-    deadline: Optional[float] = None,
-) -> Tuple[Optional[bool], bool]:
-    """The advisory LP's ``(verdict, timed_out)`` for one probe.
-
-    ``deadline`` bounds the solve with :func:`repro.runner.faults.time_limit`
-    (nested safely inside any enclosing per-item deadline); a timeout yields
-    ``(None, True)``.  Solver hiccups and a missing scipy yield
-    ``(None, False)`` — the advisory leg never fails the run.
-    """
-    try:
-        from ..offline.lp import lp_feasible
-    except ImportError:  # scipy unavailable: LP leg is advisory anyway
-        return None, False
-    if deadline is not None:
-        from ..runner.faults import ItemTimeout, time_limit
-
-        try:
-            with time_limit(deadline, label=f"lp probe m={m}"):
-                return lp_feasible(instance, m, speed), False
-        except ItemTimeout:
-            return None, True
-        except Exception:
-            return None, False
-    try:
-        return lp_feasible(instance, m, speed), False
-    except Exception:  # solver hiccup — advisory leg never fails the run
-        return None, False
+        return f"differential: {len(self.records)} probes {status}{timing}"
 
 
 def differential_check(
@@ -133,19 +82,11 @@ def differential_check(
     m: int,
     speed: Numeric = 1,
     backends: Optional[Sequence[str]] = None,
-    use_lp: bool = True,
-    lp_deadline: Optional[float] = None,
 ) -> DifferentialRecord:
-    """Cross-check one probe: verdicts, certificates, and the LP advisory.
-
-    ``lp_deadline`` (seconds) bounds the float LP leg: a pathological LP
-    records a ``("timeout", elapsed)`` leg in ``timings`` (plus a
-    ``differential.lp_timeouts`` counter) instead of stalling the probe —
-    the exact backends are never deadline-bounded here, their budget is the
-    sweep's per-item deadline.
+    """Cross-check one probe: verdicts and certificates of every backend.
 
     ``backends`` defaults to :func:`~repro.offline.flow.available_backends`
-    — every exact backend this process can actually run (``dinic_c`` drops
+    — every backend this process can actually run (``dinic_c`` drops
     out on compiler-less hosts instead of failing the harness).
     """
     if backends is None:
@@ -173,29 +114,13 @@ def differential_check(
                 )
         timings.append((backend, time.perf_counter() - t0))
     if len(set(verdicts.values())) > 1:
-        failures.append(f"exact backends disagree at m={m}: {verdicts}")
+        failures.append(f"backends disagree at m={m}: {verdicts}")
         _obs.incr("differential.disagreements")
-    lp = None
-    if use_lp:
-        t0 = time.perf_counter()
-        with _obs.span("differential.backend", backend="lp", m=m):
-            lp, lp_timed_out = _lp_verdict(instance, m, speed, lp_deadline)
-        elapsed = time.perf_counter() - t0
-        if lp_timed_out:
-            timings.append(("timeout", elapsed))
-            _obs.incr("differential.lp_timeouts")
-        else:
-            timings.append(("lp", elapsed))
-    lp_disagrees = lp is not None and bool(verdicts) and lp != next(iter(verdicts.values()))
-    if lp_disagrees:
-        _obs.incr("differential.lp_disagreements")
     return DifferentialRecord(
         m=m,
         speed=speed,
         verdicts=tuple(sorted(verdicts.items())),
-        lp_verdict=lp,
         failures=tuple(failures),
-        lp_disagreement=lp_disagrees,
         timings=tuple(timings),
     )
 
@@ -204,8 +129,6 @@ def differential_optimum(
     instance: Instance,
     speed: Numeric = 1,
     backends: Optional[Sequence[str]] = None,
-    use_lp: bool = True,
-    lp_deadline: Optional[float] = None,
 ) -> DifferentialReport:
     """Cross-check the certified optimum: probes at OPT and OPT − 1.
 
@@ -225,9 +148,7 @@ def differential_optimum(
             m=-1,
             speed=speed,
             verdicts=tuple((b, False) for b in backends),
-            lp_verdict=None,
             failures=tuple(failures),
-            lp_disagreement=False,
         )
         return DifferentialReport((record,))
     optima = {b: migratory_optimum(instance, speed, backend=b) for b in backends}
@@ -238,19 +159,13 @@ def differential_optimum(
                 m=-1,
                 speed=speed,
                 verdicts=(),
-                lp_verdict=None,
                 failures=(f"backends disagree on the optimum: {optima}",),
-                lp_disagreement=False,
             )
         )
     m = max(optima.values())
-    records.append(
-        differential_check(instance, m, speed, backends, use_lp, lp_deadline)
-    )
+    records.append(differential_check(instance, m, speed, backends))
     if m > 0:
-        records.append(
-            differential_check(instance, m - 1, speed, backends, use_lp, lp_deadline)
-        )
+        records.append(differential_check(instance, m - 1, speed, backends))
     return DifferentialReport(tuple(records))
 
 
@@ -258,8 +173,6 @@ def differential_sweep(
     instances: Iterable[Instance],
     speeds: Sequence[Numeric] = (1,),
     backends: Optional[Sequence[str]] = None,
-    use_lp: bool = True,
-    lp_deadline: Optional[float] = None,
     n_jobs: int = 1,
     chunksize: int = 1,
 ) -> DifferentialReport:
@@ -280,16 +193,7 @@ def differential_sweep(
             (
                 "differential_optimum",
                 instance,
-                {
-                    "speed": str(to_fraction(speed)),
-                    "use_lp": use_lp,
-                    "backends": tuple(backends),
-                    **(
-                        {"lp_deadline": lp_deadline}
-                        if lp_deadline is not None
-                        else {}
-                    ),
-                },
+                {"speed": str(to_fraction(speed)), "backends": tuple(backends)},
             )
             for instance in instances
             for speed in speeds
@@ -307,8 +211,5 @@ def differential_sweep(
     records: List[DifferentialRecord] = []
     for instance in instances:
         for speed in speeds:
-            report = differential_optimum(
-                instance, speed, backends, use_lp, lp_deadline
-            )
-            records.extend(report.records)
+            records.extend(differential_optimum(instance, speed, backends).records)
     return DifferentialReport(tuple(records))

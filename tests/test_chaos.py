@@ -20,7 +20,6 @@ Covers:
   resumable, including completed items of a cut-short chunk),
 * the degradation ladder (pool-creation failure → serial, logged as a
   ``runner.degraded`` event),
-* the advisory-LP deadline (`("timeout", …)` leg in differential timings),
 * the `repro sweep --journal/--resume/--retries/--item-timeout/--chaos` CLI,
 * sharded sweeps (ISSUE 7): kill any shard — fault it, quarantine it, or
   truncate its journal mid-run — resume it, and `merge_journals` folds the
@@ -516,38 +515,6 @@ class TestDegradation:
         # demoted to transient -> retried -> recovered; parent survived
         assert report.ok
         assert report.results[1].attempts == 2
-
-
-# ---------------------------------------------------------------------------
-# advisory LP deadline (satellite)
-
-
-@alarm_only
-class TestLpDeadline:
-    def test_pathological_lp_records_timeout_leg(self, monkeypatch):
-        from repro.offline import lp as lp_module
-        from repro.verify.differential import differential_check
-
-        def stuck_lp(instance, m, speed=1):
-            time.sleep(30)
-
-        monkeypatch.setattr(lp_module, "lp_feasible", stuck_lp)
-        inst = Instance([Job(0, 1, 2, id=0), Job(0, 1, 2, id=1)])
-        with obs.capture() as reg:
-            record = differential_check(inst, 2, use_lp=True, lp_deadline=0.2)
-        legs = dict(record.timings)
-        assert "timeout" in legs and legs["timeout"] < 5
-        assert record.lp_verdict is None
-        assert record.ok  # advisory leg never fails the probe
-        assert reg.snapshot()["counters"]["differential.lp_timeouts"] == 1
-
-    def test_fast_lp_unaffected_by_deadline(self):
-        from repro.verify.differential import differential_check
-
-        inst = Instance([Job(0, 1, 2, id=0)])
-        record = differential_check(inst, 1, use_lp=True, lp_deadline=30.0)
-        legs = dict(record.timings)
-        assert "timeout" not in legs
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each corpus instance is archived JSON (lossless rationals) with a golden
 ``(optimum, certificate kind)`` expectation in ``expectations.json``.  The
 corpus pins the feasibility core end to end on hand-picked structures —
 tight agreeable, laminar, Lemma 2 adversary prefixes, separated overload
-bursts, fractional data, and a speed-<1 unsatisfiable instance — on *both*
-flow backends.  It is also the kill-set of the mutation smoke gate
+bursts, fractional data, and a speed-<1 unsatisfiable instance — on every
+available kernel and on the networkx oracle of ``tests/oracles.py``.  It is
+also the kill-set of the mutation smoke gate
 (``tools/mutation_smoke.py``), so it must stay fast and deterministic.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -27,6 +29,8 @@ from repro.verify import (
     certificate_from_dict,
 )
 
+from tests import oracles
+
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "corpus")
 
 with open(os.path.join(CORPUS_DIR, "expectations.json"), "r", encoding="utf-8") as fh:
@@ -37,25 +41,34 @@ def _case_id(case) -> str:
     return f"{case['file']}@s={case['speed']}"
 
 
+#: ``(certified_optimum, migratory_optimum)`` per kernel, and the oracle's.
+SOLVERS = {
+    b: (partial(certified_optimum, backend=b), partial(migratory_optimum, backend=b))
+    for b in available_backends()
+}
+SOLVERS["networkx"] = (oracles.certified_optimum, oracles.migratory_optimum)
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", list(SOLVERS))
 def test_corpus_certified_optimum(case, backend):
     instance = load(os.path.join(CORPUS_DIR, case["file"]))
     speed = Fraction(case["speed"])
+    certified, optimum = SOLVERS[backend]
 
     if case.get("unsat"):
         with pytest.raises(Unsatisfiable) as excinfo:
-            certified_optimum(instance, speed, backend=backend)
+            certified(instance, speed)
         cert = excinfo.value.certificate
         assert cert.region.length == 0
         assert check_certificate(instance, cert).ok
         # The raw optimum search must refuse the instance up front rather
         # than searching forever (pins the speed-<1 every-m guard).
         with pytest.raises(ValueError):
-            migratory_optimum(instance, speed, backend=backend)
+            optimum(instance, speed)
         return
 
-    co = certified_optimum(instance, speed, backend=backend)
+    co = certified(instance, speed)
     assert co.machines == case["optimum"], (
         f"{case['file']}: optimum {co.machines} != golden {case['optimum']} "
         f"({backend} backend)"

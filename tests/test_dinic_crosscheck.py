@@ -1,12 +1,14 @@
-"""Differential tests: dinic backends vs. networkx backend.
+"""Differential tests: the Dinic kernels vs. the networkx oracle.
 
-The dedicated Dinic solver (``repro.offline.dinic``) replaced networkx on
-the feasibility hot path; the networkx formulation is kept precisely so the
-two independent implementations can be cross-checked.  Property tests here
-assert they agree on ``(feasible, total flow)`` across random, laminar, and
-agreeable instances, with fractional data and speeds below 1.  When the
-compiled kernel is available, ``dinic_c`` joins the cross-check and must
-reproduce the python kernel's work map exactly.
+The dedicated Dinic solver (``repro.offline.dinic``) is the only runtime
+flow path; the generic networkx formulation lives in ``tests/oracles.py``
+precisely so the two independent implementations can be cross-checked.
+Property tests here assert they agree on ``(feasible, total flow)`` across
+random, laminar, and agreeable instances, with fractional data and speeds
+below 1, and that the oracle's own certificates — its flow as a schedule,
+its minimum cut as a Theorem 1 witness — pass the solver-independent
+checker.  When the compiled kernel is available, ``dinic_c`` joins the
+cross-check and must reproduce the python kernel's work map exactly.
 """
 
 from fractions import Fraction
@@ -19,7 +21,9 @@ from repro.model import Instance, Job
 from repro.offline import kernel as _kernel
 from repro.offline.flow import max_flow_assignment, migratory_feasible
 from repro.offline.optimum import migratory_optimum
+from repro.verify import check_certificate
 
+from tests import oracles
 from tests.strategies import instances_st
 
 SPEEDS = [
@@ -49,7 +53,7 @@ def fractional_instances_st(draw, max_size: int = 6):
 
 
 def assert_backends_agree(instance: Instance, m: int, speed: Fraction) -> None:
-    """All backends: same verdict and the same maximum-flow value.
+    """Kernels and oracle: same verdict and the same maximum-flow value.
 
     The compiled kernel must match the python kernel *bit for bit* — same
     work map, not just the same total — because it is the same algorithm on
@@ -57,14 +61,18 @@ def assert_backends_agree(instance: Instance, m: int, speed: Fraction) -> None:
     dinic-vs-networkx check still runs.
     """
     fd, wd, ivd = max_flow_assignment(instance, m, speed, backend="dinic")
-    fn, wn, ivn = max_flow_assignment(instance, m, speed, backend="networkx")
+    fn, wn, ivn = oracles.max_flow_assignment(instance, m, speed)
     assert fd == fn
     assert ivd == ivn
     total_d = sum((sum(row.values(), Fraction(0)) for row in wd.values()), Fraction(0))
     total_n = sum((sum(row.values(), Fraction(0)) for row in wn.values()), Fraction(0))
     assert total_d == total_n
     assert migratory_feasible(instance, m, speed, backend="dinic") == fn
-    assert migratory_feasible(instance, m, speed, backend="networkx") == fn
+    # At infeasible probes this wraps the oracle's networkx_min_cut witness
+    # in an InfeasibleCertificate; feasible ones extract its flow.
+    cert = oracles.certify(instance, m, speed)
+    assert cert.kind == ("feasible" if fn else "infeasible")
+    assert check_certificate(instance, cert).ok
     if _kernel.available():
         fc, wc, ivc = max_flow_assignment(instance, m, speed, backend="dinic_c")
         assert (fc, ivc) == (fd, ivd)
@@ -110,15 +118,15 @@ class TestOptimumAgrees:
     @given(instances_st(max_size=6), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
     @settings(max_examples=30, deadline=None)
     def test_optimum_matches_networkx(self, inst, speed):
-        assert migratory_optimum(inst, speed, backend="dinic") == migratory_optimum(
-            inst, speed, backend="networkx"
+        assert migratory_optimum(inst, speed, backend="dinic") == (
+            oracles.migratory_optimum(inst, speed)
         )
 
     @given(fractional_instances_st(max_size=5))
     @settings(max_examples=20, deadline=None)
     def test_fractional_optimum_matches(self, inst):
-        assert migratory_optimum(inst, backend="dinic") == migratory_optimum(
-            inst, backend="networkx"
+        assert migratory_optimum(inst, backend="dinic") == (
+            oracles.migratory_optimum(inst)
         )
 
     @given(instances_st(max_size=6), st.sampled_from([Fraction(1), Fraction(1, 2)]))

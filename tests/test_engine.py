@@ -6,7 +6,9 @@ from typing import Dict
 import pytest
 from hypothesis import given, settings
 
+from repro import obs
 from repro.model import Instance, Job
+from repro.obs.sinks import Sink
 from repro.online.base import EngineError, InfeasibleOnline, Policy
 from repro.online.edf import EDF
 from repro.online.engine import OnlineEngine, min_machines, simulate, succeeds
@@ -223,34 +225,54 @@ class TestHelpers:
         assert rep.feasible
 
 
+class _Decisions(Sink):
+    """Collects the attributes of every ``engine.decision`` event."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, name, attrs, span_path):
+        if name == "engine.decision":
+            self.events.append(attrs)
+
+
+def _run_observed(policy, inst, machines=1):
+    decisions = _Decisions()
+    with obs.capture(decisions):
+        eng = OnlineEngine(policy, machines=machines)
+        eng.release(inst)
+        eng.run_to_completion()
+    return eng, decisions.events
+
+
 class TestTrace:
     def test_disabled_by_default(self):
-        eng = simulate(GreedyFirst(), Instance([Job(0, 1, 2, id=0)]), machines=1)
-        assert eng.trace is None
+        inst = Instance([Job(0, 1, 2, id=0)])
+        plain = simulate(GreedyFirst(), inst, machines=1)
+        observed, events = _run_observed(GreedyFirst(), inst)
+        assert not obs.enabled()
+        assert events  # decisions are emitted only to a listening sink ...
+        assert plain.segments == observed.segments  # ... and change nothing
 
     def test_records_lifecycle(self):
         inst = Instance([Job(0, 1, 2, id=0), Job(3, 1, 4, id=1)])
-        eng = OnlineEngine(GreedyFirst(), machines=1, trace=True)
-        eng.release(inst)
-        eng.run_to_completion()
-        admitted = [j for ev in eng.trace for j in ev.admitted]
-        completed = [j for ev in eng.trace for j in ev.completed]
-        assert sorted(admitted) == [0, 1] or sorted(completed) == [0, 1]
-        assert sorted(completed) == [0, 1]
-        times = [ev.time for ev in eng.trace]
-        assert times == sorted(times)
+        eng, events = _run_observed(GreedyFirst(), inst)
+        # Job 0 is admitted by release() itself, before the first decision;
+        # job 1 by the step that jumps the clock to its release.
+        assert [ev["t"] for ev in events] == ["0", "3"]
+        assert [ev["admitted"] for ev in events] == [0, 1]
+        assert [ev["completed"] for ev in events] == [1, 1]
+        assert [eng.state_of(j).finished_at for j in (0, 1)] == [1, 4]
 
     def test_records_misses(self):
         inst = Instance([Job(0, 1, 1, id=0)])
-        eng = OnlineEngine(IdlePolicy(), machines=1, trace=True)
-        eng.release(inst)
-        eng.run_to_completion()
-        missed = [j for ev in eng.trace for j in ev.missed]
-        assert missed == [0]
+        eng, events = _run_observed(IdlePolicy(), inst)
+        assert sum(ev["missed"] for ev in events) == 1
+        assert eng.missed_jobs == [0]
+        assert eng.state_of(0).finished_at is None
 
     def test_running_snapshots(self):
         inst = Instance([Job(0, 2, 4, id=0)])
-        eng = OnlineEngine(GreedyFirst(), machines=1, trace=True)
-        eng.release(inst)
-        eng.run_to_completion()
-        assert any(ev.running == {0: 0} for ev in eng.trace)
+        eng, events = _run_observed(GreedyFirst(), inst)
+        assert any(ev["machines"] == 1 for ev in events)
+        assert [(s.job_id, s.machine) for s in eng.segments] == [(0, 0)]

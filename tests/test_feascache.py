@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.generators import uniform_random_instance
 from repro.model import Instance, Job
 from repro.offline.feascache import cache_for
-from repro.offline.flow import _common_scale, _event_intervals, max_flow_assignment
+from repro.offline.flow import max_flow_assignment
 from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound, trivial_lower_bounds
 
@@ -90,7 +90,6 @@ class TestMemoizedStructure:
         inst = uniform_random_instance(25, horizon=50, seed=5)
         cache = cache_for(inst)
         assert cache.intervals is cache.intervals
-        assert _event_intervals(inst) is cache.intervals
         points = sorted({j.release for j in inst} | {j.deadline for j in inst})
         assert cache.intervals == [
             (a, b) for a, b in zip(points, points[1:]) if b > a
@@ -105,8 +104,8 @@ class TestMemoizedStructure:
         )
         cache = cache_for(inst)
         assert cache.base_scale == 12
-        speed = Fraction(2, 5)
-        assert cache.scale_for(speed) == _common_scale(inst, extra=[speed]) * 5
+        # lcm(12, 5) · 5: p_j and (b − a)·2/5 both become integral
+        assert cache.scale_for(Fraction(2, 5)) == 300
 
     def test_memo_cannot_be_invalidated(self):
         """The cache hangs off the instance; the instance cannot change."""

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.hist import SUBBUCKETS, Hist, bucket_bounds, bucket_index
@@ -137,6 +137,8 @@ def _hist_of(values):
 
 
 @given(_value_lists, _value_lists)
+@example([0], [Fraction(0)])
+@example([2.0, 1], [Fraction(2), 1.0])
 @settings(max_examples=100, deadline=None)
 def test_merge_commutative(xs, ys):
     ab = _hist_of(xs).merge(_hist_of(ys))

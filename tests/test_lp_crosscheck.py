@@ -7,9 +7,9 @@ from hypothesis import given, settings
 
 from repro.model import Instance, Job
 from repro.offline.flow import migratory_feasible
-from repro.offline.lp import lp_feasible
 from repro.offline.optimum import migratory_optimum
 
+from tests.oracles import lp_feasible
 from tests.strategies import instances_st
 
 

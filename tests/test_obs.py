@@ -291,10 +291,6 @@ class TestCacheStatsSurfaced:
         assert co.feasible.cache_stats is not None
         assert co.infeasible.cache_stats is not None
 
-    def test_networkx_backend_has_no_cache_stats(self, mcnaughton_instance):
-        cert = certify(mcnaughton_instance, 2, backend="networkx")
-        assert cert.cache_stats is None
-
     def test_round_trip_preserves_stats(self, mcnaughton_instance):
         cert = certify(mcnaughton_instance, 2)
         clone = certificate_from_dict(json.loads(json.dumps(cert.to_dict())))

@@ -418,6 +418,16 @@ class TestFailureContainment:
         # every item is accounted for: nothing silently dropped
         assert sorted(r.index for r in report.results) == list(range(6))
 
+    def test_group_mates_of_a_persistent_crasher_recover(self):
+        # One shared instance: the crasher's group re-runs whole, breaks its
+        # fresh pool again, and drops to one pool per item.
+        inst = Instance([Job(0, 1, 2, id=0)])
+        plan = SweepPlan.build(("poison", inst, {"die": i == 1}) for i in range(3))
+        report = run_sweep(plan, n_jobs=2, chunksize=3)
+        assert [(r.status, r.value) for r in report.results] == [
+            ("ok", 1), ("crashed", None), ("ok", 1)
+        ]
+
     @pytest.mark.skipif(
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
         reason="poison task is registered at runtime; needs fork inheritance",
@@ -518,7 +528,7 @@ class TestSweepCLI:
     def test_differential_json(self, capsys):
         assert main([
             "sweep", "differential", "--families", "uniform", "-n", "5",
-            "--seeds", "2", "--no-lp", "--workers", "2", "--json",
+            "--seeds", "2", "--workers", "2", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_jobs"] == 2

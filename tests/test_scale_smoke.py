@@ -21,7 +21,7 @@ from repro.offline.flow import migratory_feasible, resolve_backend
 from repro.runner.faults import ItemTimeout, time_limit
 
 #: Wall-clock budget (seconds) for build + tables + one probe on the
-#: fastest available backend (``auto``: dinic_c → dinic_np → dinic).  The
+#: fastest available backend (``auto``: dinic_c → dinic).  The
 #: observed time on a development machine is ~4 s with the compiled kernel
 #: (the probe itself is ~60 ms; the rest is instance + table construction);
 #: the budget leaves ~10× headroom for slow compiler-less CI boxes while

@@ -37,6 +37,7 @@ import pytest
 from repro.model import Instance, Job
 from repro.model.io import instance_to_dict
 from repro.obs.sinks import Registry, jsonable
+from repro.offline.flow import BACKENDS
 from repro.runner import Journal, canonical_report_view, run_sweep
 from repro.serve import (
     BadRequest,
@@ -183,6 +184,8 @@ class TestHardening:
             {"speed": "fast"},
             {"speed": "1/0"},
             {"backend": "simplex"},
+            {"backend": "dinic_np"},
+            {"backend": "networkx"},
             {"instance": None},
             {"instance": []},
         ],
@@ -194,6 +197,8 @@ class TestHardening:
         resp = client.post("/v1/certify", json=body)
         assert resp.status == 400
         assert resp.json()["error"]["code"] == "bad_request"
+        if "backend" in mutation:  # the message names the allowed set
+            assert str(BACKENDS + ("auto",)) in resp.json()["error"]["message"]
 
     def test_oversized_body_is_413(self):
         client = TestClient(make_app(max_body=256))
@@ -414,6 +419,7 @@ class TestSweepEndpoints:
             dict(RATIO_SPEC, item_timeout=1e9),
             dict(RATIO_SPEC, chaos="tsunami:0@1"),
             dict(RATIO_SPEC, surprise=1),
+            {"kind": "differential", "families": ["uniform"], "no_lp": True},
             {"kind": "differential", "families": ["uniform"], "speeds": ["0"]},
             {"kind": "corpus"},
             {"kind": "corpus", "dir": "/nonexistent"},

@@ -18,17 +18,22 @@ subprocess tests pin the real-signal ends of the spectrum:
 * subprocess: SIGKILL the real daemon mid-sweep, restart, poll to done,
 * subprocess: SIGTERM under load → exit 0, no torn tail, restart resumes,
 * subprocess (satellite 1): ``repro sweep`` SIGTERM ≡ Ctrl-C — exit 130,
-  flushed journal, ``--resume`` completes to the clean-run report.
+  flushed journal, ``--resume`` completes to the clean-run report,
+* subprocess: SIGTERM with an idle keep-alive connection open exits 0
+  within 5 s; in-process, in-flight requests finish across the drain.
 """
 
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -37,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro.obs.sinks import jsonable
 from repro.runner import canonical_report_view, read_journal, run_sweep
+from repro.serve import ServeApp, make_server
 from repro.serve.queue import SweepQueue, normalize_spec, plan_from_spec
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -324,3 +330,96 @@ class TestSweepSigterm:
         with open(snapshot, encoding="utf-8") as fh:
             resumed = json.load(fh)
         assert canonical_report_view(resumed) == baseline(BIG_SPEC)
+
+
+class TestKeepAliveDrain:
+    """A drain never waits on a client that keeps an idle connection open."""
+
+    @pytest.mark.slow
+    def test_sigterm_with_idle_keep_alive_connection_exits(self, tmp_path):
+        proc, url = start_daemon(str(tmp_path / "serve-journal"))
+        parts = urllib.parse.urlsplit(url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+            assert not resp.will_close  # the connection stays open, idle
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=5)
+        finally:
+            conn.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "drained, exiting" in out
+
+    def test_drain_under_concurrent_keep_alive_clients(self):
+        """Eight keep-alive clients loop while one request is held in flight:
+        the drain closes idle ones, the held one gets its whole response."""
+        app = ServeApp(None)
+        entered, release = threading.Event(), threading.Event()
+        readyz = app._do_readyz
+
+        def held_readyz():
+            entered.set()
+            release.wait(10)
+            return readyz()
+
+        app._do_readyz = held_readyz
+        server = make_server(app)
+        host, port = server.server_address[:2]
+        loop = threading.Thread(target=server.serve_forever, args=(0.01,))
+        loop.start()
+        stop = threading.Event()
+        bodies = []
+
+        def client():
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                while not stop.is_set():
+                    conn.request("GET", "/healthz")
+                    resp = conn.getresponse()
+                    bodies.append(resp.read())
+                    if resp.will_close:
+                        return
+            except (http.client.HTTPException, OSError):
+                pass  # closed by the drain between two requests
+            finally:
+                conn.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        held = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for t in clients:
+                t.start()
+            held.request("GET", "/readyz")
+            assert entered.wait(10)
+            time.sleep(0.2)
+            server.close_idle()  # the drain starts mid-request
+            stop.set()
+            release.set()
+            resp = held.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["ready"] is True
+            assert resp.getheader("Connection") == "close"
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            release.set()
+            held.close()
+            server.shutdown()
+            loop.join(10)
+        closer = threading.Thread(target=server.server_close)
+        closer.start()
+        closer.join(10)
+        assert not closer.is_alive()  # every handler thread was joined
+        for t in clients:
+            t.join(10)
+            assert not t.is_alive()
+        app.close()
+        assert bodies and all(json.loads(b) == {"ok": True} for b in bodies)

@@ -6,8 +6,10 @@ intervals before the feasibility network is built.  The claim is not just
 the greedy blocking order is invariant under the (monotone) reindexing, and
 residual-reachability min cuts are the unique minimal source side — so the
 *certificates* (schedules and Theorem-1 witnesses, as serialized dicts) must
-be identical with sparsification on and off, for every backend, on the whole
-golden corpus and on random instances.
+be identical with sparsification on and off, for every kernel and for the
+networkx oracle of ``tests/oracles.py`` (whose maximal cut side no dropped
+interval joins at ``m ≥ 1`` either), on the whole golden corpus and on
+random instances.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from hypothesis import strategies as st
 from repro.model import Instance, Job
 from repro.model.io import load
 from repro.obs import core as obs
+from repro.offline import kernel
 from repro.offline.feascache import cache_for
 from repro.offline.flow import available_backends, max_flow_assignment
 from repro.offline.optimum import migratory_optimum
 from repro.verify import Unsatisfiable, certified_optimum, certify
 
+from tests import oracles
 from tests.strategies import instances_st
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "corpus")
@@ -48,8 +52,11 @@ def _strip_stats(cert_dict):
 
 def _certified_pair(instance, speed, backend, sparsify):
     try:
-        co = certified_optimum(instance, speed, backend=backend,
-                               sparsify=sparsify)
+        if backend == "networkx":
+            co = oracles.certified_optimum(instance, speed, sparsify=sparsify)
+        else:
+            co = certified_optimum(instance, speed, backend=backend,
+                                   sparsify=sparsify)
     except Unsatisfiable as exc:
         return ("unsat", _strip_stats(exc.certificate.to_dict()))
     return (
@@ -63,7 +70,7 @@ class TestGoldenCorpus:
     """Byte-identical serialized certificates across sparsify on/off."""
 
     @pytest.mark.parametrize("case", CASES, ids=_case_id)
-    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("backend", [*available_backends(), "networkx"])
     def test_certificates_identical(self, case, backend):
         instance = load(os.path.join(CORPUS_DIR, case["file"]))
         speed = Fraction(case["speed"])
@@ -75,13 +82,14 @@ class TestGoldenCorpus:
 
     @pytest.mark.parametrize("case", CASES, ids=_case_id)
     def test_kernels_identical(self, case):
-        """dinic vs dinic_np: the numpy BFS yields bit-identical flows."""
-        pytest.importorskip("numpy")
+        """dinic vs dinic_c on the unsparsified network: bit-identical too."""
+        if not kernel.available():
+            pytest.skip("compiled kernel unavailable")
         instance = load(os.path.join(CORPUS_DIR, case["file"]))
         speed = Fraction(case["speed"])
-        py = _certified_pair(instance, speed, "dinic", True)
-        np_ = _certified_pair(instance, speed, "dinic_np", True)
-        assert json.dumps(py, sort_keys=True) == json.dumps(np_, sort_keys=True)
+        py = _certified_pair(instance, speed, "dinic", False)
+        c = _certified_pair(instance, speed, "dinic_c", False)
+        assert json.dumps(py, sort_keys=True) == json.dumps(c, sort_keys=True)
 
 
 class TestSparsificationEngages:

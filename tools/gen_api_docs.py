@@ -62,18 +62,18 @@ CLI_SECTION = [
     "| `repro verify INSTANCE.json` | Certified optimum: prints the optimum"
     " with its feasible/infeasible witness pair, re-checked by exact"
     " arithmetic. |",
-    "| `repro opt INSTANCE.json [--backend auto\\|dinic\\|dinic_np\\|dinic_c"
-    "\\|networkx]` | Exact migratory/non-migratory optima; `auto` (default)"
-    " picks the fastest available Dinic kernel, compiling the native one on"
-    " first use. |",
+    "| `repro opt INSTANCE.json [--backend auto\\|dinic\\|dinic_c]` | Exact"
+    " migratory/non-migratory optima; `auto` (default) picks the compiled"
+    " Dinic kernel, building it on first use, and falls back to the"
+    " pure-Python one without a compiler. |",
     "| `repro verify INSTANCE.json --m M [--speed S] [--backend B]` |"
     " Certificate for the verdict at a fixed machine count;"
     " `-o CERT.json` archives it. |",
     "| `repro verify INSTANCE.json --schedule SCHED.json [--m M]` |"
     " Re-verify an archived schedule (optionally against a machine bound). |",
-    "| `repro verify INSTANCE.json --differential` | Cross-examine the dinic,"
-    " networkx, and LP answers on the same probes; exit 1 on any"
-    " certified disagreement. |",
+    "| `repro verify INSTANCE.json --differential` | Cross-examine every"
+    " available kernel (`dinic`, plus `dinic_c` where it builds) on the"
+    " same probes; exit 1 on any certified disagreement. |",
     "| `repro stats INSTANCE.json [--policy P] [--json]` | One-shot"
     " observability report: certified optimum plus the counter/gauge/span"
     " table and per-histogram p50/p90/p99/max latency columns captured"

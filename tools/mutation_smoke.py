@@ -44,8 +44,6 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     "src/repro/offline/flow.py": {
         "mcnaughton",
         "schedule_from_work",
-        "_build_network",
-        "networkx_min_cut",
         "max_flow_assignment",
         "migratory_feasible",
     },
