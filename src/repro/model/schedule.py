@@ -17,6 +17,7 @@ measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -174,101 +175,176 @@ class Schedule:
         When ``machines`` is given the schedule must also fit on that many
         machines — the extra condition that turns a verified schedule into a
         *feasibility certificate at* ``m`` (see :mod:`repro.verify`).
+
+        Exact and integer: every time is mapped to ticks of ``1/L``, ``L``
+        the LCM of the denominators of every segment endpoint and of every
+        job's ``r``, ``p``, ``d``, and one pass over the (start-sorted)
+        segments checks windows and machine exclusivity while it collects
+        each job's segments for the overlap, preemption, migration and work
+        checks.  Fractions appear only in violation text and ``unfinished``.
         """
         speed = to_fraction(speed)
-        violations: List[str] = []
-
-        if machines is not None and self.machines_used > machines:
-            violations.append(
-                f"schedule uses {self.machines_used} machines > allowed {machines}"
+        segments = self.segments
+        jobs = instance.jobs
+        denominators = {s.start.denominator for s in segments}
+        denominators.update(s.end.denominator for s in segments)
+        for job in jobs:
+            denominators.update(
+                (job.release.denominator, job.processing.denominator,
+                 job.deadline.denominator)
             )
+        base = math.lcm(*denominators)
+        windows = {
+            job.id: (_ticks(job.release, base), _ticks(job.deadline, base))
+            for job in jobs
+        }
 
-        known = {j.id for j in instance}
-        for seg in self.segments:
-            if seg.job_id not in known:
-                violations.append(f"segment references unknown job {seg.job_id}")
-
-        # (1) window containment
-        for seg in self.segments:
-            if seg.job_id not in known:
-                continue
-            job = instance.job(seg.job_id)
-            if seg.start < job.release or seg.end > job.deadline:
-                violations.append(
-                    f"job {seg.job_id} runs [{seg.start},{seg.end}) outside "
+        unknown: List[str] = []
+        outside: List[str] = []
+        # machine -> (rank of first appearance, last segment, its end tick)
+        last_on: Dict[int, Tuple[int, Segment, int]] = {}
+        overlaps: List[Tuple[int, str]] = []
+        # job -> [(start, end, segment)] in start order; ``tied`` marks jobs
+        # with two segments at one start, which need the (start, end) order
+        by_job: Dict[int, List[Tuple[int, int, Segment]]] = {}
+        tied = set()
+        for seg in segments:
+            start = _ticks(seg.start, base)
+            end = _ticks(seg.end, base)
+            job_id = seg.job_id
+            # (1) window containment
+            window = windows.get(job_id)
+            if window is None:
+                unknown.append(f"segment references unknown job {job_id}")
+            elif start < window[0] or end > window[1]:
+                job = instance.job(job_id)
+                outside.append(
+                    f"job {job_id} runs [{seg.start},{seg.end}) outside "
                     f"window [{job.release},{job.deadline})"
                 )
+            # (2) machine exclusivity: segments are sorted by start, so each
+            # machine's segments arrive in start order
+            prev = last_on.get(seg.machine)
+            if prev is None:
+                rank = len(last_on)
+            else:
+                rank, a, a_end = prev
+                if start < a_end:
+                    overlaps.append((
+                        rank,
+                        f"machine {seg.machine} overlap: job {a.job_id} "
+                        f"[{a.start},{a.end}) vs job {job_id} "
+                        f"[{seg.start},{seg.end})",
+                    ))
+            last_on[seg.machine] = (rank, seg, end)
+            chain = by_job.get(job_id)
+            if chain is None:
+                by_job[job_id] = [(start, end, seg)]
+            else:
+                if chain[-1][0] == start:
+                    tied.add(job_id)
+                chain.append((start, end, seg))
 
-        # (2) machine exclusivity
-        by_machine: Dict[int, List[Segment]] = {}
-        for seg in self.segments:
-            by_machine.setdefault(seg.machine, []).append(seg)
-        for machine, segs in by_machine.items():
-            segs.sort(key=lambda s: s.start)
-            for a, b in zip(segs, segs[1:]):
-                if b.start < a.end:
-                    violations.append(
-                        f"machine {machine} overlap: job {a.job_id} "
-                        f"[{a.start},{a.end}) vs job {b.job_id} [{b.start},{b.end})"
-                    )
+        violations: List[str] = []
+        if machines is not None and len(last_on) > machines:
+            violations.append(
+                f"schedule uses {len(last_on)} machines > allowed {machines}"
+            )
+        violations += unknown
+        violations += outside
+        overlaps.sort(key=lambda item: item[0])
+        violations.extend(text for _, text in overlaps)
 
         # (3) no intra-job parallelism, plus migration/preemption counting
         migratory: List[int] = []
         preemptions = 0
-        by_job: Dict[int, List[Segment]] = {}
-        for seg in self.segments:
-            by_job.setdefault(seg.job_id, []).append(seg)
-        for job_id, segs in by_job.items():
-            segs.sort(key=lambda s: (s.start, s.end))
-            for a, b in zip(segs, segs[1:]):
-                if b.start < a.end:
+        received: Dict[int, int] = {}
+        for job_id, chain in by_job.items():
+            if job_id in tied:
+                chain.sort(key=lambda item: item[:2])
+            a_start, a_end, a = chain[0]
+            first_machine = a.machine
+            total = a_end - a_start
+            migrated = False
+            for b_start, b_end, b in chain[1:]:
+                if b_start < a_end:
                     violations.append(
                         f"job {job_id} runs on machines {a.machine} and "
                         f"{b.machine} simultaneously at {b.start}"
                     )
-                elif b.start > a.end or b.machine != a.machine:
+                elif b_start > a_end or b.machine != a.machine:
                     preemptions += 1
-            if len({s.machine for s in segs}) > 1:
+                if b.machine != first_machine:
+                    migrated = True
+                total += b_end - b_start
+                a_end, a = b_end, b
+            if migrated:
                 migratory.append(job_id)
+            received[job_id] = total
 
-        # (4) work completion
+        # (4) work completion: Σ ticks · s == p · L, cross-multiplied
         unfinished: Dict[int, Fraction] = {}
-        for job in instance:
-            got = self.work_of(job.id, speed)
-            if got != job.processing:
-                if got < job.processing:
-                    unfinished[job.id] = job.processing - got
-                    violations.append(
-                        f"job {job.id} received {got} < p_j = {job.processing}"
-                    )
+        s_num, s_den = speed.numerator, speed.denominator
+        for job in jobs:
+            p = job.processing
+            got_scaled = received.get(job.id, 0) * s_num
+            need_scaled = _ticks(p, base) * s_den
+            if got_scaled != need_scaled:
+                got = Fraction(got_scaled, base * s_den)
+                if got_scaled < need_scaled:
+                    unfinished[job.id] = p - got
+                    violations.append(f"job {job.id} received {got} < p_j = {p}")
                 else:
-                    violations.append(
-                        f"job {job.id} received {got} > p_j = {job.processing}"
-                    )
+                    violations.append(f"job {job.id} received {got} > p_j = {p}")
 
         return FeasibilityReport(
             feasible=not violations,
             violations=tuple(violations),
-            machines_used=self.machines_used,
+            machines_used=len(last_on),
             migratory_jobs=tuple(sorted(migratory)),
             preemptions=preemptions,
             unfinished=unfinished,
         )
 
 
+def _ticks(x: Fraction, base: int) -> int:
+    """``x`` in ticks of ``1/base`` (exact: ``base`` is a multiple of its
+    denominator)."""
+    return x.numerator * (base // x.denominator)
+
+
 def _merge_adjacent(segments: Iterable[Segment]) -> Tuple[Segment, ...]:
-    """Merge back-to-back segments of the same job on the same machine."""
-    segs = sorted(segments, key=lambda s: (s.machine, s.job_id, s.start))
+    """Merge back-to-back segments of the same job on the same machine.
+
+    Sorting and merging run on integer ticks of ``1/L``, ``L`` the LCM of
+    the endpoint denominators — an exact, order-preserving image of the
+    Fraction endpoints.  The result is sorted by ``(start, machine, job)``.
+    """
+    segs = list(segments)
+    base = math.lcm(*{s.start.denominator for s in segs},
+                    *{s.end.denominator for s in segs})
+    # ``i`` before the end tick: ties on (machine, job, start) keep input order
+    rows = sorted(
+        (s.machine, s.job_id, _ticks(s.start, base), i, _ticks(s.end, base))
+        for i, s in enumerate(segs)
+    )
+    # [start tick, machine, job, first segment, last segment, end tick]
+    runs: List[List[int]] = []
+    for machine, job_id, start, i, end in rows:
+        if runs:
+            prev = runs[-1]
+            if prev[1] == machine and prev[2] == job_id and prev[5] == start:
+                prev[4], prev[5] = i, end
+                continue
+        runs.append([start, machine, job_id, i, i, end])
     merged: List[Segment] = []
-    for seg in segs:
-        prev = merged[-1] if merged else None
-        if (
-            prev is not None
-            and prev.machine == seg.machine
-            and prev.job_id == seg.job_id
-            and prev.end == seg.start
-        ):
-            merged[-1] = Segment(seg.job_id, seg.machine, prev.start, seg.end)
+    for start, machine, job_id, first, last, _ in sorted(
+        runs, key=lambda run: run[:3]
+    ):
+        if first == last:
+            merged.append(segs[first])
         else:
-            merged.append(seg)
-    return tuple(sorted(merged, key=lambda s: (s.start, s.machine, s.job_id)))
+            merged.append(
+                Segment(job_id, machine, segs[first].start, segs[last].end)
+            )
+    return tuple(merged)

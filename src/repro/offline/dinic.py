@@ -795,19 +795,23 @@ class FeasibilityNetwork:
         ivs = [k for k in range(len(self.iv_caps)) if seen[2 + n + k]]
         return jobs, ivs
 
-    def work_by_job(self, speed: Fraction, scale: int) -> Dict[int, Dict[int, Fraction]]:
-        """``work[job_id][k]`` — machine time per (sparsified) interval."""
+    def work_by_job(self) -> Dict[int, Dict[int, int]]:
+        """``work[job_id][k]`` — the raw flow per (sparsified) interval.
+
+        Flow is work in units of ``1/scale``, so it is also machine time in
+        ticks of ``1/(scale·speed)`` (an integer tick base at every speed;
+        see :func:`repro.offline.flow.schedule_from_work`).
+        """
         cap = self.dinic.cap
         k0s, k1s, srcs = self._k0, self._k1, self._src
-        work: Dict[int, Dict[int, Fraction]] = {}
-        denom = scale * speed
+        work: Dict[int, Dict[int, int]] = {}
         for idx, job_id in enumerate(self.job_ids):
-            row: Dict[int, Fraction] = {}
+            row: Dict[int, int] = {}
             e = srcs[idx] + 2
             for k in range(k0s[idx], k1s[idx]):
                 amount = cap[e ^ 1]  # flow on the forward edge, in work units
                 if amount:
-                    row[k] = amount / denom
+                    row[k] = amount
                 e += 2
             work[job_id] = row
         return work

@@ -15,7 +15,8 @@ the paper).  For a candidate machine count ``m``:
 All rational data is scaled by the common denominator so the flow problem is
 *integral* and the answer is exact.  A feasible flow is turned into an
 explicit migratory :class:`~repro.model.schedule.Schedule` by McNaughton's
-wrap-around rule inside each elementary interval.
+wrap-around rule inside each elementary interval, run on the flow's own
+integer ticks.
 
 Two interchangeable Dinic kernels answer the flow question (the default
 ``"auto"`` resolves to the fastest one available — see
@@ -44,7 +45,7 @@ elementary structure, with provably identical results.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..model.instance import Instance
 from ..model.intervals import Numeric, to_fraction
@@ -107,6 +108,13 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(b for b in BACKENDS if b != "dinic_c" or available())
 
 
+def _tick_base(scale: int, speed: Fraction) -> int:
+    """``scale·speed``: machine time in a speed's network is counted in
+    ticks of ``1/T`` for this ``T`` — an integer at every speed
+    (``lcm(base_scale, q)·p`` for ``speed = p/q``, by ``scale_for``)."""
+    return scale * speed.numerator // speed.denominator
+
+
 def max_flow_assignment(
     instance: Instance,
     m: int,
@@ -129,9 +137,13 @@ def max_flow_assignment(
         return False, {}, []
     speed = to_fraction(speed)
     cache = cache_for(instance, sparsify=sparsify)
-    intervals, scale = cache.network_intervals, cache.scale_for(speed)
     network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
-    return network.feasible, network.work_by_job(speed, scale), intervals
+    ticks = _tick_base(cache.scale_for(speed), speed)
+    work = {
+        job_id: {k: Fraction(amount, ticks) for k, amount in row.items()}
+        for job_id, row in network.work_by_job().items()
+    }
+    return network.feasible, work, cache.network_intervals
 
 
 def migratory_feasible(
@@ -157,6 +169,43 @@ def migratory_feasible(
     )
 
 
+#: A point in time: integer ticks or an exact Fraction.
+_Time = TypeVar("_Time", int, Fraction)
+
+
+def _wrap(
+    pieces: Iterable[Tuple[int, _Time]], start: _Time, end: _Time, m: int
+) -> List[Tuple[int, int, _Time, _Time]]:
+    """McNaughton's wrap-around loop: ``(job_id, machine, a, b)`` pieces.
+
+    It only adds, subtracts and compares times, so it runs on integer
+    ticks and on Fractions alike.
+    """
+    length = end - start
+    if length <= 0:
+        raise ValueError("empty elementary interval")
+    out: List[Tuple[int, int, _Time, _Time]] = []
+    machine = 0
+    cursor = start
+    for job_id, amount in pieces:
+        if amount <= 0:
+            continue
+        if amount > length:
+            raise ValueError(f"piece of job {job_id} exceeds interval length")
+        remaining = amount
+        while remaining > 0:
+            if machine >= m:
+                raise ValueError("pieces exceed machine capacity")
+            take = min(end - cursor, remaining)
+            out.append((job_id, machine, cursor, cursor + take))
+            cursor += take
+            remaining -= take
+            if cursor == end:
+                machine += 1
+                cursor = start
+    return out
+
+
 def mcnaughton(
     pieces: Sequence[Tuple[int, Fraction]],
     start: Fraction,
@@ -172,56 +221,66 @@ def mcnaughton(
     machines; a wrapped piece becomes two non-overlapping segments on two
     machines (this is where migration enters).
     """
-    length = end - start
-    if length <= 0:
-        raise ValueError("empty elementary interval")
-    segments: List[Segment] = []
-    machine = 0
-    cursor = start
-    for job_id, amount in pieces:
-        if amount <= 0:
-            continue
-        if amount > length:
-            raise ValueError(f"piece of job {job_id} exceeds interval length")
-        remaining = amount
-        while remaining > 0:
-            if machine >= m:
-                raise ValueError("pieces exceed machine capacity")
-            room = end - cursor
-            take = min(room, remaining)
-            if take > 0:
-                segments.append(
-                    Segment(job_id, machine + machine_offset, cursor, cursor + take)
-                )
-            cursor += take
-            remaining -= take
-            if cursor == end:
-                machine += 1
-                cursor = start
-    return segments
+    return [
+        Segment(job_id, machine + machine_offset, a, b)
+        for job_id, machine, a, b in _wrap(pieces, start, end, m)
+    ]
 
 
 def schedule_from_work(
-    work: Dict[int, Dict[int, Fraction]],
+    work: Dict[int, Dict[int, int]],
     intervals: Sequence[Tuple[Fraction, Fraction]],
     m: int,
+    ticks: int,
 ) -> Schedule:
     """Turn a feasible flow's work map into an explicit migratory schedule.
 
-    Within each elementary interval, jobs are sorted by decreasing machine
-    time before the wrap-around so that a job split across the wrap boundary
-    never overlaps itself (its piece is at most the interval length).
+    ``work[job_id][k]`` is the machine time job ``job_id`` gets in interval
+    ``k``, in integer ticks of ``1/ticks`` (the raw flow of
+    :meth:`~repro.offline.dinic.FeasibilityNetwork.work_by_job`, whose
+    network counts in ticks of ``1/(scale·speed)``).  Within each interval,
+    jobs are sorted by decreasing machine time before the wrap-around so
+    that a job split across the wrap boundary never overlaps itself (its
+    piece is at most the interval length).  Everything runs on integer
+    ticks; back-to-back pieces of a job on one machine are merged, and each
+    segment's endpoints become Fractions once.
     """
-    segments: List[Segment] = []
-    per_interval: Dict[int, List[Tuple[int, Fraction]]] = {}
+    per_interval: Dict[int, List[Tuple[int, int]]] = {}
     for job_id, row in work.items():
         for k, amount in row.items():
             per_interval.setdefault(k, []).append((job_id, amount))
-    for k, pieces in per_interval.items():
+    bounds: Dict[int, Tuple[int, int]] = {}
+    for k in per_interval:
         a, b = intervals[k]
+        bounds[k] = (_to_ticks(a, ticks), _to_ticks(b, ticks))
+    # runs[(job, machine, end tick)] = start tick; in time order, a piece
+    # that starts where a run of its job on its machine ends extends it
+    runs: Dict[Tuple[int, int, int], int] = {}
+    for k in sorted(per_interval, key=bounds.__getitem__):
+        pieces = per_interval[k]
         pieces.sort(key=lambda item: (-item[1], item[0]))
-        segments.extend(mcnaughton(pieces, a, b, m))
-    return Schedule(segments)
+        a, b = bounds[k]
+        for job_id, machine, start, end in _wrap(pieces, a, b, m):
+            runs[(job_id, machine, end)] = runs.pop((job_id, machine, start), start)
+    fractions: Dict[int, Fraction] = {}
+
+    def at(tick: int) -> Fraction:
+        value = fractions.get(tick)
+        if value is None:
+            value = fractions[tick] = Fraction(tick, ticks)
+        return value
+
+    return Schedule(
+        Segment(job_id, machine, at(start), at(end))
+        for (job_id, machine, end), start in runs.items()
+    )
+
+
+def _to_ticks(x: Fraction, ticks: int) -> int:
+    value, rest = divmod(x.numerator * ticks, x.denominator)
+    if rest:
+        raise ValueError(f"time {x} is not a multiple of 1/{ticks}")
+    return value
 
 
 def migratory_schedule(
@@ -232,9 +291,17 @@ def migratory_schedule(
     sparsify: bool = True,
 ) -> Optional[Schedule]:
     """An explicit feasible migratory schedule on ``m`` machines, or ``None``."""
-    feasible, work, intervals = max_flow_assignment(
-        instance, m, speed, backend=backend, sparsify=sparsify
-    )
-    if not feasible:
+    backend = resolve_backend(backend)
+    if len(instance) == 0:
+        return Schedule([])
+    if m <= 0:
         return None
-    return schedule_from_work(work, intervals, m)
+    speed = to_fraction(speed)
+    cache = cache_for(instance, sparsify=sparsify)
+    network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
+    if not network.feasible:
+        return None
+    return schedule_from_work(
+        network.work_by_job(), cache.network_intervals, m,
+        _tick_base(cache.scale_for(speed), speed),
+    )

@@ -10,6 +10,14 @@ work both recede), while a waiting job's laxity falls at unit rate.  A
 priority inversion can therefore appear strictly between releases and
 completions; :meth:`LLF.next_wakeup` computes the earliest crossover time in
 closed form so the event-driven engine never misses a swap.
+
+Equal laxities are broken by the earlier deadline (for equal laxity, the
+smaller remaining work), then by job id.  A waiting job tied with a running
+one drops below it an instant later, so no fixed choice follows LLF there;
+the deadline tie-break keeps the event-driven policy optimal on one
+machine, as LLF is.  An id tie-break is not: on ``(r, p, d)`` = (0, 2, 8),
+(0, 1, 7), (0, 5, 7) it keeps the deadline-8 job running from the tie at
+``t = 4`` until both deadline-7 jobs reach zero laxity together, and misses.
 """
 
 from __future__ import annotations
@@ -27,16 +35,20 @@ class LLF(Policy):
 
     migratory = True
 
-    def _ranked(self, engine: OnlineEngine) -> List[Tuple[Fraction, int, JobState]]:
+    def _ranked(
+        self, engine: OnlineEngine
+    ) -> List[Tuple[Fraction, Fraction, int, JobState]]:
+        """Active jobs as ``(laxity, deadline, id, state)``, best first."""
         t = engine.time
+        # ids are unique, so the comparison never reaches the states
         return sorted(
-            ((s.laxity_at(t), s.job.id, s) for s in engine.active_jobs()),
-            key=lambda item: (item[0], item[1]),
+            (s.laxity_at(t), s.job.deadline, s.job.id, s)
+            for s in engine.active_jobs()
         )
 
     def select(self, engine: OnlineEngine) -> Dict[int, int]:
         ranked = self._ranked(engine)
-        chosen = [s.job.id for _, _, s in ranked[: engine.machines]]
+        chosen = [job_id for _, _, job_id, _ in ranked[: engine.machines]]
         return stable_machine_assignment(engine, chosen)
 
     def next_wakeup(self, engine: OnlineEngine) -> Optional[Fraction]:
@@ -58,10 +70,10 @@ class LLF(Policy):
         if gap > 0:
             wakeups.append(engine.time + gap)
         # Safety wake-up: a waiting job whose laxity reaches zero must start
-        # immediately; with laxity ties (gap == 0) the id tie-break holds the
-        # current choice until then (continuous-time LLF is ill-defined under
-        # ties; this is the standard deterministic discretization).
-        for laxity, _, _ in ranked[k:]:
+        # immediately; with laxity ties (gap == 0) the deadline tie-break
+        # holds the current choice until then (continuous-time LLF is
+        # ill-defined under ties; this is a deterministic discretization).
+        for laxity, _, _, _ in ranked[k:]:
             if laxity > 0:
                 wakeups.append(engine.time + laxity)
                 break  # ranked by laxity: the first positive one is minimal

@@ -315,12 +315,14 @@ class SweepQueue:
                     "queue is draining; resubmit to the replacement daemon",
                     retry_after=5.0,
                 )
+            # Memory first, as in status(): a sweep the executor still holds
+            # is not done yet, even once its report file exists.
+            if sweep_id in self._state:
+                return sweep_id, self._state[sweep_id], False
             if os.path.exists(self._path(sweep_id, "report.json")):
                 return sweep_id, "done", False
             if os.path.exists(self._path(sweep_id, "error.json")):
                 return sweep_id, "failed", False
-            if sweep_id in self._state:
-                return sweep_id, self._state[sweep_id], False
             if len(self._pending) >= self.max_queue:
                 raise TooManyRequests(
                     f"sweep queue is full ({self.max_queue} pending); "
@@ -338,21 +340,30 @@ class SweepQueue:
         return sweep_id, "accepted", True
 
     def status(self, sweep_id: str) -> Optional[Dict[str, Any]]:
-        """Durable-first status: disk is the truth, memory adds liveness."""
+        """Durable-first status: disk is the truth, memory adds liveness.
+
+        While this process's executor still holds the sweep, memory
+        answers: ``_finish`` renames the report into place, fsyncs the
+        directory and only then releases the sweep, so ``done`` (and
+        ``failed``) imply a durable outcome and an updated ``completed``.
+        """
         if not sweep_id or "/" in sweep_id or "." in sweep_id:
             return None
-        report_path = self._path(sweep_id, "report.json")
-        if os.path.exists(report_path):
-            with open(report_path, encoding="utf-8") as fh:
-                return {"id": sweep_id, "state": "done", "report": json.load(fh)}
-        error_path = self._path(sweep_id, "error.json")
-        if os.path.exists(error_path):
-            with open(error_path, encoding="utf-8") as fh:
-                return {"id": sweep_id, "state": "failed", **json.load(fh)}
+        with self._cond:
+            state = self._state.get(sweep_id)
+        if state is None:
+            report_path = self._path(sweep_id, "report.json")
+            if os.path.exists(report_path):
+                with open(report_path, encoding="utf-8") as fh:
+                    return {"id": sweep_id, "state": "done",
+                            "report": json.load(fh)}
+            error_path = self._path(sweep_id, "error.json")
+            if os.path.exists(error_path):
+                with open(error_path, encoding="utf-8") as fh:
+                    return {"id": sweep_id, "state": "failed", **json.load(fh)}
+            state = "accepted"
         if not os.path.exists(self._path(sweep_id, "spec.json")):
             return None
-        with self._cond:
-            state = self._state.get(sweep_id, "accepted")
         out: Dict[str, Any] = {"id": sweep_id, "state": state}
         journal = self._path(sweep_id, "journal.jsonl")
         if os.path.exists(journal):

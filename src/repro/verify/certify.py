@@ -31,6 +31,7 @@ from ..offline.feascache import cache_for
 from ..offline.flow import (
     DEFAULT_BACKEND,
     _DINIC_KERNELS,
+    _tick_base,
     resolve_backend,
     schedule_from_work,
 )
@@ -102,12 +103,12 @@ def certify(
             # network was built over (sparsified by default).
             intervals = cache.network_intervals
             if network.feasible:
-                work = network.work_by_job(speed, cache.scale_for(speed))
+                schedule = schedule_from_work(
+                    network.work_by_job(), intervals, m,
+                    _tick_base(cache.scale_for(speed), speed),
+                )
                 cert = FeasibleCertificate(
-                    m,
-                    speed,
-                    schedule_from_work(work, intervals, m),
-                    cache_stats=cache.stats.snapshot(),
+                    m, speed, schedule, cache_stats=cache.stats.snapshot()
                 )
             else:
                 job_ids, iv_idx = network.min_cut()

@@ -11,12 +11,18 @@ neither is on any runtime path:
   ``x[j,k]``, the machine time job ``j`` gets in elementary interval ``k``:
   ``Σ_k x[j,k] = p_j``, ``0 ≤ x[j,k] ≤ |E_k|``, ``Σ_j x[j,k] ≤ m·|E_k|``,
   and ``x[j,k] = 0`` unless ``E_k ⊆ [r_j, d_j)``.
+
+It also keeps the ``Fraction`` references the library's integer-tick
+extraction and checker are differential-tested against
+(``tests/test_integer_time.py``): :func:`reference_mcnaughton`,
+:func:`reference_schedule_from_work`, :func:`reference_merge_adjacent` and
+:func:`reference_verify`, each the library's former ``Fraction`` body.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -24,6 +30,7 @@ from scipy.optimize import linprog
 
 from repro.model.instance import Instance
 from repro.model.intervals import IntervalUnion, Numeric, to_fraction
+from repro.model.schedule import FeasibilityReport, Schedule, Segment
 from repro.offline.feascache import cache_for
 from repro.offline.flow import schedule_from_work
 from repro.offline.optimum import window_concurrency
@@ -60,6 +67,28 @@ def _network(
     return graph, intervals, scale
 
 
+def _flow(
+    instance: Instance, m: int, speed: Fraction, sparsify: bool
+) -> Tuple[bool, Dict[int, Dict[int, int]], List[Tuple[Fraction, Fraction]], int]:
+    """``(feasible, raw, intervals, ticks)``: ``raw[job][k]`` is the integer
+    flow, i.e. machine time in ticks of ``1/ticks`` (``ticks = scale·speed``)."""
+    graph, intervals, scale = _network(instance, m, speed, sparsify)
+    total = sum(int(j.processing * scale) for j in instance)
+    flow_value, flow_dict = nx.maximum_flow(
+        graph, _SOURCE, _SINK, flow_func=nx.algorithms.flow.dinitz
+    )
+    raw: Dict[int, Dict[int, int]] = {}
+    for job in instance:
+        row: Dict[int, int] = {}
+        for node, amount in flow_dict.get(("job", job.id), {}).items():
+            if amount > 0 and isinstance(node, tuple) and node[0] == "iv":
+                row[node[1]] = amount
+        raw[job.id] = row
+    ticks = scale * speed
+    assert ticks.denominator == 1
+    return flow_value == total, raw, intervals, int(ticks)
+
+
 def max_flow_assignment(
     instance: Instance, m: int, speed: Numeric = 1, sparsify: bool = True
 ) -> Tuple[bool, Dict[int, Dict[int, Fraction]], List[Tuple[Fraction, Fraction]]]:
@@ -68,21 +97,15 @@ def max_flow_assignment(
         return True, {}, []
     if m <= 0:
         return False, {}, []
-    speed = to_fraction(speed)
-    graph, intervals, scale = _network(instance, m, speed, sparsify)
-    total = sum(int(j.processing * scale) for j in instance)
-    flow_value, flow_dict = nx.maximum_flow(
-        graph, _SOURCE, _SINK, flow_func=nx.algorithms.flow.dinitz
+    feasible, raw, intervals, ticks = _flow(
+        instance, m, to_fraction(speed), sparsify
     )
-    work: Dict[int, Dict[int, Fraction]] = {}
-    for job in instance:
-        row: Dict[int, Fraction] = {}
-        for node, amount in flow_dict.get(("job", job.id), {}).items():
-            if amount > 0 and isinstance(node, tuple) and node[0] == "iv":
-                # amount is work in scaled units; machine time = work / speed
-                row[node[1]] = Fraction(amount, scale) / speed
-        work[job.id] = row
-    return flow_value == total, work, intervals
+    # raw flow is work in units of 1/scale; machine time = work / speed
+    work = {
+        job_id: {k: Fraction(amount, ticks) for k, amount in row.items()}
+        for job_id, row in raw.items()
+    }
+    return feasible, work, intervals
 
 
 def networkx_min_cut(
@@ -144,9 +167,13 @@ def certify(
         return InfeasibleCertificate(
             0, speed, tuple(j.id for j in instance), instance.intervals()
         )
-    feasible, work, intervals = max_flow_assignment(instance, m, speed, sparsify)
+    if len(instance) == 0:
+        return FeasibleCertificate(m, speed, Schedule([]))
+    feasible, raw, intervals, ticks = _flow(instance, m, speed, sparsify)
     if feasible:
-        return FeasibleCertificate(m, speed, schedule_from_work(work, intervals, m))
+        return FeasibleCertificate(
+            m, speed, schedule_from_work(raw, intervals, m, ticks)
+        )
     job_ids, iv_idx = networkx_min_cut(instance, m, speed, sparsify)
     return InfeasibleCertificate(
         m, speed, tuple(job_ids),
@@ -208,3 +235,194 @@ def lp_feasible(
     total_work = -result.fun * speed
     needed = float(sum(float(j.processing) for j in jobs))
     return bool(total_work >= needed * (1 - tol) - tol)
+
+
+# -- Fraction references for the integer-tick extraction and checker -------
+
+
+def reference_mcnaughton(
+    pieces: Sequence[Tuple[int, Fraction]],
+    start: Fraction,
+    end: Fraction,
+    m: int,
+    machine_offset: int = 0,
+) -> List[Segment]:
+    """The former ``Fraction`` ``mcnaughton``, verbatim.
+
+    McNaughton's wrap-around rule for one elementary interval.
+
+    ``pieces`` are ``(job_id, machine_time)`` with each piece at most
+    ``end − start`` and total at most ``m (end − start)``.  Pieces are laid
+    out on a virtual timeline of length ``m (end − start)`` and wrapped onto
+    machines; a wrapped piece becomes two non-overlapping segments on two
+    machines (this is where migration enters).
+    """
+    length = end - start
+    if length <= 0:
+        raise ValueError("empty elementary interval")
+    segments: List[Segment] = []
+    machine = 0
+    cursor = start
+    for job_id, amount in pieces:
+        if amount <= 0:
+            continue
+        if amount > length:
+            raise ValueError(f"piece of job {job_id} exceeds interval length")
+        remaining = amount
+        while remaining > 0:
+            if machine >= m:
+                raise ValueError("pieces exceed machine capacity")
+            room = end - cursor
+            take = min(room, remaining)
+            if take > 0:
+                segments.append(
+                    Segment(job_id, machine + machine_offset, cursor, cursor + take)
+                )
+            cursor += take
+            remaining -= take
+            if cursor == end:
+                machine += 1
+                cursor = start
+    return segments
+
+
+def reference_schedule_from_work(
+    work: Dict[int, Dict[int, Fraction]],
+    intervals: Sequence[Tuple[Fraction, Fraction]],
+    m: int,
+) -> Tuple[Segment, ...]:
+    """The former ``Fraction`` ``schedule_from_work``, verbatim, with the
+    reference normalization: the merged, sorted segment tuple.
+
+    Turns a feasible flow's work map into an explicit migratory schedule.
+
+    Within each elementary interval, jobs are sorted by decreasing machine
+    time before the wrap-around so that a job split across the wrap boundary
+    never overlaps itself (its piece is at most the interval length).
+    """
+    segments: List[Segment] = []
+    per_interval: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for job_id, row in work.items():
+        for k, amount in row.items():
+            per_interval.setdefault(k, []).append((job_id, amount))
+    for k, pieces in per_interval.items():
+        a, b = intervals[k]
+        pieces.sort(key=lambda item: (-item[1], item[0]))
+        segments.extend(reference_mcnaughton(pieces, a, b, m))
+    return reference_merge_adjacent(segments)
+
+
+def reference_merge_adjacent(segments: Iterable[Segment]) -> Tuple[Segment, ...]:
+    """The former ``Fraction`` ``_merge_adjacent``, verbatim.
+
+    Merges back-to-back segments of the same job on the same machine.
+    """
+    segs = sorted(segments, key=lambda s: (s.machine, s.job_id, s.start))
+    merged: List[Segment] = []
+    for seg in segs:
+        prev = merged[-1] if merged else None
+        if (
+            prev is not None
+            and prev.machine == seg.machine
+            and prev.job_id == seg.job_id
+            and prev.end == seg.start
+        ):
+            merged[-1] = Segment(seg.job_id, seg.machine, prev.start, seg.end)
+        else:
+            merged.append(seg)
+    return tuple(sorted(merged, key=lambda s: (s.start, s.machine, s.job_id)))
+
+
+def reference_verify(
+    schedule: Schedule,
+    instance: Instance,
+    speed: Numeric = 1,
+    machines: Optional[int] = None,
+) -> FeasibilityReport:
+    """The former ``Fraction`` :meth:`Schedule.verify`, verbatim.
+
+    Checks the schedule against ``instance`` on speed-``speed`` machines.
+
+    When ``machines`` is given the schedule must also fit on that many
+    machines — the extra condition that turns a verified schedule into a
+    *feasibility certificate at* ``m`` (see :mod:`repro.verify`).
+    """
+    speed = to_fraction(speed)
+    violations: List[str] = []
+
+    if machines is not None and schedule.machines_used > machines:
+        violations.append(
+            f"schedule uses {schedule.machines_used} machines > allowed {machines}"
+        )
+
+    known = {j.id for j in instance}
+    for seg in schedule.segments:
+        if seg.job_id not in known:
+            violations.append(f"segment references unknown job {seg.job_id}")
+
+    # (1) window containment
+    for seg in schedule.segments:
+        if seg.job_id not in known:
+            continue
+        job = instance.job(seg.job_id)
+        if seg.start < job.release or seg.end > job.deadline:
+            violations.append(
+                f"job {seg.job_id} runs [{seg.start},{seg.end}) outside "
+                f"window [{job.release},{job.deadline})"
+            )
+
+    # (2) machine exclusivity
+    by_machine: Dict[int, List[Segment]] = {}
+    for seg in schedule.segments:
+        by_machine.setdefault(seg.machine, []).append(seg)
+    for machine, segs in by_machine.items():
+        segs.sort(key=lambda s: s.start)
+        for a, b in zip(segs, segs[1:]):
+            if b.start < a.end:
+                violations.append(
+                    f"machine {machine} overlap: job {a.job_id} "
+                    f"[{a.start},{a.end}) vs job {b.job_id} [{b.start},{b.end})"
+                )
+
+    # (3) no intra-job parallelism, plus migration/preemption counting
+    migratory: List[int] = []
+    preemptions = 0
+    by_job: Dict[int, List[Segment]] = {}
+    for seg in schedule.segments:
+        by_job.setdefault(seg.job_id, []).append(seg)
+    for job_id, segs in by_job.items():
+        segs.sort(key=lambda s: (s.start, s.end))
+        for a, b in zip(segs, segs[1:]):
+            if b.start < a.end:
+                violations.append(
+                    f"job {job_id} runs on machines {a.machine} and "
+                    f"{b.machine} simultaneously at {b.start}"
+                )
+            elif b.start > a.end or b.machine != a.machine:
+                preemptions += 1
+        if len({s.machine for s in segs}) > 1:
+            migratory.append(job_id)
+
+    # (4) work completion
+    unfinished: Dict[int, Fraction] = {}
+    for job in instance:
+        got = schedule.work_of(job.id, speed)
+        if got != job.processing:
+            if got < job.processing:
+                unfinished[job.id] = job.processing - got
+                violations.append(
+                    f"job {job.id} received {got} < p_j = {job.processing}"
+                )
+            else:
+                violations.append(
+                    f"job {job.id} received {got} > p_j = {job.processing}"
+                )
+
+    return FeasibilityReport(
+        feasible=not violations,
+        violations=tuple(violations),
+        machines_used=schedule.machines_used,
+        migratory_jobs=tuple(sorted(migratory)),
+        preemptions=preemptions,
+        unfinished=unfinished,
+    )

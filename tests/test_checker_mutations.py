@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from repro.generators import uniform_random_instance
 from repro.model import Instance, Job, Schedule, Segment
+from repro.model.intervals import IntervalUnion
 from repro.offline.optimum import optimal_migratory_schedule
+from repro.verify import (
+    CertificationError,
+    FeasibleCertificate,
+    InfeasibleCertificate,
+    check_certificate,
+)
 
 from tests.strategies import instances_st
 
@@ -134,3 +141,35 @@ class TestRandomizedMutations:
         if rep.feasible:
             # accepted ⇒ genuinely still a valid schedule: re-verify stands
             assert not rep.violations
+
+
+class TestCertificateChecks:
+    """The certificate layer over the checker: every defect is a reason."""
+
+    def test_corrupted_witness_fails_require(self):
+        inst, sched = _valid_pair(0)
+        cert = FeasibleCertificate(
+            sched.machines_used, Fraction(1), Schedule(list(sched)[1:])
+        )
+        result = check_certificate(inst, cert)
+        assert not result
+        with pytest.raises(CertificationError,
+                           match="^certificate check failed: job "):
+            result.require()
+
+    @pytest.mark.parametrize("machines, speed, reason", [
+        (-1, Fraction(1), "negative machine count -1"),
+        (2, Fraction(0), "non-positive speed 0"),
+    ])
+    def test_bad_parameters_are_reasons(self, machines, speed, reason):
+        inst = Instance([Job(0, 2, 3, id=i) for i in range(3)])
+        schedule = Schedule([])
+        feasible = check_certificate(
+            inst, FeasibleCertificate(machines, speed, schedule)
+        )
+        infeasible = check_certificate(
+            inst,
+            InfeasibleCertificate(machines, speed, (0, 1, 2),
+                                  IntervalUnion.from_pairs([(0, 3)])),
+        )
+        assert feasible.reasons[:1] == infeasible.reasons[:1] == (reason,)

@@ -19,9 +19,12 @@ from functools import partial
 
 import pytest
 
+from repro.model import Instance
 from repro.model.io import load
+from repro.offline import optimum as optimum_mod
 from repro.offline.flow import available_backends
-from repro.offline.optimum import migratory_optimum
+from repro.offline.optimum import migratory_optimum, window_concurrency
+from repro.offline.workload import scaled_lower_bound
 from repro.verify import (
     Unsatisfiable,
     certified_optimum,
@@ -103,6 +106,60 @@ def test_corpus_certificate_roundtrip(case):
         clone = certificate_from_dict(json.loads(json.dumps(cert.to_dict())))
         assert clone.kind == cert.kind
         assert check_certificate(instance, clone).ok
+
+
+def _recorded_search(instance, speed, monkeypatch):
+    """``(optimum, [(m, verdict), ...])`` of one search, probes in order."""
+    probes = []
+    feasible = optimum_mod.migratory_feasible
+
+    def spy(inst, m, *args, **kwargs):
+        verdict = feasible(inst, m, *args, **kwargs)
+        probes.append((m, verdict))
+        return verdict
+
+    monkeypatch.setattr(optimum_mod, "migratory_feasible", spy)
+    return migratory_optimum(Instance(list(instance)), speed), probes
+
+
+def _assert_never_reprobes_refuted(probes):
+    for i, (m, _) in enumerate(probes):
+        refuted = [r for r, verdict in probes[:i] if not verdict]
+        assert all(m > r for r in refuted), probes
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in CASES if not c.get("unsat")], ids=_case_id
+)
+def test_corpus_search_stays_in_its_bracket(case, monkeypatch):
+    """The search probes window concurrency first (always feasible: give
+    every job its own machine for its whole window), then bisects down to
+    ``max(1, workload lower bound)`` and never below it."""
+    instance = load(os.path.join(CORPUS_DIR, case["file"]))
+    speed = Fraction(case["speed"])
+    lo = max(1, scaled_lower_bound(instance, speed))
+    hi = max(lo, window_concurrency(instance))
+    opt, probes = _recorded_search(instance, speed, monkeypatch)
+    assert opt == case["optimum"]
+    assert probes[0] == (hi, True)
+    assert all(lo <= m <= hi for m, _ in probes), (lo, hi, probes)
+    _assert_never_reprobes_refuted(probes)
+
+
+@pytest.mark.parametrize(
+    "name", ["parallel_units.json", "nested_tight.json", "climbing_nine.json"]
+)
+def test_search_recovers_from_an_infeasible_bracket(name, monkeypatch):
+    """From a too-low bracket the search grows geometrically, then bisects
+    above the last refuted count — it never probes a refuted count again."""
+    instance = load(os.path.join(CORPUS_DIR, name))
+    expected = migratory_optimum(instance)
+    monkeypatch.setattr(optimum_mod, "window_concurrency", lambda inst: 1)
+    monkeypatch.setattr(optimum_mod, "scaled_lower_bound", lambda inst, s: 1)
+    opt, probes = _recorded_search(instance, 1, monkeypatch)
+    assert opt == expected
+    assert probes[0] == (1, False)
+    _assert_never_reprobes_refuted(probes)
 
 
 def test_corpus_has_enough_instances():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.generators import agreeable_instance, edf_trap_instance, loose_instance
 from repro.model import Instance, Job
@@ -13,6 +13,11 @@ from repro.online.engine import min_machines, simulate, succeeds
 from repro.online.llf import LLF
 
 from tests.strategies import instances_st
+
+#: At t = 4 all three jobs have laxity 2.  Running the deadline-8 job from
+#: there leaves both deadline-7 jobs at zero laxity together at t = 6, a
+#: miss on the one machine that suffices.
+LAXITY_TIE = Instance([Job(0, 2, 8, id=0), Job(0, 1, 7, id=1), Job(0, 5, 7, id=2)])
 
 
 class TestEDF:
@@ -75,6 +80,20 @@ class TestLLF:
         k = min_machines(lambda k: LLF(), inst)
         eng = simulate(LLF(), inst, machines=k)
         assert eng.schedule().verify(inst).feasible
+
+    def test_laxity_tie_goes_to_earlier_deadline(self):
+        inst = LAXITY_TIE
+        assert migratory_optimum(inst) == 1
+        eng = simulate(LLF(), inst, machines=1)
+        assert not eng.missed_jobs
+        assert eng.schedule().verify(inst).feasible
+
+    @given(instances_st(max_size=6))
+    @example(LAXITY_TIE)
+    @settings(max_examples=50, deadline=None)
+    def test_optimal_on_one_machine(self, inst):
+        """LLF, like EDF, is optimal on a single machine."""
+        assert succeeds(LLF(), inst, 1) == succeeds(EDF(), inst, 1)
 
 
 class TestSeparationFamily:
@@ -140,6 +159,7 @@ class TestLLFCrossoverDifferential:
             return engine.time + Fraction(1, 8)
 
     @given(instances_st(max_size=6))
+    @example(LAXITY_TIE)
     @settings(max_examples=20, deadline=None)
     def test_same_min_machines(self, inst):
         event_driven = min_machines(lambda k: LLF(), inst)

@@ -348,16 +348,15 @@ class TestKillSet:
              Job(0, 1, 2, id=3)]
         )
         cache = cache_for(inst)
-        scale = cache.scale_for(Fraction(1))
         for m in (1, 2, 3):
             net_py = cache.solved_network(m, 1, "py")
             feas_py, snap_py = net_py.feasible, net_py.snapshot()
-            work_py = net_py.work_by_job(Fraction(1), scale) if feas_py else None
+            work_py = net_py.work_by_job() if feas_py else None
             net_c = cache.solved_network(m, 1, "c")
             assert net_c.feasible == feas_py
             assert net_c.snapshot() == snap_py
             if feas_py:
-                assert net_c.work_by_job(Fraction(1), scale) == work_py
+                assert net_c.work_by_job() == work_py
 
     def test_observed_solve_matches_plain(self):
         """With a sink listening, solves reach the same flows, and the

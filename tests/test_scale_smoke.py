@@ -1,4 +1,4 @@
-"""Scale smoke test: one feasibility probe at n = 100,000 under a deadline.
+"""Scale smoke tests: a feasibility probe and a certify at n = 100,000.
 
 The flat-buffer kernel's contract is that a single warm probe stays linear
 in the network size — no quadratic interval indexing, no per-edge Python
@@ -8,6 +8,11 @@ must finish inside a hard wall-clock budget enforced by
 :func:`repro.runner.faults.time_limit` (SIGALRM where available).  A
 regression to quadratic behaviour blows the budget by an order of
 magnitude rather than shaving a margin.
+
+The certify smoke holds the certificate path to the same budget: McNaughton
+extraction and the exact one-pass checker on integer ticks must stay near
+linear in the segment count (a per-job rescan of every segment, as the
+checker once did, needs ~10⁵ × 2·10⁵ segment visits).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from repro.model import Instance
 from repro.offline.feascache import cache_for
 from repro.offline.flow import migratory_feasible, resolve_backend
 from repro.runner.faults import ItemTimeout, time_limit
+from repro.verify import certify
 
 #: Wall-clock budget (seconds) for build + tables + one probe on the
 #: fastest available backend (``auto``: dinic_c → dinic).  The
@@ -50,3 +56,22 @@ def test_100k_probe_within_budget():
     tables = cache.tables
     assert tables.n_edges >= 100_000  # ≥ one source arc per job
     assert cache.stats.probes == 1
+
+
+@pytest.mark.slow
+def test_100k_certify_within_budget():
+    backend = resolve_backend()
+    jobs = list(uniform_random_instance(100_000, horizon=200_000, seed=42))
+    try:
+        with time_limit(SMOKE_BUDGET_S, label="n=100k certify"):
+            instance = Instance(jobs)
+            m = cache_for(instance).window_concurrency
+            cert = certify(instance, m, backend=backend, check=True)
+    except ItemTimeout:  # pragma: no cover - the failure mode under test
+        pytest.fail(
+            f"n=100,000 certify exceeded {SMOKE_BUDGET_S}s budget "
+            f"on backend {backend}"
+        )
+    assert cert.kind == "feasible"
+    assert cert.schedule.machines_used <= m
+    assert len(cert.schedule) >= 100_000  # ≥ one segment per job

@@ -649,6 +649,42 @@ class TestDrainStateMachine:
         with pytest.raises(ServiceUnavailable):
             queue.submit(dict(RATIO_SPEC, root_seed=7))
 
+    def test_done_only_once_the_report_is_durable(self, tmp_path, monkeypatch):
+        """``done`` implies the report's directory fsync ran and ``completed``
+        counts the sweep: hold that fsync and watch what clients are told."""
+        import repro.serve.queue as queue_mod
+
+        reached, release = threading.Event(), threading.Event()
+        real_fsync_dir = queue_mod._fsync_dir
+
+        def held_fsync_dir(path):
+            if path.endswith(".report.json"):
+                reached.set()
+                release.wait(30)
+            real_fsync_dir(path)
+
+        monkeypatch.setattr(queue_mod, "_fsync_dir", held_fsync_dir)
+        queue = SweepQueue(str(tmp_path)).start()
+        try:
+            sweep_id, _, _ = queue.submit(dict(RATIO_SPEC))
+            assert reached.wait(30)
+            # renamed into place, directory fsync pending: not done yet
+            assert os.path.exists(tmp_path / f"{sweep_id}.report.json")
+            assert queue.status(sweep_id)["state"] == "running"
+            assert queue.submit(dict(RATIO_SPEC))[1] == "running"
+            assert queue.completed == 0
+        finally:
+            release.set()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if queue.status(sweep_id)["state"] == "done":
+                break
+            time.sleep(0.02)
+        assert queue.status(sweep_id)["state"] == "done"
+        assert queue.completed == 1
+        assert queue.submit(dict(RATIO_SPEC)) == (sweep_id, "done", False)
+        assert queue.drain(10) is True
+
     def test_stalled_sweep_does_not_wedge_the_executor(self, tmp_path):
         # transient fault at attempt 1, no retries: the item quarantines as
         # "failed", the ladder is exhausted, the sweep parks as "stalled" —

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Mutation smoke gate for the feasibility core, sharded runner, and obs hists.
+"""Mutation smoke gate for the feasibility core, checker, runner, and obs hists.
 
 Applies small, deterministic AST mutations (operator swaps, comparison
 negations, min/max swaps) to the solver modules under ``src/repro/offline/``
-— plus the sweep-sharding partition (``runner/plan.py::shard``), the
+— plus the schedule checker (``model/schedule.py::verify``) and the
+certificate checkers (``verify/checkers.py``), the
+sweep-sharding partition (``runner/plan.py::shard``), the
 multi-journal merge (``runner/merge.py::merge_journals``), and the obs v2
 histogram core (``obs/hist.py`` bucket/merge/quantile logic) — and re-runs
 the kill-set tests for each mutant.  Every mutant must be *killed* — a
@@ -42,12 +44,23 @@ REPO = Path(__file__).resolve().parent.parent
 TARGETS: Dict[str, Optional[Set[str]]] = {
     "src/repro/offline/dinic.py": None,
     "src/repro/offline/flow.py": {
+        "_tick_base",
+        "_wrap",
+        "_to_ticks",
         "mcnaughton",
         "schedule_from_work",
         "max_flow_assignment",
         "migratory_feasible",
+        "migratory_schedule",
     },
     "src/repro/offline/optimum.py": {"migratory_optimum"},
+    # The checker every feasible certificate is re-verified by: the
+    # one-pass integer ``Schedule.verify`` (plus the normalization whose
+    # start order it relies on) and the certificate checkers.  The kill-set
+    # pins it to its Fraction reference (tests/test_integer_time.py) and
+    # to systematic schedule corruptions (tests/test_checker_mutations.py).
+    "src/repro/model/schedule.py": {"verify", "_merge_adjacent", "_ticks"},
+    "src/repro/verify/checkers.py": None,
     # Sharded sweeps (ISSUE 7): a mutated partition (split group, skewed
     # round-robin) or merge validation (accepted duplicate/overlap/foreign
     # journal) must be caught by the sharding and merge kill-sets below.
@@ -69,8 +82,9 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # logic.  With ``auto`` resolving to ``dinic_c``, test_corpus alone no
     # longer exercises the python kernel — the explicit py-vs-c equality
     # checks in tests/test_kernel.py::TestKillSet keep both sides honest,
-    # and TestBuildCache kills mutants that break the compile/cache path
-    # (which would otherwise hide behind the graceful auto fallback).
+    # TestBuildCache kills mutants that break the compile/cache path
+    # (which would otherwise hide behind the graceful auto fallback), and
+    # TestFallbackLadder those that break the typed no-compiler error.
     "src/repro/offline/kernel/abi.py": None,
     "src/repro/offline/kernel/build.py": {"ensure_built"},
     # Serve layer (ISSUE 10): the request router (a swapped comparison
@@ -93,11 +107,14 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
 #: The kill-set: fast, deterministic, certificate-backed.
 DEFAULT_TESTS = [
     "tests/test_corpus.py",
+    "tests/test_integer_time.py",
+    "tests/test_checker_mutations.py",
     "tests/test_runner.py::TestSharding",
     "tests/test_chaos.py::TestMergeJournals",
     "tests/test_hist.py",
     "tests/test_kernel.py::TestKillSet",
     "tests/test_kernel.py::TestBuildCache",
+    "tests/test_kernel.py::TestFallbackLadder",
     "tests/test_serve.py::TestRouting",
     "tests/test_serve.py::TestBackpressure",
     "tests/test_serve.py::TestSweepEndpoints",
