@@ -102,10 +102,11 @@ def test_flow_optimum_kernels_n1000(benchmark, backend):
     """Both Dinic kernels on the flat-buffer solver, cold cache.
 
     The compiled kernel (``dinic_c``) produces bit-identical flows
-    (differential-tested in ``tests/test_sparsify.py`` and
-    ``tests/test_kernel.py``); this benchmark is the cross-kernel
-    trajectory — it tracks how much the native BFS+DFS buys at n = 1000
-    (the compiled kernel's acceptance gate: ``dinic_c`` ≤ 10 ms here).
+    (differential-tested in ``tests/test_kernel.py``, and on the
+    unsparsified network in ``tests/test_sparsify.py``); this benchmark is
+    the cross-kernel trajectory — it tracks how much the native BFS+DFS
+    buys at n = 1000 (the compiled kernel's acceptance gate: ``dinic_c`` ≤
+    10 ms here).
     """
     if backend == "dinic_c":
         from repro.offline import kernel

@@ -58,10 +58,6 @@ class TraceSummary:
     records: int = 0
     skipped: int = 0  # unparseable lines (torn tails are tolerated)
 
-    def total_span_ns(self) -> int:
-        """Total self time across all paths (== sum of root cumulative)."""
-        return sum(row["self_ns"] for row in hotspots(self, top=None))
-
 
 def load_trace(source: Union[str, IO[str]]) -> TraceSummary:
     """Parse a JSONL trace file (path or open stream) into a summary.

@@ -57,6 +57,25 @@ KERNELS = ("py", "c")
 _EMPTY_I = array("i")
 
 
+def _flush_max_flow(
+    kernel: str, t0: int, phases: int, paths: int, retreats: int, added: int
+) -> None:
+    """Report one :meth:`Dinic.max_flow` call to the obs layer.
+
+    Called only when a sink listens, so the no-sink path pays nothing; both
+    kernels report the same counter and histogram names.
+    """
+    dt = time.perf_counter_ns() - t0
+    _obs.incr("dinic.bfs_phases", phases)
+    _obs.incr("dinic.aug_paths", paths)
+    _obs.incr("dinic.retreats", retreats)
+    _obs.incr("dinic.flow_pushed", added)
+    _obs.observe("dinic.max_flow_ns", dt)
+    _obs.observe("dinic.max_flow_%s_ns" % kernel, dt)
+    _obs.observe("dinic.phases_per_call", phases)
+    _obs.observe("dinic.flow_per_call", added)
+
+
 class Dinic:
     """Integer max-flow on flat CSR buffers.
 
@@ -245,15 +264,7 @@ class Dinic:
         added = ck.max_flow(
             self.n, to, head, elist, self.cap, s, t, climit, stats
         )
-        dt = time.perf_counter_ns() - t0
-        _obs.incr("dinic.bfs_phases", stats[0])
-        _obs.incr("dinic.aug_paths", stats[1])
-        _obs.incr("dinic.retreats", stats[2])
-        _obs.incr("dinic.flow_pushed", added)
-        _obs.observe("dinic.max_flow_ns", dt)
-        _obs.observe("dinic.max_flow_c_ns", dt)
-        _obs.observe("dinic.phases_per_call", stats[0])
-        _obs.observe("dinic.flow_per_call", added)
+        _flush_max_flow("c", t0, stats[0], stats[1], stats[2], added)
         return added
 
     def max_flow(self, s: int, t: int, kernel: str = "py",
@@ -282,7 +293,7 @@ class Dinic:
         it = self._it
         added = 0
         # Local accumulators: the inner loops stay free of any obs calls;
-        # one guarded flush happens at the single return point below.
+        # each return below flushes them once, and only when a sink listens.
         phases = paths = retreats = 0
         t0 = time.perf_counter_ns() if _obs.enabled() else 0
         while True:
@@ -290,15 +301,7 @@ class Dinic:
             level = self._bfs_py(s, t)
             if level[t] < 0:
                 if _obs.enabled():
-                    dt = time.perf_counter_ns() - t0
-                    _obs.incr("dinic.bfs_phases", phases)
-                    _obs.incr("dinic.aug_paths", paths)
-                    _obs.incr("dinic.retreats", retreats)
-                    _obs.incr("dinic.flow_pushed", added)
-                    _obs.observe("dinic.max_flow_ns", dt)
-                    _obs.observe("dinic.max_flow_%s_ns" % kernel, dt)
-                    _obs.observe("dinic.phases_per_call", phases)
-                    _obs.observe("dinic.flow_per_call", added)
+                    _flush_max_flow(kernel, t0, phases, paths, retreats, added)
                 return added
             # Blocking flow: iterative DFS with current-arc pointers into
             # the CSR edge list (allocation-free: `it` is reset in place).
@@ -315,15 +318,9 @@ class Dinic:
                         cap[e ^ 1] += aug
                     if limit is not None and added >= limit:
                         if _obs.enabled():
-                            dt = time.perf_counter_ns() - t0
-                            _obs.incr("dinic.bfs_phases", phases)
-                            _obs.incr("dinic.aug_paths", paths)
-                            _obs.incr("dinic.retreats", retreats)
-                            _obs.incr("dinic.flow_pushed", added)
-                            _obs.observe("dinic.max_flow_ns", dt)
-                            _obs.observe("dinic.max_flow_%s_ns" % kernel, dt)
-                            _obs.observe("dinic.phases_per_call", phases)
-                            _obs.observe("dinic.flow_per_call", added)
+                            _flush_max_flow(
+                                kernel, t0, phases, paths, retreats, added
+                            )
                         return added
                     # Retreat to the shallowest saturated edge.
                     cut = next(i for i, e in enumerate(path) if not cap[e])

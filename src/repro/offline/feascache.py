@@ -25,17 +25,18 @@ itself (instances are immutable, so nothing can invalidate the memo):
   (growing ``m`` only bumps sink capacities; shrinking drains the excess
   flow in place; revisiting a probed ``m`` restores its snapshot).
 
-Sparsification (the default) drops elementary intervals whose live-job set
-is empty — they carry no job arc, so no flow can ever enter them — and
-merges time-adjacent intervals with *identical* live-job sets before the
-network is built.  Verdicts, maximum flows on the surviving arcs, work
-maps, schedules, and residual-reachability min cuts are provably unchanged:
-a dropped interval is invisible to every augmenting path, and with valid
-jobs (``p > 0`` and ``d ≥ r + p``) every event point strictly changes the
-live set, so the merge rule is a safety net that currently never fires
-(``merged == 0``; it would engage if interval construction ever added
-non-event grid points).  The reduction is surfaced through the
-``network.intervals_*`` obs counters and ``repro profile --network``.
+The network is built over the *sparsified* event intervals: elementary
+intervals whose live-job set is empty are dropped — they carry no job arc,
+so no flow can ever enter them.  Verdicts, maximum flows on the surviving
+arcs, work maps, schedules, and residual-reachability min cuts are provably
+unchanged, since a dropped interval is invisible to every augmenting path.
+Nothing merges: every elementary boundary is some job's release or
+deadline, and with ``p_j > 0`` (so ``r_j < d_j``) that job enters or leaves
+the live set there, so adjacent intervals never share a live set.  The
+reduction is surfaced through the ``network.intervals_*`` obs counters and
+``repro profile --network``; ``tests/test_sparsify.py`` checks it against
+two references built over every elementary interval: the networkx oracle
+and the stand-alone :class:`~repro.offline.dinic.FeasibilityNetwork` build.
 
 ``stats`` counts probes/hits so tests can pin the ``O(log(hi − lo))``
 probe-complexity contract and the cross-caller cache behaviour.
@@ -88,10 +89,10 @@ class CacheStats:
 class NetworkTables:
     """Speed-independent integer form of the feasibility-network inputs.
 
-    Everything here is derived once per ``(instance, sparsify)`` pair; per
-    speed only two integer multipliers remain (``base_scale → scale`` for
-    demands, ``· speed`` for capacities), so a network build is pure integer
-    array work.  ``topology`` starts ``None`` and is filled by the first
+    Everything here is derived once per instance; per speed only two
+    integer multipliers remain (``base_scale → scale`` for demands,
+    ``· speed`` for capacities), so a network build is pure integer array
+    work.  ``topology`` starts ``None`` and is filled by the first
     :class:`~repro.offline.dinic.FeasibilityNetwork` build with the shared
     immutable CSR arrays ``(to, head, elist)``; later builds (other speeds,
     the other kernel) reuse them and only allocate a capacity array.
@@ -105,7 +106,7 @@ class NetworkTables:
         "src",             # per job: source edge id (layout arithmetic)
         "edf",             # job indices sorted by (k1, k0, idx)
         "n_nodes", "n_edges",
-        "elementary_count", "dropped", "merged",  # sparsification outcome
+        "elementary_count", "dropped",  # sparsification outcome
         "max_live",        # window concurrency (max live-set size)
         "zero_laxity_max",  # max concurrency among zero-laxity jobs
         "total_demand_base",
@@ -119,7 +120,6 @@ def _build_tables(
     instance: Instance,
     elementary: List[Tuple[Fraction, Fraction]],
     base_scale: int,
-    sparsify: bool,
 ) -> NetworkTables:
     """One integer sweep: live counts, sparsification, and job tables.
 
@@ -141,7 +141,7 @@ def _build_tables(
         t.demand_base = _EMPTY_Q
         t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
         t.n_nodes, t.n_edges = 2, 0
-        t.dropped = t.merged = 0
+        t.dropped = 0
         t.max_live = t.zero_laxity_max = 0
         t.total_demand_base = 0
         return t
@@ -161,7 +161,6 @@ def _build_tables(
 
     live = [0] * (m_el + 1)   # live-count diff array over elementary intervals
     zl = [0] * (m_el + 1)     # same, restricted to zero-laxity jobs
-    events = [0] * (m_el + 1)  # how many jobs start or end at each point
     demand_base = array("q", bytes(8 * n))
     i0s = array("i", bytes(4 * n))
     i1s = array("i", bytes(4 * n))
@@ -176,8 +175,6 @@ def _build_tables(
         i1s[idx] = i1
         live[i0] += 1
         live[i1] -= 1
-        events[i0] += 1
-        events[i1] += 1
         if pts_int[i1] - pts_int[i0] == d:  # window length == processing
             zl[i0] += 1
             zl[i1] -= 1
@@ -185,9 +182,8 @@ def _build_tables(
     kept: List[Tuple[Fraction, Fraction]] = []
     len_base: List[int] = []
     newindex = array("i", bytes(4 * m_el)) if m_el else _EMPTY_I
-    dropped = merged = 0
+    dropped = 0
     cur = zcur = max_live = zl_max = 0
-    kept_end = -1  # base-scaled end of the last *kept* interval
     for k in range(m_el):
         cur += live[k]
         zcur += zl[k]
@@ -195,29 +191,16 @@ def _build_tables(
             max_live = cur
         if zcur > zl_max:
             zl_max = zcur
-        if sparsify and cur == 0:
+        if cur == 0:
             dropped += 1  # no live job: no arc can ever reach this interval
             newindex[k] = -1
             continue
-        a, b = elementary[k]
-        # Merge with the previous kept interval iff time-adjacent and the
-        # live set is identical across the boundary — i.e. no job starts or
-        # ends at ``a``.  Elementary endpoints are exactly the event points,
-        # so with valid jobs this never fires; kept as a safety net for any
-        # future interval construction that adds non-event points.
-        if sparsify and kept_end == pts_int[k] and not events[k]:
-            merged += 1
-            kept[-1] = (kept[-1][0], b)
-            len_base[-1] += len_el[k]
-            newindex[k] = len(kept) - 1
-        else:
-            newindex[k] = len(kept)
-            # Share the elementary tuple: both lists live as long as the
-            # cache, and each extra tuple is one more object for the cyclic
-            # GC to traverse (about 10^5 of them at n = 10^5).
-            kept.append(elementary[k])
-            len_base.append(len_el[k])
-        kept_end = pts_int[k + 1]
+        newindex[k] = len(kept)
+        # Share the elementary tuple: both lists live as long as the cache,
+        # and each extra tuple is one more object for the cyclic GC to
+        # traverse (about 10^5 of them at n = 10^5).
+        kept.append(elementary[k])
+        len_base.append(len_el[k])
 
     k0s = array("i", bytes(4 * n))
     k1s = array("i", bytes(4 * n))
@@ -240,7 +223,7 @@ def _build_tables(
     t.edf = array("i", sorted(range(n), key=lambda i: (k1s[i], k0s[i], i)))
     t.n_nodes = 2 + n + len(kept)
     t.n_edges = acc // 2
-    t.dropped, t.merged = dropped, merged
+    t.dropped = dropped
     t.max_live = max_live
     t.zero_laxity_max = zl_max
     t.total_demand_base = sum(demand_base)
@@ -265,12 +248,11 @@ class _SpeedState:
 class FeasibilityCache:
     """Instance-lifetime memo for Horn's feasibility flow."""
 
-    __slots__ = ("instance", "sparsify", "_intervals", "_base_scale",
+    __slots__ = ("instance", "_intervals", "_base_scale",
                  "_tables", "_verdicts", "_speed_states", "stats")
 
-    def __init__(self, instance: Instance, sparsify: bool = True) -> None:
+    def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.sparsify = sparsify
         self._intervals: Optional[List[Tuple[Fraction, Fraction]]] = None
         self._base_scale: Optional[int] = None
         self._tables: Optional[NetworkTables] = None
@@ -325,13 +307,13 @@ class FeasibilityCache:
         """The integer network tables (built on first use)."""
         if self._tables is None:
             self._tables = _build_tables(
-                self.instance, self.intervals, self.base_scale, self.sparsify
+                self.instance, self.intervals, self.base_scale
             )
         return self._tables
 
     @property
     def network_intervals(self) -> List[Tuple[Fraction, Fraction]]:
-        """The interval list the networks are built over (sparsified here)."""
+        """The interval list the networks are built over (sparsified)."""
         return self.tables.intervals
 
     @property
@@ -369,10 +351,6 @@ class FeasibilityCache:
 
     # -- incremental feasibility ----------------------------------------------
 
-    def network_for(self, speed: Fraction, kernel: str = "py") -> FeasibilityNetwork:
-        """The warm solver for this speed/kernel (built on first use)."""
-        return self._state_for(speed, kernel).network
-
     def _state_for(self, speed: Fraction, kernel: str = "py") -> _SpeedState:
         key = (speed, kernel)
         state = self._speed_states.get(key)
@@ -386,7 +364,6 @@ class FeasibilityCache:
             self._speed_states[key] = state
             self.stats.bump("network_builds")
             if _obs.enabled():
-                _obs.incr("network.intervals_merged", tables.merged)
                 _obs.incr("network.intervals_dropped", tables.dropped)
                 _obs.gauge("network.intervals_elementary", tables.elementary_count)
                 _obs.gauge("network.intervals_kept", len(tables.intervals))
@@ -443,22 +420,15 @@ class FeasibilityCache:
         return self.solved_network(m, speed, kernel).feasible
 
 
-def cache_for(instance: Instance, sparsify: bool = True) -> FeasibilityCache:
+def cache_for(instance: Instance) -> FeasibilityCache:
     """The instance's cache, created on first request.
 
-    Caches live in a slot on the (immutable) instance, so they share the
+    The cache lives in a slot on the (immutable) instance, so it shares the
     instance's lifetime exactly: no global registry, no id-reuse hazards,
-    and equal-but-distinct instances keep independent solvers.  The
-    sparsified (default) and unsparsified caches are independent entries —
-    the unsparsified one exists for differential tests and ``sparsify=False``
-    escape hatches.
+    and equal-but-distinct instances keep independent solvers.
     """
-    caches = instance._feas_cache
-    if caches is None:
-        caches = {}
-        object.__setattr__(instance, "_feas_cache", caches)
-    cache = caches.get(sparsify)
+    cache = instance._feas_cache
     if cache is None:
-        cache = FeasibilityCache(instance, sparsify=sparsify)
-        caches[sparsify] = cache
+        cache = FeasibilityCache(instance)
+        object.__setattr__(instance, "_feas_cache", cache)
     return cache

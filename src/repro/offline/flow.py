@@ -36,10 +36,9 @@ Two interchangeable Dinic kernels answer the flow question (the default
 Independent oracles (a generic max-flow formulation of this network and
 an LP relaxation) live with the tests that cross-check against them.
 
-Both kernels consume the *sparsified* event intervals by default (zero-
-demand elementary intervals dropped before the network is built — see
-:mod:`repro.offline.feascache`); ``sparsify=False`` rebuilds over the full
-elementary structure, with provably identical results.
+Both kernels consume the *sparsified* event intervals (zero-demand
+elementary intervals dropped before the network is built — see
+:mod:`repro.offline.feascache`).
 """
 
 from __future__ import annotations
@@ -120,15 +119,14 @@ def max_flow_assignment(
     m: int,
     speed: Numeric = 1,
     backend: str = DEFAULT_BACKEND,
-    sparsify: bool = True,
 ) -> Tuple[bool, Dict[int, Dict[int, Fraction]], List[Tuple[Fraction, Fraction]]]:
     """Solve the feasibility flow for ``m`` speed-``speed`` machines.
 
     Returns ``(feasible, work, intervals)`` where ``work[job_id][k]`` is the
     amount of *machine time* job ``job_id`` spends in interval ``k`` of the
     returned interval list in a maximum flow (work equals machine time
-    times speed).  The interval list is the (sparsified, by default) event
-    structure the network was built over.
+    times speed).  The interval list is the sparsified event structure the
+    network was built over.
     """
     backend = resolve_backend(backend)
     if len(instance) == 0:
@@ -136,7 +134,7 @@ def max_flow_assignment(
     if m <= 0:
         return False, {}, []
     speed = to_fraction(speed)
-    cache = cache_for(instance, sparsify=sparsify)
+    cache = cache_for(instance)
     network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
     ticks = _tick_base(cache.scale_for(speed), speed)
     work = {
@@ -151,7 +149,6 @@ def migratory_feasible(
     m: int,
     speed: Numeric = 1,
     backend: str = DEFAULT_BACKEND,
-    sparsify: bool = True,
 ) -> bool:
     """Exact test: does a feasible migratory schedule on ``m`` machines exist?
 
@@ -164,9 +161,7 @@ def migratory_feasible(
         return True
     if m <= 0:
         return False
-    return cache_for(instance, sparsify=sparsify).feasible(
-        m, to_fraction(speed), kernel
-    )
+    return cache_for(instance).feasible(m, to_fraction(speed), kernel)
 
 
 #: A point in time: integer ticks or an exact Fraction.
@@ -288,7 +283,6 @@ def migratory_schedule(
     m: int,
     speed: Numeric = 1,
     backend: str = DEFAULT_BACKEND,
-    sparsify: bool = True,
 ) -> Optional[Schedule]:
     """An explicit feasible migratory schedule on ``m`` machines, or ``None``."""
     backend = resolve_backend(backend)
@@ -297,7 +291,7 @@ def migratory_schedule(
     if m <= 0:
         return None
     speed = to_fraction(speed)
-    cache = cache_for(instance, sparsify=sparsify)
+    cache = cache_for(instance)
     network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
     if not network.feasible:
         return None

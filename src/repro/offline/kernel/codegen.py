@@ -12,9 +12,9 @@ The C code mirrors the pure-Python reference in
 search stops), the iterative current-arc DFS, the retreat to the
 shallowest saturated edge after an augment, and the dead-end
 ``level[u] = -1`` pruning — so the flows it produces are bit-identical to
-the ``py``/``np`` kernels, not merely maximum.  The differential suites
-(``tests/test_kernel.py``, ``tests/test_sparsify.py``) pin that equality
-byte for byte.
+the ``py`` kernel's, not merely maximum.  ``tests/test_kernel.py`` pins
+that equality byte for byte, and ``tests/test_sparsify.py`` also on the
+unsparsified network.
 
 Buffer ABI (shared with the Python side, all zero-copy):
 

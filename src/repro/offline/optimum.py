@@ -33,7 +33,6 @@ def migratory_optimum(
     instance: Instance,
     speed: Numeric = 1,
     backend: str = DEFAULT_BACKEND,
-    sparsify: bool = True,
 ) -> int:
     """The exact minimum number of speed-``speed`` machines (migratory).
 
@@ -69,9 +68,7 @@ def migratory_optimum(
         _obs.incr("search.probes")
         _obs.observe("search.probe_m", m)
         with _obs.span("optimum.probe", m=m, kind=kind):
-            return migratory_feasible(
-                instance, m, speed, backend=backend, sparsify=sparsify
-            )
+            return migratory_feasible(instance, m, speed, backend=backend)
 
     with _obs.span("optimum.search", n=len(instance), speed=str(speed),
                    backend=backend):
@@ -98,7 +95,6 @@ def optimal_migratory_schedule(
     instance: Instance,
     speed: Numeric = 1,
     backend: str = DEFAULT_BACKEND,
-    sparsify: bool = True,
 ) -> Tuple[int, Optional[Schedule]]:
     """``(OPT, schedule)`` for the migratory problem.
 
@@ -108,11 +104,9 @@ def optimal_migratory_schedule(
     :class:`~repro.offline.feascache.CacheStats` regression test).
     """
     backend = resolve_backend(backend)
-    m = migratory_optimum(instance, speed, backend=backend, sparsify=sparsify)
+    m = migratory_optimum(instance, speed, backend=backend)
     if m == 0:
         return 0, Schedule([])
     with _obs.span("optimum.extract_schedule", m=m):
         # snapshot restore, no probe
-        return m, migratory_schedule(
-            instance, m, speed, backend=backend, sparsify=sparsify
-        )
+        return m, migratory_schedule(instance, m, speed, backend=backend)

@@ -115,22 +115,18 @@ class RetryPolicy:
 
     ``max_retries`` is the number of *additional* attempts after the first
     (so an item runs at most ``1 + max_retries`` times per execution).
-    ``retry_errors=True`` widens the transient set to every exception —
-    useful against genuinely flaky tasks, but it re-runs deterministic
-    failures too, so it is off by default.
+    Only transient failures are retried; a deterministic task error would
+    fail the same way again.
     """
 
     max_retries: int = 2
-    retry_errors: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
     def is_transient(self, exc: BaseException) -> bool:
-        if isinstance(exc, (TransientError, OSError)):
-            return True
-        return self.retry_errors and isinstance(exc, Exception)
+        return isinstance(exc, (TransientError, OSError))
 
 
 #: The injectable fault kinds, in severity order.

@@ -443,9 +443,7 @@ def _execute_chunk(
     return rows
 
 
-def _default_context(start_method: Optional[str]):
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
+def _default_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
@@ -535,30 +533,23 @@ def _isolated_retry(
 
 
 class _ResultStream:
-    """Streams item results to ``on_result`` exactly once each.
+    """Streams item results to ``on_result`` exactly once each, in plan order.
 
-    ``ordered=True`` buffers completed chunks until every earlier chunk has
-    been flushed (plan order); ``ordered=False`` forwards chunks in
-    completion order.  Within a chunk, items always stream in plan order.
-    Journal-restored items are emitted by the final flush, in plan order.
+    Completed chunks are buffered until every earlier chunk has been
+    flushed; within a chunk, items stream in plan order.  Journal-restored
+    items are emitted by the final flush, in plan order.
     """
 
     def __init__(
-        self,
-        on_result: Optional[Callable[["ItemResult"], None]],
-        ordered: bool,
+        self, on_result: Optional[Callable[["ItemResult"], None]]
     ) -> None:
         self._on_result = on_result
-        self._ordered = ordered
         self._pending: Dict[int, List[ItemResult]] = {}
         self._next_chunk = 0
         self.emitted: Set[int] = set()
 
     def chunk_done(self, chunk_index: int, results: List[ItemResult]) -> None:
         if self._on_result is None:
-            return
-        if not self._ordered:
-            self._emit(results)
             return
         self._pending[chunk_index] = results
         while self._next_chunk in self._pending:
@@ -582,9 +573,7 @@ def run_sweep(
     plan: Union[SweepPlan, SweepShard],
     n_jobs: int = 1,
     chunksize: int = 1,
-    start_method: Optional[str] = None,
     on_result: Optional[Callable[[ItemResult], None]] = None,
-    ordered: bool = True,
     item_timeout: Optional[float] = None,
     retry: Union[RetryPolicy, int, None] = None,
     faults: Optional[FaultPlan] = None,
@@ -595,9 +584,8 @@ def run_sweep(
 ) -> SweepReport:
     """Execute ``plan`` on ``n_jobs`` processes; see the module contract.
 
-    ``on_result`` streams item results as chunks finish — in plan order
-    when ``ordered=True``, in completion order when ``ordered=False``.  The
-    returned report is identical (and in plan order) either way.
+    ``on_result`` streams item results in plan order as chunks finish; the
+    returned report carries the same results, in the same order.
 
     ``item_timeout`` is the per-item deadline in seconds; ``retry`` a
     :class:`~repro.runner.faults.RetryPolicy` (or an int budget of
@@ -632,7 +620,7 @@ def run_sweep(
     t0 = time.perf_counter()
     items_by_index = {item.index: item for item in plan}
     interrupted = False
-    stream = _ResultStream(on_result, ordered)
+    stream = _ResultStream(on_result)
     degradations: List[Tuple[str, str]] = []
     tracker: Optional[_ProgressTracker] = None
 
@@ -762,7 +750,7 @@ def run_sweep(
                     break
                 stream.chunk_done(ci, absorb(rows))
         else:
-            mp_context = _default_context(start_method)
+            mp_context = _default_context()
             broken_chunks: List[int] = []
             try:
                 pool = concurrent.futures.ProcessPoolExecutor(

@@ -205,18 +205,18 @@ class ServeDaemon:
         # signal handler runs there): hand it to a helper.
         threading.Thread(target=self.server.shutdown, daemon=True).start()
 
-    def run(self, install_signals: bool = True) -> int:
+    def run(self) -> int:
         """Serve until SIGTERM/SIGINT; returns the process exit code (0)."""
         host, port = self.address
         self.queue.start()
-        if install_signals:
-            def _on_signal(signum, frame) -> None:
-                print(f"repro serve: caught signal {signum}, draining",
-                      file=sys.stderr, flush=True)
-                self.begin_shutdown()
 
-            signal.signal(signal.SIGTERM, _on_signal)
-            signal.signal(signal.SIGINT, _on_signal)
+        def _on_signal(signum, frame) -> None:
+            print(f"repro serve: caught signal {signum}, draining",
+                  file=sys.stderr, flush=True)
+            self.begin_shutdown()
+
+        signal.signal(signal.SIGTERM, _on_signal)
+        signal.signal(signal.SIGINT, _on_signal)
         print(f"repro serve listening on http://{host}:{port}", flush=True)
         try:
             self.server.serve_forever(poll_interval=0.1)

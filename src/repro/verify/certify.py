@@ -76,7 +76,6 @@ def certify(
     speed: Numeric = 1,
     backend: str = DEFAULT_BACKEND,
     check: bool = True,
-    sparsify: bool = True,
 ) -> Certificate:
     """Feasibility verdict at ``m`` machines with an attached witness."""
     backend = resolve_backend(backend)
@@ -97,10 +96,10 @@ def certify(
                 0, speed, tuple(j.id for j in instance), instance.intervals()
             )
         else:
-            cache = cache_for(instance, sparsify=sparsify)
+            cache = cache_for(instance)
             network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
             # Work maps and cut indices refer to the interval list the
-            # network was built over (sparsified by default).
+            # network was built over (sparsified).
             intervals = cache.network_intervals
             if network.feasible:
                 schedule = schedule_from_work(
@@ -136,7 +135,6 @@ def certified_optimum(
     speed: Numeric = 1,
     backend: str = DEFAULT_BACKEND,
     check: bool = True,
-    sparsify: bool = True,
 ) -> CertifiedOptimum:
     """The exact optimum with certificates on both sides.
 
@@ -155,21 +153,16 @@ def certified_optimum(
             unsat,
         )
     with _obs.span("verify.certified_optimum", backend=backend, speed=str(speed)):
-        m = migratory_optimum(instance, speed, backend=backend, sparsify=sparsify)
-        feasible = certify(
-            instance, m, speed, backend=backend, check=check, sparsify=sparsify
-        )
+        m = migratory_optimum(instance, speed, backend=backend)
+        feasible = certify(instance, m, speed, backend=backend, check=check)
         assert isinstance(feasible, FeasibleCertificate)
         infeasible: Optional[InfeasibleCertificate] = None
         if m > 0:
-            below = certify(
-                instance, m - 1, speed, backend=backend, check=check,
-                sparsify=sparsify,
-            )
+            below = certify(instance, m - 1, speed, backend=backend, check=check)
             assert isinstance(below, InfeasibleCertificate)
             infeasible = below
     stats = None
     if len(instance) > 0:
         # Snapshot *after* both sandwich probes: the total solver effort.
-        stats = cache_for(instance, sparsify=sparsify).stats.snapshot()
+        stats = cache_for(instance).stats.snapshot()
     return CertifiedOptimum(m, feasible, infeasible, cache_stats=stats)

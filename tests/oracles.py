@@ -4,9 +4,11 @@ Both answer :mod:`repro.offline.flow`'s question by other means, and
 neither is on any runtime path:
 
 * the generic ``networkx`` max-flow formulation of Horn's network, built
-  over the kernels' own (sparsified by default) intervals and integer
-  scale so work maps and cut indices line up, with a min-cut witness
-  extractor and an optimum that bisects over its verdicts;
+  over *every* elementary interval between the instance's sorted
+  release/deadline points (the unsparsified network, so each cross-check
+  also tests the kernels' sparsification) at the kernels' integer scale,
+  with a min-cut witness extractor and an optimum that bisects over its
+  verdicts;
 * the float-based HiGHS LP relaxation (``scipy.optimize.linprog``) over
   ``x[j,k]``, the machine time job ``j`` gets in elementary interval ``k``:
   ``Σ_k x[j,k] = p_j``, ``0 ≤ x[j,k] ≤ |E_k|``, ``Σ_j x[j,k] ≤ m·|E_k|``,
@@ -48,11 +50,17 @@ _SOURCE = "s"
 _SINK = "t"
 
 
+def elementary_intervals(instance: Instance) -> List[Tuple[Fraction, Fraction]]:
+    """The intervals between the instance's sorted release/deadline points."""
+    points = sorted({p for job in instance for p in (job.release, job.deadline)})
+    return list(zip(points, points[1:]))
+
+
 def _network(
-    instance: Instance, m: int, speed: Fraction, sparsify: bool
+    instance: Instance, m: int, speed: Fraction
 ) -> Tuple[nx.DiGraph, List[Tuple[Fraction, Fraction]], int]:
-    cache = cache_for(instance, sparsify=sparsify)
-    intervals, scale = cache.network_intervals, cache.scale_for(speed)
+    intervals = elementary_intervals(instance)
+    scale = cache_for(instance).scale_for(speed)
     graph = nx.DiGraph()
     for k, (a, b) in enumerate(intervals):
         cap = int((b - a) * speed * scale)
@@ -68,11 +76,11 @@ def _network(
 
 
 def _flow(
-    instance: Instance, m: int, speed: Fraction, sparsify: bool
+    instance: Instance, m: int, speed: Fraction
 ) -> Tuple[bool, Dict[int, Dict[int, int]], List[Tuple[Fraction, Fraction]], int]:
     """``(feasible, raw, intervals, ticks)``: ``raw[job][k]`` is the integer
     flow, i.e. machine time in ticks of ``1/ticks`` (``ticks = scale·speed``)."""
-    graph, intervals, scale = _network(instance, m, speed, sparsify)
+    graph, intervals, scale = _network(instance, m, speed)
     total = sum(int(j.processing * scale) for j in instance)
     flow_value, flow_dict = nx.maximum_flow(
         graph, _SOURCE, _SINK, flow_func=nx.algorithms.flow.dinitz
@@ -90,16 +98,15 @@ def _flow(
 
 
 def max_flow_assignment(
-    instance: Instance, m: int, speed: Numeric = 1, sparsify: bool = True
+    instance: Instance, m: int, speed: Numeric = 1
 ) -> Tuple[bool, Dict[int, Dict[int, Fraction]], List[Tuple[Fraction, Fraction]]]:
-    """``(feasible, work, intervals)``, like the library's ``max_flow_assignment``."""
+    """``(feasible, work, intervals)``, like the library's ``max_flow_assignment``
+    but over every elementary interval."""
     if len(instance) == 0:
         return True, {}, []
     if m <= 0:
         return False, {}, []
-    feasible, raw, intervals, ticks = _flow(
-        instance, m, to_fraction(speed), sparsify
-    )
+    feasible, raw, intervals, ticks = _flow(instance, m, to_fraction(speed))
     # raw flow is work in units of 1/scale; machine time = work / speed
     work = {
         job_id: {k: Fraction(amount, ticks) for k, amount in row.items()}
@@ -109,7 +116,7 @@ def max_flow_assignment(
 
 
 def networkx_min_cut(
-    instance: Instance, m: int, speed: Numeric = 1, sparsify: bool = True
+    instance: Instance, m: int, speed: Numeric = 1
 ) -> Tuple[List[int], List[int]]:
     """Source side ``(job_ids, interval_indices)`` of a minimum cut.
 
@@ -118,7 +125,7 @@ def networkx_min_cut(
     """
     if len(instance) == 0:
         return [], []
-    graph, _, _ = _network(instance, m, to_fraction(speed), sparsify)
+    graph, _, _ = _network(instance, m, to_fraction(speed))
     _, (reachable, _) = nx.minimum_cut(
         graph, _SOURCE, _SINK, flow_func=nx.algorithms.flow.dinitz
     )
@@ -154,9 +161,7 @@ def migratory_optimum(instance: Instance, speed: Numeric = 1) -> int:
     return lo
 
 
-def certify(
-    instance: Instance, m: int, speed: Numeric = 1, sparsify: bool = True
-) -> Certificate:
+def certify(instance: Instance, m: int, speed: Numeric = 1) -> Certificate:
     """A certificate built from the networkx flow (feasible) or cut.
 
     At ``m = 0`` networkx's maximal cut side takes the zero-demand gaps too,
@@ -169,29 +174,27 @@ def certify(
         )
     if len(instance) == 0:
         return FeasibleCertificate(m, speed, Schedule([]))
-    feasible, raw, intervals, ticks = _flow(instance, m, speed, sparsify)
+    feasible, raw, intervals, ticks = _flow(instance, m, speed)
     if feasible:
         return FeasibleCertificate(
             m, speed, schedule_from_work(raw, intervals, m, ticks)
         )
-    job_ids, iv_idx = networkx_min_cut(instance, m, speed, sparsify)
+    job_ids, iv_idx = networkx_min_cut(instance, m, speed)
     return InfeasibleCertificate(
         m, speed, tuple(job_ids),
         IntervalUnion.from_pairs(intervals[k] for k in iv_idx),
     )
 
 
-def certified_optimum(
-    instance: Instance, speed: Numeric = 1, sparsify: bool = True
-) -> CertifiedOptimum:
+def certified_optimum(instance: Instance, speed: Numeric = 1) -> CertifiedOptimum:
     """The networkx optimum with certificates at ``m`` and ``m − 1``."""
     speed = to_fraction(speed)
     unsat = unsat_certificate(instance, speed)
     if unsat is not None:
         raise Unsatisfiable("infeasible at every machine count", unsat)
     m = migratory_optimum(instance, speed)
-    below = certify(instance, m - 1, speed, sparsify) if m > 0 else None
-    return CertifiedOptimum(m, certify(instance, m, speed, sparsify), below)
+    below = certify(instance, m - 1, speed) if m > 0 else None
+    return CertifiedOptimum(m, certify(instance, m, speed), below)
 
 
 def lp_feasible(

@@ -193,7 +193,6 @@ class TestRetryPolicy:
         assert policy.is_transient(ItemTimeout("x"))
         assert policy.is_transient(OSError("x"))
         assert not policy.is_transient(ValueError("x"))
-        assert RetryPolicy(retry_errors=True).is_transient(ValueError("x"))
 
 
 # ---------------------------------------------------------------------------

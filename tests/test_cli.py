@@ -196,10 +196,9 @@ class TestObservability:
         assert main(["profile", loose_file, "--network", "--json"]) == 0
         net = json.loads(capsys.readouterr().out)["network"]
         assert net["intervals_kept"] == (
-            net["intervals_elementary"]
-            - net["intervals_dropped"]
-            - net["intervals_merged"]
+            net["intervals_elementary"] - net["intervals_dropped"]
         )
+        assert net["nodes_before"] - net["nodes_after"] == net["intervals_dropped"]
         assert net["nodes_after"] <= net["nodes_before"]
         assert net["edges_after"] <= net["edges_before"]
         assert net["edges_after"] > 0

@@ -229,7 +229,6 @@ class TestCounterRegression:
             "dinic.greedy_pushed": 6,
             "network.edges": 7,
             "network.intervals_dropped": 0,
-            "network.intervals_merged": 0,
             "network.nodes": 6,
             "search.probes": 2,
         }
@@ -250,7 +249,6 @@ class TestCounterRegression:
             "dinic.greedy_pushed": 13,
             "network.edges": 16,
             "network.intervals_dropped": 0,
-            "network.intervals_merged": 0,
             "network.nodes": 11,
             "search.probes": 1,
         }

@@ -11,7 +11,7 @@ Covers the contract pinned by ISSUE 4:
 * failures are contained: task exceptions become ``"error"`` records, a
   SIGKILL-poisoned worker yields exactly one ``"crashed"`` record while
   its chunk-mates recover, and nothing is ever silently dropped,
-* result streaming (ordered and as-completed) emits each item exactly once,
+* result streaming emits each item exactly once, in plan order,
 * the ``repro sweep`` CLI drives all three plan kinds.
 """
 
@@ -451,16 +451,8 @@ class TestStreaming:
     def test_ordered_streams_in_plan_order(self):
         seen = []
         plan = self._plan()
-        run_sweep(plan, n_jobs=2, chunksize=2, on_result=seen.append, ordered=True)
+        report = run_sweep(plan, n_jobs=2, chunksize=2, on_result=seen.append)
         assert [r.index for r in seen] == list(range(len(plan)))
-
-    def test_as_completed_streams_each_item_once(self):
-        seen = []
-        plan = self._plan()
-        report = run_sweep(
-            plan, n_jobs=2, chunksize=2, on_result=seen.append, ordered=False
-        )
-        assert sorted(r.index for r in seen) == list(range(len(plan)))
         # streamed objects are the same results the report carries
         assert {r.index: r.value for r in seen} == {
             r.index: r.value for r in report.results

@@ -1,15 +1,23 @@
-"""Differential tests: event-interval sparsification on vs. off.
+"""Event-interval sparsification against the unsparsified network.
 
-Sparsification (``repro.offline.feascache``) drops zero-demand elementary
-intervals before the feasibility network is built.  The claim is not just
-"same verdicts": dropped intervals carry no arc a maximum flow could use,
-the greedy blocking order is invariant under the (monotone) reindexing, and
-residual-reachability min cuts are the unique minimal source side — so the
-*certificates* (schedules and Theorem-1 witnesses, as serialized dicts) must
-be identical with sparsification on and off, for every kernel and for the
-networkx oracle of ``tests/oracles.py`` (whose maximal cut side no dropped
-interval joins at ``m ≥ 1`` either), on the whole golden corpus and on
-random instances.
+Sparsification (``repro.offline.feascache``) drops the elementary intervals
+no job window covers before the feasibility network is built; it is the
+only interval structure the library builds.  Two references built over
+*every* elementary interval check it:
+
+* the networkx oracle of ``tests/oracles.py``, an independent max-flow
+  formulation: it finds the same optimum as every kernel, every
+  certificate of either side passes the solver-independent checker, and
+  none touches a dropped interval;
+* the stand-alone :class:`~repro.offline.dinic.FeasibilityNetwork` build,
+  the same kernels on the unsparsified network: a dropped interval carries
+  no arc a maximum flow could use and the greedy blocking order is
+  invariant under the (monotone) reindexing, so cold solves give the same
+  verdicts, work maps and residual-reachability min cuts on both
+  structures, for every kernel.
+
+Nothing merges: a hypothesis property pins the fact that makes merging
+impossible (adjacent elementary intervals never share a live-job set).
 """
 
 from __future__ import annotations
@@ -23,13 +31,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import Instance, Job
+from repro.model.intervals import IntervalUnion
 from repro.model.io import load
 from repro.obs import core as obs
 from repro.offline import kernel
+from repro.offline.dinic import FeasibilityNetwork
 from repro.offline.feascache import cache_for
 from repro.offline.flow import available_backends, max_flow_assignment
 from repro.offline.optimum import migratory_optimum
-from repro.verify import Unsatisfiable, certified_optimum, certify
+from repro.verify import Unsatisfiable, certified_optimum, check_certificate
 
 from tests import oracles
 from tests.strategies import instances_st
@@ -39,57 +49,102 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "corpus")
 with open(os.path.join(CORPUS_DIR, "expectations.json"), "r", encoding="utf-8") as fh:
     CASES = json.load(fh)["cases"]
 
+#: The level-graph kernels usable in this process.
+KERNELS = ("py", "c") if kernel.available() else ("py",)
+
 
 def _case_id(case) -> str:
     return f"{case['file']}@s={case['speed']}"
 
 
-def _strip_stats(cert_dict):
-    """Certificates modulo solver statistics (probe counts may differ when a
-    shared per-instance cache already holds verdicts from an earlier call)."""
-    return {k: v for k, v in cert_dict.items() if k != "cache_stats"}
-
-
-def _certified_pair(instance, speed, backend, sparsify):
+def _certified(instance, speed, backend):
+    """``(machines, certificates)``; ``machines`` is ``None`` when unsat."""
     try:
         if backend == "networkx":
-            co = oracles.certified_optimum(instance, speed, sparsify=sparsify)
+            co = oracles.certified_optimum(instance, speed)
         else:
-            co = certified_optimum(instance, speed, backend=backend,
-                                   sparsify=sparsify)
+            co = certified_optimum(instance, speed, backend=backend)
     except Unsatisfiable as exc:
-        return ("unsat", _strip_stats(exc.certificate.to_dict()))
-    return (
-        co.machines,
-        _strip_stats(co.feasible.to_dict()),
-        _strip_stats(co.infeasible.to_dict()) if co.infeasible else None,
+        return None, [exc.certificate]
+    return co.machines, [c for c in (co.feasible, co.infeasible) if c is not None]
+
+
+def _footprint(cert) -> IntervalUnion:
+    """Where a certificate acts: its schedule's segments, or its region."""
+    if cert.kind == "feasible":
+        return IntervalUnion.from_pairs(
+            (seg.start, seg.end) for seg in cert.schedule.segments
+        )
+    return cert.region
+
+
+def _assert_agrees_across_structures(instance, speed, backend):
+    """``backend``'s certified optimum against the other interval structure:
+    the library (kept intervals) against the oracle (every elementary
+    interval), or the oracle against the library.  Same machine count, and
+    this side's certificates check without touching a dropped interval."""
+    other = "auto" if backend == "networkx" else "networkx"
+    machines, certs = _certified(instance, speed, backend)
+    assert machines == _certified(instance, speed, other)[0]
+    cache = cache_for(instance)
+    kept = set(cache.network_intervals)
+    dropped = IntervalUnion.from_pairs(
+        iv for iv in cache.intervals if iv not in kept
     )
+    for cert in certs:
+        assert check_certificate(instance, cert).ok
+        assert _footprint(cert).intersection(dropped).length == 0
+
+
+def _cold_flow(instance, m, speed, kernel_name, full):
+    """One cold solve at ``m`` over the kept intervals (the tables build) or
+    over every elementary interval (the stand-alone build), keyed by
+    interval so the two structures compare directly."""
+    cache = cache_for(instance)
+    tables = None if full else cache.tables
+    intervals = cache.intervals if full else tables.intervals
+    scale = cache.scale_for(speed)
+    network = FeasibilityNetwork(
+        instance, speed, intervals, scale, kernel=kernel_name, tables=tables
+    )
+    network.set_machines(m)
+    network.solve()
+    ticks = scale * speed
+    work = {
+        job_id: {intervals[k]: amount / ticks for k, amount in row.items()}
+        for job_id, row in network.work_by_job().items()
+    }
+    cut = None
+    if not network.feasible:
+        job_ids, iv_idx = network.min_cut()
+        cut = (job_ids, [intervals[k] for k in iv_idx])
+    return network.feasible, work, cut
 
 
 class TestGoldenCorpus:
-    """Byte-identical serialized certificates across sparsify on/off."""
+    """Every corpus case against both unsparsified references."""
 
     @pytest.mark.parametrize("case", CASES, ids=_case_id)
     @pytest.mark.parametrize("backend", [*available_backends(), "networkx"])
     def test_certificates_identical(self, case, backend):
+        """Identical optimum across the two structures; this backend's
+        certificates check and keep out of the dropped intervals."""
         instance = load(os.path.join(CORPUS_DIR, case["file"]))
-        speed = Fraction(case["speed"])
-        sparse = _certified_pair(instance, speed, backend, True)
-        full = _certified_pair(instance, speed, backend, False)
-        assert json.dumps(sparse, sort_keys=True) == json.dumps(
-            full, sort_keys=True
-        )
+        _assert_agrees_across_structures(instance, Fraction(case["speed"]), backend)
 
     @pytest.mark.parametrize("case", CASES, ids=_case_id)
     def test_kernels_identical(self, case):
-        """dinic vs dinic_c on the unsparsified network: bit-identical too."""
-        if not kernel.available():
-            pytest.skip("compiled kernel unavailable")
+        """Every kernel, on the kept and on every elementary interval: one
+        flow and one cut at each ``m`` up to the window concurrency."""
         instance = load(os.path.join(CORPUS_DIR, case["file"]))
         speed = Fraction(case["speed"])
-        py = _certified_pair(instance, speed, "dinic", False)
-        c = _certified_pair(instance, speed, "dinic_c", False)
-        assert json.dumps(py, sort_keys=True) == json.dumps(c, sort_keys=True)
+        for m in range(1, cache_for(instance).window_concurrency + 1):
+            runs = [
+                _cold_flow(instance, m, speed, name, full)
+                for name in KERNELS
+                for full in (False, True)
+            ]
+            assert all(run == runs[0] for run in runs), f"m={m}"
 
 
 class TestSparsificationEngages:
@@ -97,12 +152,12 @@ class TestSparsificationEngages:
 
     def test_two_bursts_drops_the_gap(self):
         instance = load(os.path.join(CORPUS_DIR, "two_bursts.json"))
-        tables = cache_for(instance).tables
+        cache = cache_for(instance)
+        tables = cache.tables
         assert tables.dropped >= 1  # the idle gap between the bursts
         assert len(tables.intervals) == tables.elementary_count - tables.dropped
-        full = cache_for(instance, sparsify=False).tables
-        assert full.dropped == 0
-        assert len(full.intervals) == full.elementary_count
+        assert cache.intervals == oracles.elementary_intervals(instance)
+        assert tables.elementary_count == len(cache.intervals)
 
     def test_interval_lengths_are_preserved(self):
         instance = load(os.path.join(CORPUS_DIR, "two_bursts.json"))
@@ -129,6 +184,21 @@ class TestSparsificationEngages:
             )
             assert cache.total_work == instance.total_work
 
+    def test_tables_count_the_network(self):
+        """The tables' sizes are those of the stand-alone build over the
+        kept intervals (``repro profile --network`` reports them)."""
+        for case in CASES:
+            instance = load(os.path.join(CORPUS_DIR, case["file"]))
+            cache = cache_for(instance)
+            tables = cache.tables
+            speed = Fraction(case["speed"])
+            network = FeasibilityNetwork(
+                instance, speed, tables.intervals, cache.scale_for(speed)
+            )
+            assert (tables.n_nodes, tables.n_edges) == (
+                network.n_nodes, network.n_edges
+            ), case["file"]
+
 
 @st.composite
 def gapped_instances_st(draw, max_jobs: int = 6):
@@ -148,24 +218,22 @@ class TestRandomInstances:
     @given(instance=instances_st(), m=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_verdict_and_work_identical(self, instance, m):
-        fs, ws, _ = max_flow_assignment(instance, m, sparsify=True)
-        ff, wf, _ = max_flow_assignment(instance, m, sparsify=False)
-        assert fs == ff
-        # Same per-job totals; the interval *indices* differ (sparse list),
-        # but the total machine time routed per job must match exactly.
-        for job_id in ws:
-            assert sum(ws[job_id].values(), Fraction(0)) == sum(
-                wf[job_id].values(), Fraction(0)
-            )
+        """The library's cold solve matches the same kernel's over every
+        elementary interval: verdict, and work per job and interval."""
+        feasible, work, intervals = max_flow_assignment(instance, m, backend="dinic")
+        full_feasible, full_work, _ = _cold_flow(
+            instance, m, Fraction(1), "py", full=True
+        )
+        assert feasible == full_feasible
+        assert {
+            job_id: {intervals[k]: amount for k, amount in row.items()}
+            for job_id, row in work.items()
+        } == full_work
 
     @given(instance=gapped_instances_st())
     @settings(max_examples=30, deadline=None)
     def test_certificates_identical_on_gapped(self, instance):
-        sparse = _certified_pair(instance, Fraction(1), "dinic", True)
-        full = _certified_pair(instance, Fraction(1), "dinic", False)
-        assert json.dumps(sparse, sort_keys=True) == json.dumps(
-            full, sort_keys=True
-        )
+        _assert_agrees_across_structures(instance, Fraction(1), "dinic")
 
     @given(instance=gapped_instances_st())
     @settings(max_examples=20, deadline=None)
@@ -182,3 +250,18 @@ class TestRandomInstances:
         assert kept_len <= full_len
         if tables.dropped:
             assert kept_len < full_len
+
+    @given(instance=instances_st())
+    @settings(max_examples=100, deadline=None)
+    def test_adjacent_intervals_never_share_a_live_set(self, instance):
+        """Why nothing merges: every elementary boundary is a release or a
+        deadline, so the set of covering windows changes across it."""
+        events = {p for job in instance for p in (job.release, job.deadline)}
+
+        def live(a, b):
+            return {job.id for job in instance if job.release <= a and b <= job.deadline}
+
+        intervals = cache_for(instance).intervals
+        for (a, b), (_, c) in zip(intervals, intervals[1:]):
+            assert b in events
+            assert live(a, b) != live(b, c)
