@@ -437,11 +437,14 @@ class FeasibilityNetwork:
       contiguous even ids ``_src[idx] + 2 .. _src[idx] + 2(k1−k0)``, arc
       ``i`` feeding interval ``k0 + i``.
 
-    ``intervals`` and ``scale`` come from the caller (typically the
-    per-instance cache) so the Fraction arithmetic happens exactly once;
-    job → interval ranges are resolved through O(1) dict lookups on the
-    interval endpoints (every job's release starts, and deadline ends, a
-    kept interval) instead of per-job Fraction bisection.
+    ``scale`` comes from the caller.  With ``tables`` (the per-instance
+    cache's :class:`~repro.offline.feascache.NetworkTables`, passed with
+    its ``intervals`` view) the build reads only integer tables and counts,
+    never an interval's pairs.  Without, the stand-alone reference build
+    works from ``intervals`` and the jobs' ``Fraction`` data, resolving
+    job → interval ranges through O(1) dict lookups on the interval
+    endpoints (every job's release starts, and deadline ends, an
+    interval).
     """
 
     SOURCE = 0
@@ -481,10 +484,10 @@ class FeasibilityNetwork:
         # backend checks availability before ever asking for "c").
         ck = _ckernel.load() if kernel == "c" else None
         if tables is not None:
-            # Integer fast path: all Fraction arithmetic happened once, in
-            # the cache's table sweep.  ``speed·scale`` is an integer
-            # multiple of ``base_scale`` by the scale_for contract, so every
-            # capacity is two int multiplications away.
+            # Integer path: the cache's table scan did all the per-job work.
+            # ``speed·scale`` is an integer multiple of ``base_scale`` by
+            # the scale_for contract, so every capacity is two int
+            # multiplications away.
             sp = speed * scale
             base = tables.base_scale
             if sp.denominator != 1 or sp.numerator % base:

@@ -11,12 +11,16 @@ denominator on *every* probe.
 :class:`FeasibilityCache` hangs off the :class:`~repro.model.instance.Instance`
 itself (instances are immutable, so nothing can invalidate the memo):
 
-* ``intervals`` / ``base_scale`` — computed once per instance,
 * ``tables`` — the speed-independent *integer* form of the network inputs
-  (:class:`NetworkTables`): sparsified event intervals, per-job interval
-  ranges, base-scaled lengths and demands, the EDF probe order, and — after
-  the first build — the shared CSR topology, so a second speed (or kernel)
-  costs one capacity array instead of a graph construction,
+  (:class:`NetworkTables`), built by one integer scan of the jobs: the base
+  scale, sparsified event intervals, per-job interval ranges, base-scaled
+  lengths and demands, the EDF probe order, window concurrency and span,
+  and — after the first build — the shared CSR topology, so a second speed
+  (or kernel) costs one capacity array instead of a graph construction,
+* ``intervals`` / ``network_intervals`` — the elementary and the kept
+  ``(a, b)`` ``Fraction`` pairs, built from the jobs' own ``Fraction``
+  objects only when extraction, a certificate or the workload
+  characterization asks (one tuple per kept interval, shared by both),
 * ``verdicts`` — resolved ``(m, speed, kernel)`` answers, shared by every
   caller that probes the same instance,
 * per-``(speed, kernel)`` :class:`~repro.offline.dinic.FeasibilityNetwork`
@@ -38,6 +42,17 @@ reduction is surfaced through the ``network.intervals_*`` obs counters and
 two references built over every elementary interval: the networkx oracle
 and the stand-alone :class:`~repro.offline.dinic.FeasibilityNetwork` build.
 
+A search, the bounds (``window_concurrency``, ``scaled_lower_bound``) and
+the network sizes (``len(tables.intervals)``, ``repro profile --network``)
+read only the integer tables, so a cold ``migratory_optimum`` builds no
+``Fraction`` interval list.  Besides the build itself, that spares the
+cyclic garbage collector: at n = 10⁵ the ~126k tuples of an elementary
+list push its pending count past a quarter of the objects the instance
+keeps alive, which triggers a full (generation-2) collection.
+``tests/test_tables.py`` checks the scan field by field against the
+``Fraction`` sweep kept as ``tests/oracles.py::reference_tables`` and pins
+the laziness.
+
 ``stats`` counts probes/hits so tests can pin the ``O(log(hi − lo))``
 probe-complexity contract and the cross-caller cache behaviour.
 """
@@ -47,11 +62,14 @@ from __future__ import annotations
 import math
 import time
 from array import array
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate, compress
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..model.instance import Instance
+from ..model.job import Job
 from ..obs import core as _obs
 from .dinic import FeasibilityNetwork
 
@@ -89,17 +107,26 @@ class CacheStats:
 class NetworkTables:
     """Speed-independent integer form of the feasibility-network inputs.
 
-    Everything here is derived once per instance; per speed only two
-    integer multipliers remain (``base_scale → scale`` for demands,
-    ``· speed`` for capacities), so a network build is pure integer array
-    work.  ``topology`` starts ``None`` and is filled by the first
+    Everything here is derived once per instance by one integer scan of the
+    jobs (:func:`_build_tables`); per speed only two integer multipliers
+    remain (``base_scale → scale`` for demands, ``· speed`` for
+    capacities), so a network build is pure integer array work.
+    ``topology`` starts ``None`` and is filled by the first
     :class:`~repro.offline.dinic.FeasibilityNetwork` build with the shared
     immutable CSR arrays ``(to, head, elist)``; later builds (other speeds,
     the other kernel) reuse them and only allocate a capacity array.
+
+    The ``Fraction`` interval lists are lazy: :meth:`kept_intervals` and
+    :meth:`elementary_intervals` build them from the jobs' own ``Fraction``
+    objects on first use (extraction, certificates, the workload
+    characterization), and share one tuple per kept interval.
+    :attr:`intervals` is a view of the kept list whose ``len`` builds
+    nothing.
     """
 
     __slots__ = (
-        "intervals",       # kept (a, b) Fraction pairs fed to the network
+        "jobs",            # the instance's job tuple (the lazy lists' source)
+        "kept",            # per kept interval: its elementary index
         "len_base",        # per kept interval: (b − a) · base_scale, int
         "demand_base",     # per job: p_j · base_scale, int
         "k0", "k1",        # per job: kept-interval window [k0, k1)
@@ -110,123 +137,186 @@ class NetworkTables:
         "max_live",        # window concurrency (max live-set size)
         "zero_laxity_max",  # max concurrency among zero-laxity jobs
         "total_demand_base",
+        "span_base",       # (last event − first event) · base_scale
         "base_scale",
         "topology",        # None | (to, head, elist) as plain lists
         "topology_c",      # None | the same CSR as int32 arrays ("c" kernel)
+        "_elementary",     # None | the elementary (a, b) Fraction pairs
+        "_kept_pairs",     # None | the kept (a, b) Fraction pairs
+    )
+
+    @property
+    def intervals(self) -> "KeptIntervals":
+        """The kept ``(a, b)`` pairs the network is built over (a view)."""
+        return KeptIntervals(self)
+
+    def kept_intervals(self) -> List[Tuple[Fraction, Fraction]]:
+        """The kept ``(a, b)`` Fraction pairs, built on first use."""
+        if self._kept_pairs is None:
+            pairs = self._elementary
+            if pairs is None:
+                pairs = self._pairs()
+            self._kept_pairs = [pairs[k] for k in self.kept]
+        return self._kept_pairs
+
+    def elementary_intervals(self) -> List[Tuple[Fraction, Fraction]]:
+        """Every elementary ``(a, b)`` Fraction pair, built on first use."""
+        if self._elementary is None:
+            pairs = self._pairs()
+            if self._kept_pairs is not None:
+                # One tuple per kept interval, whichever list came first.
+                for k, pair in zip(self.kept, self._kept_pairs):
+                    pairs[k] = pair
+            self._elementary = pairs
+        return self._elementary
+
+    def _pairs(self) -> List[Tuple[Fraction, Fraction]]:
+        """Fresh elementary pairs over the jobs' own release/deadline objects.
+
+        A job's window starts at the left end of its first kept interval
+        and ends at the right end of its last, and every event point is
+        some job's release or deadline, so the walk fills every point.
+        """
+        points: List[Optional[Fraction]] = [None] * (self.elementary_count + 1)
+        kept = self.kept
+        for job, k0, k1 in zip(self.jobs, self.k0, self.k1):
+            points[kept[k0]] = job.release
+            points[kept[k1 - 1] + 1] = job.deadline
+        return list(zip(points, points[1:]))
+
+
+class KeptIntervals(Sequence):
+    """``NetworkTables.intervals``: the kept pairs as a read-only sequence.
+
+    ``len`` reads the integer tables, so sizing a network, the
+    ``network.intervals_kept`` gauge and ``repro profile --network`` never
+    build a ``Fraction``; indexing or iterating builds the kept list once
+    (:meth:`NetworkTables.kept_intervals`).
+    """
+
+    __slots__ = ("_tables",)
+
+    def __init__(self, tables: NetworkTables) -> None:
+        self._tables = tables
+
+    def __len__(self) -> int:
+        return len(self._tables.len_base)
+
+    def __getitem__(self, k):
+        return self._tables.kept_intervals()[k]
+
+    def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
+        return iter(self._tables.kept_intervals())
+
+
+def _scan(jobs: Sequence[Job]) -> Tuple[int, List[int], List[int], List[int]]:
+    """``(base_scale, r, p, d)``: every job's data as base-scaled ints.
+
+    Each numerator and denominator is read once.  ``base_scale`` is the LCM
+    of the distinct denominators, so ``x ↦ x · base_scale`` maps every
+    value to an exact integer and preserves order.
+    """
+    rn: List[int] = []
+    rd: List[int] = []
+    pn: List[int] = []
+    pd: List[int] = []
+    dn: List[int] = []
+    dd: List[int] = []
+    for job in jobs:
+        r, p, d = job.release, job.processing, job.deadline
+        rn.append(r.numerator)
+        rd.append(r.denominator)
+        pn.append(p.numerator)
+        pd.append(p.denominator)
+        dn.append(d.numerator)
+        dd.append(d.denominator)
+    base = math.lcm(*{*rd, *pd, *dd})
+    # A value already over the base denominator (every value of integer
+    # data) needs no multiply: base // b == 1.
+    return (
+        base,
+        [a * (base // b) if b != base else a for a, b in zip(rn, rd)],
+        [a * (base // b) if b != base else a for a, b in zip(pn, pd)],
+        [a * (base // b) if b != base else a for a, b in zip(dn, dd)],
     )
 
 
-def _build_tables(
-    instance: Instance,
-    elementary: List[Tuple[Fraction, Fraction]],
-    base_scale: int,
-) -> NetworkTables:
-    """One integer sweep: live counts, sparsification, and job tables.
+def _sweep(
+    t: NetworkTables, rel: List[int], dem: List[int], dl: List[int]
+) -> None:
+    """Fill ``t``'s tables from base-scaled ``r``, ``p`` and ``d`` (n ≥ 1).
 
-    The sweep indexes jobs into the elementary intervals through O(1)
-    endpoint lookups (every release starts an elementary interval and every
-    deadline ends one, by construction of the event points) — no per-job
-    Fraction bisection survives into the per-probe path.
+    Plain ints throughout: sorted unique event points, live and
+    zero-laxity counts by prefix sums, the kept intervals (those with a
+    live job), each job's kept window and source arc, and the EDF order.
     """
-    t = NetworkTables()
-    n = len(instance)
-    m_el = len(elementary)
-    t.elementary_count = m_el
-    t.base_scale = base_scale
-    t.topology = None
-    t.topology_c = None
-    if n == 0:
-        t.intervals = []
-        t.len_base = _EMPTY_Q
-        t.demand_base = _EMPTY_Q
-        t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
-        t.n_nodes, t.n_edges = 2, 0
-        t.dropped = 0
-        t.max_live = t.zero_laxity_max = 0
-        t.total_demand_base = 0
-        return t
-
-    # Work in base-scaled *integer* coordinates throughout: a point ``p``
-    # becomes ``p.numerator · (base_scale // p.denominator)`` (exact by the
-    # LCM property).  Integer dict keys avoid Fraction.__hash__ — which
-    # computes a modular inverse per call — on the hot cold-build path.
-    base = base_scale
-    pts_int = [
-        a.numerator * (base // a.denominator) for a, _ in elementary
-    ]
-    last = elementary[-1][1]
-    pts_int.append(last.numerator * (base // last.denominator))
-    start_index = {pi: k for k, pi in enumerate(pts_int)}
-    len_el = [pts_int[k + 1] - pts_int[k] for k in range(m_el)]
-
-    live = [0] * (m_el + 1)   # live-count diff array over elementary intervals
-    zl = [0] * (m_el + 1)     # same, restricted to zero-laxity jobs
-    demand_base = array("q", bytes(8 * n))
-    i0s = array("i", bytes(4 * n))
-    i1s = array("i", bytes(4 * n))
-    for idx, job in enumerate(instance):
-        p = job.processing
-        d = p.numerator * (base // p.denominator)
-        demand_base[idx] = d
-        r, dl = job.release, job.deadline
-        i0 = start_index[r.numerator * (base // r.denominator)]
-        i1 = start_index[dl.numerator * (base // dl.denominator)]
-        i0s[idx] = i0
-        i1s[idx] = i1
+    n = len(rel)
+    points = sorted({*rel, *dl})
+    at = dict(zip(points, range(len(points))))
+    i0s = [at[x] for x in rel]
+    i1s = [at[x] for x in dl]
+    m_el = len(points) - 1
+    # Difference arrays over elementary intervals: a job is live in
+    # [i0, i1), and zero-laxity when its window is exactly p_j long.
+    live = [0] * len(points)
+    zero = [0] * len(points)
+    for i0, i1, r, p, d in zip(i0s, i1s, rel, dem, dl):
         live[i0] += 1
         live[i1] -= 1
-        if pts_int[i1] - pts_int[i0] == d:  # window length == processing
-            zl[i0] += 1
-            zl[i1] -= 1
-
-    kept: List[Tuple[Fraction, Fraction]] = []
-    len_base: List[int] = []
-    newindex = array("i", bytes(4 * m_el)) if m_el else _EMPTY_I
-    dropped = 0
-    cur = zcur = max_live = zl_max = 0
-    for k in range(m_el):
-        cur += live[k]
-        zcur += zl[k]
-        if cur > max_live:
-            max_live = cur
-        if zcur > zl_max:
-            zl_max = zcur
-        if cur == 0:
-            dropped += 1  # no live job: no arc can ever reach this interval
-            newindex[k] = -1
-            continue
-        newindex[k] = len(kept)
-        # Share the elementary tuple: both lists live as long as the cache,
-        # and each extra tuple is one more object for the cyclic GC to
-        # traverse (about 10^5 of them at n = 10^5).
-        kept.append(elementary[k])
-        len_base.append(len_el[k])
-
-    k0s = array("i", bytes(4 * n))
-    k1s = array("i", bytes(4 * n))
-    srcs = array("i", bytes(4 * n))
+        if d - r == p:
+            zero[i0] += 1
+            zero[i1] -= 1
+    live = list(accumulate(live))
+    # No live job: no arc can ever reach the interval, so it is dropped.
+    kept = list(compress(range(m_el), live))
+    # rank[k]: kept intervals before elementary interval k.  A job is live
+    # throughout [i0, i1), so both ends of its window are kept.
+    rank = list(accumulate(map(bool, live), initial=0))
+    k0s = [rank[i] for i in i0s]
+    k1s = [rank[i] for i in i1s]
+    srcs: List[int] = []
     acc = 2 * len(kept)  # sink arcs occupy edge ids [0, 2K)
-    for idx in range(n):
-        # A job is live throughout [i0, i1), so both boundary elementary
-        # intervals are kept and already mapped.
-        k0 = newindex[i0s[idx]]
-        k1 = newindex[i1s[idx] - 1] + 1
-        k0s[idx] = k0
-        k1s[idx] = k1
-        srcs[idx] = acc
+    for k0, k1 in zip(k0s, k1s):
+        srcs.append(acc)
         acc += 2 * (1 + k1 - k0)  # source arc + window arcs, paired ids
-
-    t.intervals = kept
-    t.len_base = array("q", len_base)
-    t.demand_base = demand_base
-    t.k0, t.k1, t.src = k0s, k1s, srcs
-    t.edf = array("i", sorted(range(n), key=lambda i: (k1s[i], k0s[i], i)))
+    t.kept = array("i", kept)
+    t.len_base = array("q", [points[k + 1] - points[k] for k in kept])
+    t.demand_base = array("q", dem)
+    t.k0, t.k1, t.src = array("i", k0s), array("i", k1s), array("i", srcs)
+    # Jobs come in release order, so k0 never decreases with the index and
+    # a stable sort on k1 alone yields the (k1, k0, idx) order.
+    t.edf = array("i", sorted(range(n), key=k1s.__getitem__))
     t.n_nodes = 2 + n + len(kept)
     t.n_edges = acc // 2
-    t.dropped = dropped
-    t.max_live = max_live
-    t.zero_laxity_max = zl_max
-    t.total_demand_base = sum(demand_base)
+    t.elementary_count = m_el
+    t.dropped = m_el - len(kept)
+    t.max_live = max(live)
+    t.zero_laxity_max = max(accumulate(zero))
+    t.total_demand_base = sum(dem)
+    t.span_base = points[-1] - points[0]
+
+
+def _build_tables(instance: Instance) -> NetworkTables:
+    """The instance's network tables: one integer scan, one integer sweep.
+
+    No ``Fraction`` is built, hashed or compared: the scan reads each job's
+    numerators and denominators once, and everything after it runs on
+    base-scaled ints.
+    """
+    t = NetworkTables()
+    t.jobs = instance.jobs
+    t.topology = t.topology_c = None
+    t._elementary = t._kept_pairs = None
+    t.base_scale, rel, dem, dl = _scan(instance.jobs)
+    if not rel:
+        t.kept = t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
+        t.len_base = t.demand_base = _EMPTY_Q
+        t.n_nodes, t.n_edges = 2, 0
+        t.elementary_count = t.dropped = 0
+        t.max_live = t.zero_laxity_max = 0
+        t.total_demand_base = t.span_base = 0
+        return t
+    _sweep(t, rel, dem, dl)
     return t
 
 
@@ -237,24 +327,19 @@ class _SpeedState:
 
     def __init__(self, network: FeasibilityNetwork) -> None:
         self.network = network
-        # m → (machines, cap bytes, flow); always contains the m = 0 base.
-        # Snapshots are immutable bytes (copy-on-write: captured by one
-        # memcpy, restored in place, never copied again).
-        self.snapshots: Dict[int, Tuple[int, bytes, int]] = {
-            0: network.snapshot()
-        }
+        # m → (machines, cap bytes, flow), one per probed m: the post-solve
+        # state as immutable bytes (copy-on-write: captured by one memcpy,
+        # restored in place, never copied again).
+        self.snapshots: Dict[int, Tuple[int, bytes, int]] = {}
 
 
 class FeasibilityCache:
     """Instance-lifetime memo for Horn's feasibility flow."""
 
-    __slots__ = ("instance", "_intervals", "_base_scale",
-                 "_tables", "_verdicts", "_speed_states", "stats")
+    __slots__ = ("instance", "_tables", "_verdicts", "_speed_states", "stats")
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self._intervals: Optional[List[Tuple[Fraction, Fraction]]] = None
-        self._base_scale: Optional[int] = None
         self._tables: Optional[NetworkTables] = None
         self._verdicts: Dict[Tuple[int, Fraction, str], bool] = {}
         self._speed_states: Dict[Tuple[Fraction, str], _SpeedState] = {}
@@ -263,58 +348,32 @@ class FeasibilityCache:
     # -- memoized instance structure -----------------------------------------
 
     @property
+    def tables(self) -> NetworkTables:
+        """The integer network tables (built on first use)."""
+        if self._tables is None:
+            self._tables = _build_tables(self.instance)
+        return self._tables
+
+    @property
     def intervals(self) -> List[Tuple[Fraction, Fraction]]:
         """Elementary intervals between consecutive release/deadline events.
 
         Always the *unsparsified* event structure — the stable coordinate
         system of the workload characterization.  The (possibly smaller)
         interval list actually fed to the network is
-        :attr:`network_intervals`.
+        :attr:`network_intervals`.  Built on first access.
         """
-        if self._intervals is None:
-            # Deduplicate and sort via exact base-scaled integer keys: the
-            # map p ↦ p·base_scale is strictly monotone and injective, so
-            # the point order is identical to sorting the Fractions — minus
-            # Fraction.__hash__/__lt__ on every comparison.
-            base = self.base_scale
-            uniq: Dict[int, Fraction] = {}
-            for j in self.instance:
-                for p in (j.release, j.deadline):
-                    uniq[p.numerator * (base // p.denominator)] = p
-            # Keys are unique and the map is injective, so consecutive
-            # points are strictly increasing — no ``b > a`` filter needed.
-            points = [uniq[key] for key in sorted(uniq)]
-            self._intervals = list(zip(points, points[1:]))
-        return self._intervals
-
-    @property
-    def base_scale(self) -> int:
-        """LCM of all denominators appearing in the instance data."""
-        if self._base_scale is None:
-            scale = 1
-            for j in self.instance:
-                for d in (
-                    j.release.denominator,
-                    j.deadline.denominator,
-                    j.processing.denominator,
-                ):
-                    scale = scale * d // math.gcd(scale, d)
-            self._base_scale = scale
-        return self._base_scale
-
-    @property
-    def tables(self) -> NetworkTables:
-        """The integer network tables (built on first use)."""
-        if self._tables is None:
-            self._tables = _build_tables(
-                self.instance, self.intervals, self.base_scale
-            )
-        return self._tables
+        return self.tables.elementary_intervals()
 
     @property
     def network_intervals(self) -> List[Tuple[Fraction, Fraction]]:
         """The interval list the networks are built over (sparsified)."""
-        return self.tables.intervals
+        return self.tables.kept_intervals()
+
+    @property
+    def base_scale(self) -> int:
+        """LCM of all denominators appearing in the instance data."""
+        return self.tables.base_scale
 
     @property
     def window_concurrency(self) -> int:
@@ -334,10 +393,7 @@ class FeasibilityCache:
     @property
     def span_length(self) -> Fraction:
         """Length of the event span (0 for an empty instance)."""
-        intervals = self.intervals
-        if not intervals:
-            return Fraction(0)
-        return intervals[-1][1] - intervals[0][0]
+        return Fraction(self.tables.span_base, self.base_scale)
 
     def scale_for(self, speed: Fraction) -> int:
         """Scale making both ``p_j`` and ``(b − a)·speed`` integral.

@@ -18,12 +18,18 @@ It also keeps the ``Fraction`` references the library's integer-tick
 extraction and checker are differential-tested against
 (``tests/test_integer_time.py``): :func:`reference_mcnaughton`,
 :func:`reference_schedule_from_work`, :func:`reference_merge_adjacent` and
-:func:`reference_verify`, each the library's former ``Fraction`` body.
+:func:`reference_verify`, each the library's former ``Fraction`` body;
+and :func:`reference_tables`, the former ``Fraction`` sweep behind the
+feasibility cache's base scale, interval lists and integer network tables
+(``tests/test_tables.py``).
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -48,6 +54,8 @@ from repro.verify import (
 
 _SOURCE = "s"
 _SINK = "t"
+_EMPTY_I = array("i")
+_EMPTY_Q = array("q")
 
 
 def elementary_intervals(instance: Instance) -> List[Tuple[Fraction, Fraction]]:
@@ -429,3 +437,168 @@ def reference_verify(
         preemptions=preemptions,
         unfinished=unfinished,
     )
+
+
+def reference_base_scale(instance: Instance) -> int:
+    """LCM of all denominators appearing in the instance data."""
+    scale = 1
+    for j in instance:
+        for d in (
+            j.release.denominator,
+            j.deadline.denominator,
+            j.processing.denominator,
+        ):
+            scale = scale * d // math.gcd(scale, d)
+    return scale
+
+
+def reference_intervals(
+    instance: Instance, base: int
+) -> List[Tuple[Fraction, Fraction]]:
+    """Elementary intervals between consecutive release/deadline events."""
+    # Deduplicate and sort via exact base-scaled integer keys: the
+    # map p ↦ p·base_scale is strictly monotone and injective, so
+    # the point order is identical to sorting the Fractions — minus
+    # Fraction.__hash__/__lt__ on every comparison.
+    uniq: Dict[int, Fraction] = {}
+    for j in instance:
+        for p in (j.release, j.deadline):
+            uniq[p.numerator * (base // p.denominator)] = p
+    # Keys are unique and the map is injective, so consecutive
+    # points are strictly increasing — no ``b > a`` filter needed.
+    points = [uniq[key] for key in sorted(uniq)]
+    return list(zip(points, points[1:]))
+
+
+def reference_build_tables(
+    instance: Instance,
+    elementary: List[Tuple[Fraction, Fraction]],
+    base_scale: int,
+) -> SimpleNamespace:
+    """One integer sweep: live counts, sparsification, and job tables.
+
+    The sweep indexes jobs into the elementary intervals through O(1)
+    endpoint lookups (every release starts an elementary interval and every
+    deadline ends one, by construction of the event points) — no per-job
+    Fraction bisection survives into the per-probe path.
+    """
+    t = SimpleNamespace()
+    n = len(instance)
+    m_el = len(elementary)
+    t.elementary_count = m_el
+    t.base_scale = base_scale
+    t.topology = None
+    t.topology_c = None
+    if n == 0:
+        t.intervals = []
+        t.len_base = _EMPTY_Q
+        t.demand_base = _EMPTY_Q
+        t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
+        t.n_nodes, t.n_edges = 2, 0
+        t.dropped = 0
+        t.max_live = t.zero_laxity_max = 0
+        t.total_demand_base = 0
+        return t
+
+    # Work in base-scaled *integer* coordinates throughout: a point ``p``
+    # becomes ``p.numerator · (base_scale // p.denominator)`` (exact by the
+    # LCM property).  Integer dict keys avoid Fraction.__hash__ — which
+    # computes a modular inverse per call — on the hot cold-build path.
+    base = base_scale
+    pts_int = [
+        a.numerator * (base // a.denominator) for a, _ in elementary
+    ]
+    last = elementary[-1][1]
+    pts_int.append(last.numerator * (base // last.denominator))
+    start_index = {pi: k for k, pi in enumerate(pts_int)}
+    len_el = [pts_int[k + 1] - pts_int[k] for k in range(m_el)]
+
+    live = [0] * (m_el + 1)   # live-count diff array over elementary intervals
+    zl = [0] * (m_el + 1)     # same, restricted to zero-laxity jobs
+    demand_base = array("q", bytes(8 * n))
+    i0s = array("i", bytes(4 * n))
+    i1s = array("i", bytes(4 * n))
+    for idx, job in enumerate(instance):
+        p = job.processing
+        d = p.numerator * (base // p.denominator)
+        demand_base[idx] = d
+        r, dl = job.release, job.deadline
+        i0 = start_index[r.numerator * (base // r.denominator)]
+        i1 = start_index[dl.numerator * (base // dl.denominator)]
+        i0s[idx] = i0
+        i1s[idx] = i1
+        live[i0] += 1
+        live[i1] -= 1
+        if pts_int[i1] - pts_int[i0] == d:  # window length == processing
+            zl[i0] += 1
+            zl[i1] -= 1
+
+    kept: List[Tuple[Fraction, Fraction]] = []
+    len_base: List[int] = []
+    newindex = array("i", bytes(4 * m_el)) if m_el else _EMPTY_I
+    dropped = 0
+    cur = zcur = max_live = zl_max = 0
+    for k in range(m_el):
+        cur += live[k]
+        zcur += zl[k]
+        if cur > max_live:
+            max_live = cur
+        if zcur > zl_max:
+            zl_max = zcur
+        if cur == 0:
+            dropped += 1  # no live job: no arc can ever reach this interval
+            newindex[k] = -1
+            continue
+        newindex[k] = len(kept)
+        # Share the elementary tuple: both lists live as long as the cache,
+        # and each extra tuple is one more object for the cyclic GC to
+        # traverse (about 10^5 of them at n = 10^5).
+        kept.append(elementary[k])
+        len_base.append(len_el[k])
+
+    k0s = array("i", bytes(4 * n))
+    k1s = array("i", bytes(4 * n))
+    srcs = array("i", bytes(4 * n))
+    acc = 2 * len(kept)  # sink arcs occupy edge ids [0, 2K)
+    for idx in range(n):
+        # A job is live throughout [i0, i1), so both boundary elementary
+        # intervals are kept and already mapped.
+        k0 = newindex[i0s[idx]]
+        k1 = newindex[i1s[idx] - 1] + 1
+        k0s[idx] = k0
+        k1s[idx] = k1
+        srcs[idx] = acc
+        acc += 2 * (1 + k1 - k0)  # source arc + window arcs, paired ids
+
+    t.intervals = kept
+    t.len_base = array("q", len_base)
+    t.demand_base = demand_base
+    t.k0, t.k1, t.src = k0s, k1s, srcs
+    t.edf = array("i", sorted(range(n), key=lambda i: (k1s[i], k0s[i], i)))
+    t.n_nodes = 2 + n + len(kept)
+    t.n_edges = acc // 2
+    t.dropped = dropped
+    t.max_live = max_live
+    t.zero_laxity_max = zl_max
+    t.total_demand_base = sum(demand_base)
+    return t
+
+
+def reference_tables(instance: Instance) -> SimpleNamespace:
+    """The library's former ``Fraction`` sweep, for the integer scan.
+
+    :func:`reference_base_scale`, :func:`reference_intervals` and
+    :func:`reference_build_tables` are the former ``base_scale``,
+    ``intervals`` and ``_build_tables`` bodies.  The result carries the
+    former tables (``intervals`` is the kept list) plus ``elementary``,
+    ``span_length`` and ``total_work`` as the cache derived them.
+    """
+    base_scale = reference_base_scale(instance)
+    elementary = reference_intervals(instance, base_scale)
+    t = reference_build_tables(instance, elementary, base_scale)
+    t.elementary = elementary
+    t.span_length = (
+        elementary[-1][1] - elementary[0][0] if elementary else Fraction(0)
+    )
+    t.total_work = Fraction(t.total_demand_base, base_scale)
+    return t

@@ -21,6 +21,7 @@ from repro.generators import uniform_random_instance
 from repro.model import Instance, Job
 from repro.offline.feascache import cache_for
 from repro.offline.flow import max_flow_assignment
+from repro.offline.kernel import available
 from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound, trivial_lower_bounds
 
@@ -181,15 +182,31 @@ class TestSnapshotRestore:
     def test_restored_state_is_byte_identical(self):
         inst = uniform_random_instance(15, horizon=30, seed=9)
         cache = cache_for(inst)
-        hi = window_concurrency(inst)
-        opt = migratory_optimum(inst)
-        state = cache._state_for(Fraction(1))
+        migratory_optimum(inst, backend="dinic")
+        state = cache._state_for(Fraction(1), "py")
         # Every probed m has a snapshot; restoring and re-snapshotting any
         # of them is lossless.
+        assert state.snapshots
         for m, snap in list(state.snapshots.items()):
             state.network.restore(snap)
             assert state.network.snapshot() == snap
             assert state.network.machines == m
+
+    @pytest.mark.parametrize("kernel", ["py", "c"])
+    def test_snapshots_are_exactly_the_probed_counts(self, kernel):
+        """One snapshot per probed m, none for the unprobed m = 0 start."""
+        if kernel == "c" and not available():
+            pytest.skip("compiled kernel unavailable")
+        inst = uniform_random_instance(20, horizon=30, seed=11)
+        cache = cache_for(inst)
+        hi = window_concurrency(inst)
+        probed = [hi, 1, max(1, hi - 1), hi, 1]
+        for m in [0, *probed, -1]:
+            cache.feasible(m, Fraction(1), kernel)
+        state = cache._state_for(Fraction(1), kernel)
+        assert sorted(state.snapshots) == sorted(set(probed))
+        assert cache.stats.probes == len(set(probed))
+        assert {m for m, _, _ in state.snapshots.values()} == set(probed)
 
     def test_shrinking_drains_instead_of_rebuilding(self):
         """A fresh probe below the current state must not rebuild or restore:

@@ -3,7 +3,7 @@
 
 Applies small, deterministic AST mutations (operator swaps, comparison
 negations, min/max swaps) to the solver modules under ``src/repro/offline/``
-(including the sparsifying table sweep ``feascache.py::_build_tables``)
+(including the integer table scan and sweep of ``feascache.py``)
 — plus the schedule checker (``model/schedule.py::verify``) and the
 certificate checkers (``verify/checkers.py``), the
 sweep-sharding partition (``runner/plan.py::shard``), the
@@ -55,11 +55,16 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
         "migratory_schedule",
     },
     "src/repro/offline/optimum.py": {"migratory_optimum"},
-    # Sparsification: the one table sweep every network is built from (live
-    # counts, dropped intervals, per-job windows, node/edge counts).
-    # tests/test_sparsify.py checks it against references built over every
-    # elementary interval (the networkx oracle and the stand-alone build).
-    "src/repro/offline/feascache.py": {"_build_tables"},
+    # The integer table scan and sweep every network is built from (base
+    # scale, live counts, dropped intervals, per-job windows, node/edge
+    # counts, EDF order) and the points of the lazy Fraction interval lists.
+    # tests/test_tables.py checks them field by field against the former
+    # Fraction sweep; tests/test_sparsify.py against references built over
+    # every elementary interval (the networkx oracle and the stand-alone
+    # build).
+    "src/repro/offline/feascache.py": {
+        "_scan", "_sweep", "_build_tables", "_pairs",
+    },
     # The checker every feasible certificate is re-verified by: the
     # one-pass integer ``Schedule.verify`` (plus the normalization whose
     # start order it relies on) and the certificate checkers.  The kill-set
@@ -114,6 +119,7 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
 DEFAULT_TESTS = [
     "tests/test_corpus.py",
     "tests/test_sparsify.py",
+    "tests/test_tables.py",
     "tests/test_integer_time.py",
     "tests/test_checker_mutations.py",
     "tests/test_runner.py::TestSharding",
