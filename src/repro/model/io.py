@@ -34,9 +34,10 @@ class InstanceFormatError(ValueError):
 
 
 def _enc(x: Fraction) -> Union[int, str]:
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    num, den = x.numerator, x.denominator
+    if den == 1:
+        return num
+    return f"{num}/{den}"
 
 
 def _dec(x: Union[int, str]) -> Fraction:
@@ -58,17 +59,41 @@ def _field(item: Dict[str, Any], name: str, where: str, source: Optional[str]):
 
 
 def _dec_field(
-    item: Dict[str, Any], name: str, where: str, source: Optional[str]
+    item: Dict[str, Any],
+    name: str,
+    where: str,
+    source: Optional[str],
+    shared: Dict[Any, Fraction],
 ) -> Fraction:
+    """``item[name]`` as a Fraction, one per distinct raw value in
+    ``shared`` (equal raw values decode to equal Fractions)."""
     value = _field(item, name, where, source)
     try:
-        return _dec(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        x = shared.get(value)
+    except TypeError:  # unhashable, so not a rational either
+        x = None
+    if x is None:
+        try:
+            x = shared[value] = _dec(value)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise InstanceFormatError(
+                f"{where}: field {name!r} is not a valid rational "
+                f"({value!r}): {exc}",
+                source,
+            ) from None
+    return x
+
+
+def _require(
+    value: Any, kind: type, what: str, name: str, where: str,
+    source: Optional[str],
+) -> None:
+    """Refuse a field whose JSON type is not exactly ``kind``."""
+    if type(value) is not kind:
         raise InstanceFormatError(
-            f"{where}: field {name!r} is not a valid rational "
-            f"({value!r}): {exc}",
+            f"{where}: field {name!r} must be {what}, got {type(value).__name__}",
             source,
-        ) from None
+        )
 
 
 def instance_to_dict(instance: Instance) -> Dict[str, Any]:
@@ -109,21 +134,27 @@ def instance_from_dict(
             source,
         )
     jobs: List[Job] = []
+    ids = set()
+    shared: Dict[Any, Fraction] = {}
     for i, item in enumerate(raw_jobs):
         where = f"jobs[{i}]"
+        release = _dec_field(item, "release", where, source, shared)
+        processing = _dec_field(item, "processing", where, source, shared)
+        deadline = _dec_field(item, "deadline", where, source, shared)
+        job_id = _field(item, "id", where, source)
+        label = item.get("label", "")
+        _require(job_id, int, "an integer", "id", where, source)
+        _require(label, str, "a string", "label", where, source)
         try:
-            job = Job(
-                _dec_field(item, "release", where, source),
-                _dec_field(item, "processing", where, source),
-                _dec_field(item, "deadline", where, source),
-                id=_field(item, "id", where, source),
-                label=item.get("label", ""),
-            )
-        except InstanceFormatError:
-            raise
-        except (ValueError, TypeError) as exc:
+            job = Job(release, processing, deadline, id=job_id, label=label)
+        except ValueError as exc:
             # Job's own validation (deadline < release + processing, ...)
             raise InstanceFormatError(f"{where}: {exc}", source) from None
+        if job_id in ids:
+            raise InstanceFormatError(
+                f"{where}: duplicate job id {job_id}", source
+            )
+        ids.add(job_id)
         jobs.append(job)
     return Instance(jobs)
 
@@ -166,18 +197,18 @@ def schedule_from_dict(
             source,
         )
     segments: List[Segment] = []
+    shared: Dict[Any, Fraction] = {}
     for i, item in enumerate(raw_segments):
         where = f"segments[{i}]"
+        job_id = _field(item, "job", where, source)
+        machine = _field(item, "machine", where, source)
+        start = _dec_field(item, "start", where, source, shared)
+        end = _dec_field(item, "end", where, source, shared)
+        _require(job_id, int, "an integer", "job", where, source)
+        _require(machine, int, "an integer", "machine", where, source)
         try:
-            segment = Segment(
-                _field(item, "job", where, source),
-                _field(item, "machine", where, source),
-                _dec_field(item, "start", where, source),
-                _dec_field(item, "end", where, source),
-            )
-        except InstanceFormatError:
-            raise
-        except (ValueError, TypeError) as exc:
+            segment = Segment(job_id, machine, start, end)
+        except ValueError as exc:
             raise InstanceFormatError(f"{where}: {exc}", source) from None
         segments.append(segment)
     return Schedule(segments)

@@ -42,12 +42,23 @@ class Job:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "release", to_fraction(self.release))
-        object.__setattr__(self, "processing", to_fraction(self.processing))
-        object.__setattr__(self, "deadline", to_fraction(self.deadline))
-        if self.processing <= 0:
+        release, processing, deadline = self.release, self.processing, self.deadline
+        if type(release) is not Fraction:
+            release = to_fraction(release)
+            object.__setattr__(self, "release", release)
+        if type(processing) is not Fraction:
+            processing = to_fraction(processing)
+            object.__setattr__(self, "processing", processing)
+        if type(deadline) is not Fraction:
+            deadline = to_fraction(deadline)
+            object.__setattr__(self, "deadline", deadline)
+        # p > 0 and d ≥ r + p, on numerators and (positive) denominators
+        p_num, p_den = processing.numerator, processing.denominator
+        if p_num <= 0:
             raise ValueError(f"job {self.id}: processing time must be positive")
-        if self.deadline < self.release + self.processing:
+        r_den, d_den = release.denominator, deadline.denominator
+        if (deadline.numerator * r_den * p_den
+                < (release.numerator * p_den + p_num * r_den) * d_den):
             raise ValueError(
                 f"job {self.id}: window [{self.release}, {self.deadline}) too "
                 f"short for processing time {self.processing}"

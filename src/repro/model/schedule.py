@@ -93,6 +93,39 @@ class Schedule:
     def __init__(self, segments: Iterable[Segment]) -> None:
         object.__setattr__(self, "segments", _merge_adjacent(segments))
 
+    @classmethod
+    def from_ticks(
+        cls, pieces: Iterable[Tuple[int, int, int, int]], base: int
+    ) -> "Schedule":
+        """The schedule of integer ``(job, machine, start, end)`` pieces,
+        times in ticks of ``1/base`` (``base`` positive).
+
+        Equal to ``Schedule(Segment(job, machine, Fraction(start, base),
+        Fraction(end, base)) for ...)``, errors included, but checked,
+        merged and sorted on the ints: each segment is built once, and
+        each distinct tick becomes one shared Fraction.
+        """
+        rows: List[Tuple[int, int, int, int, int]] = []
+        for i, (job_id, machine, start, end) in enumerate(pieces):
+            if end <= start:
+                raise ValueError(f"segment for job {job_id} has non-positive length")
+            if machine < 0:
+                raise ValueError("machine index must be non-negative")
+            rows.append((machine, job_id, start, i, end))
+        times: Dict[int, Fraction] = {}
+        segments: List[Segment] = []
+        for start, machine, job_id, _, _, end in _normalize(rows):
+            a = times.get(start)
+            if a is None:
+                a = times[start] = Fraction(start, base)
+            b = times.get(end)
+            if b is None:
+                b = times[end] = Fraction(end, base)
+            segments.append(_segment(job_id, machine, a, b))
+        schedule = cls.__new__(cls)
+        object.__setattr__(schedule, "segments", tuple(segments))
+        return schedule
+
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Schedule is immutable")
 
@@ -313,38 +346,60 @@ def _ticks(x: Fraction, base: int) -> int:
     return x.numerator * (base // x.denominator)
 
 
+def _segment(job_id: int, machine: int, start: Fraction, end: Fraction) -> Segment:
+    """A :class:`Segment` of already checked Fraction endpoints, without a
+    second ``__post_init__``.  Set field by field, as the dataclass
+    ``__init__`` does: writing ``__dict__`` directly would materialize a
+    per-segment dict and slow every later attribute read."""
+    seg = object.__new__(Segment)
+    object.__setattr__(seg, "job_id", job_id)
+    object.__setattr__(seg, "machine", machine)
+    object.__setattr__(seg, "start", start)
+    object.__setattr__(seg, "end", end)
+    return seg
+
+
+def _normalize(rows: List[Tuple[int, int, int, int, int]]) -> List[List[int]]:
+    """The one schedule normalization, on integer ticks.
+
+    ``rows`` are pieces ``(machine, job, start, index, end)``; ``index`` is
+    the piece's input position, so ties on ``(machine, job, start)`` keep
+    input order.  A piece that starts where the previous run of its job on
+    its machine ends extends that run.  Returns the runs ``[start, machine,
+    job, first index, last index, end]``, sorted by ``(start, machine,
+    job)`` (ties in input order: the indices are unique).
+    """
+    rows.sort()
+    runs: List[List[int]] = []
+    run: List[int] = []
+    for machine, job_id, start, i, end in rows:
+        if run and run[5] == start and run[2] == job_id and run[1] == machine:
+            run[4] = i
+            run[5] = end
+        else:
+            run = [start, machine, job_id, i, i, end]
+            runs.append(run)
+    runs.sort()
+    return runs
+
+
 def _merge_adjacent(segments: Iterable[Segment]) -> Tuple[Segment, ...]:
     """Merge back-to-back segments of the same job on the same machine.
 
-    Sorting and merging run on integer ticks of ``1/L``, ``L`` the LCM of
+    Runs :func:`_normalize` on integer ticks of ``1/L``, ``L`` the LCM of
     the endpoint denominators — an exact, order-preserving image of the
-    Fraction endpoints.  The result is sorted by ``(start, machine, job)``.
+    Fraction endpoints.  The result is sorted by ``(start, machine, job)``;
+    a segment that merges with nothing is the caller's own object.
     """
     segs = list(segments)
     base = math.lcm(*{s.start.denominator for s in segs},
                     *{s.end.denominator for s in segs})
-    # ``i`` before the end tick: ties on (machine, job, start) keep input order
-    rows = sorted(
+    rows = [
         (s.machine, s.job_id, _ticks(s.start, base), i, _ticks(s.end, base))
         for i, s in enumerate(segs)
+    ]
+    return tuple(
+        segs[first] if first == last else
+        _segment(job_id, machine, segs[first].start, segs[last].end)
+        for _, machine, job_id, first, last, _ in _normalize(rows)
     )
-    # [start tick, machine, job, first segment, last segment, end tick]
-    runs: List[List[int]] = []
-    for machine, job_id, start, i, end in rows:
-        if runs:
-            prev = runs[-1]
-            if prev[1] == machine and prev[2] == job_id and prev[5] == start:
-                prev[4], prev[5] = i, end
-                continue
-        runs.append([start, machine, job_id, i, i, end])
-    merged: List[Segment] = []
-    for start, machine, job_id, first, last, _ in sorted(
-        runs, key=lambda run: run[:3]
-    ):
-        if first == last:
-            merged.append(segs[first])
-        else:
-            merged.append(
-                Segment(job_id, machine, segs[first].start, segs[last].end)
-            )
-    return tuple(merged)

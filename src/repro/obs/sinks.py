@@ -36,7 +36,16 @@ __all__ = ["Sink", "Registry", "JsonlSink", "StderrSummary", "jsonable"]
 
 def jsonable(value: Any) -> Any:
     """Recursively convert ``value`` into something ``json.dump`` accepts."""
-    if value is None or isinstance(value, (bool, int, float, str)):
+    # Exact types first: a payload that is JSON already (a served
+    # certificate) never reaches the ABC-backed ``isinstance`` checks.
+    kind = type(value)
+    if kind is str or kind is int or value is None:
+        return value
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in value]
+    if isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Fraction):
         return str(value)

@@ -46,6 +46,8 @@ elementary intervals dropped before the network is built — see
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..model.instance import Instance
@@ -239,38 +241,23 @@ def schedule_from_work(
     jobs are sorted by decreasing machine time before the wrap-around so
     that a job split across the wrap boundary never overlaps itself (its
     piece is at most the interval length).  Everything runs on integer
-    ticks; back-to-back pieces of a job on one machine are merged, and each
-    segment's endpoints become Fractions once.
+    ticks: one sort orders the ``(interval, −machine time, job)`` rows, and
+    :meth:`Schedule.from_ticks` merges the wrapped pieces and makes each
+    distinct tick a Fraction once.
     """
-    per_interval: Dict[int, List[Tuple[int, int]]] = {}
-    for job_id, row in work.items():
-        for k, amount in row.items():
-            per_interval.setdefault(k, []).append((job_id, amount))
-    bounds: Dict[int, Tuple[int, int]] = {}
-    for k in per_interval:
-        a, b = intervals[k]
-        bounds[k] = (_to_ticks(a, ticks), _to_ticks(b, ticks))
-    # runs[(job, machine, end tick)] = start tick; in time order, a piece
-    # that starts where a run of its job on its machine ends extends it
-    runs: Dict[Tuple[int, int, int], int] = {}
-    for k in sorted(per_interval, key=bounds.__getitem__):
-        pieces = per_interval[k]
-        pieces.sort(key=lambda item: (-item[1], item[0]))
-        a, b = bounds[k]
-        for job_id, machine, start, end in _wrap(pieces, a, b, m):
-            runs[(job_id, machine, end)] = runs.pop((job_id, machine, start), start)
-    fractions: Dict[int, Fraction] = {}
-
-    def at(tick: int) -> Fraction:
-        value = fractions.get(tick)
-        if value is None:
-            value = fractions[tick] = Fraction(tick, ticks)
-        return value
-
-    return Schedule(
-        Segment(job_id, machine, at(start), at(end))
-        for (job_id, machine, end), start in runs.items()
+    rows = sorted(
+        (k, -amount, job_id)
+        for job_id, row in work.items()
+        for k, amount in row.items()
     )
+    pieces: List[Tuple[int, int, int, int]] = []
+    for k, group in groupby(rows, itemgetter(0)):
+        a, b = intervals[k]
+        pieces += _wrap(
+            ((job_id, -amount) for _, amount, job_id in group),
+            _to_ticks(a, ticks), _to_ticks(b, ticks), m,
+        )
+    return Schedule.from_ticks(pieces, ticks)
 
 
 def _to_ticks(x: Fraction, ticks: int) -> int:

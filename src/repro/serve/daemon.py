@@ -45,6 +45,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body go out in two sends, and with Nagle's
+    # algorithm on, a body shorter than one segment would wait for the
+    # client's delayed ACK (~40 ms) on every keep-alive request.
+    disable_nagle_algorithm = True
 
     def handle_one_request(self) -> None:
         if not self.server.await_request(self):  # type: ignore[attr-defined]

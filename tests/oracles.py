@@ -21,7 +21,11 @@ extraction and checker are differential-tested against
 :func:`reference_verify`, each the library's former ``Fraction`` body;
 and :func:`reference_tables`, the former ``Fraction`` sweep behind the
 feasibility cache's base scale, interval lists and integer network tables
-(``tests/test_tables.py``).
+(``tests/test_tables.py``).  The served certify's integer paths are held
+to their former bodies (``tests/test_integer_paths.py``):
+:func:`reference_tick_schedule_from_work` (extraction with its own run
+merge), :func:`reference_job_fields` (the ``Fraction`` job validation) and
+:func:`reference_jsonable` (the ``isinstance``-chain encoder).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.model.instance import Instance
 from repro.model.intervals import IntervalUnion, Numeric, to_fraction
 from repro.model.schedule import FeasibilityReport, Schedule, Segment
 from repro.offline.feascache import cache_for
-from repro.offline.flow import schedule_from_work
+from repro.offline.flow import _to_ticks, _wrap, schedule_from_work
 from repro.offline.optimum import window_concurrency
 from repro.offline.workload import scaled_lower_bound
 from repro.verify import (
@@ -602,3 +606,87 @@ def reference_tables(instance: Instance) -> SimpleNamespace:
     )
     t.total_work = Fraction(t.total_demand_base, base_scale)
     return t
+
+
+# -- former bodies of the served certify's integer paths --------------------
+
+
+def reference_tick_schedule_from_work(
+    work: Dict[int, Dict[int, int]],
+    intervals: Sequence[Tuple[Fraction, Fraction]],
+    m: int,
+    ticks: int,
+) -> Tuple[Segment, ...]:
+    """The former integer-tick ``schedule_from_work``, verbatim but for the
+    last step: its own ``runs`` merge in time order and a Fraction memo,
+    then the reference normalization (:func:`reference_merge_adjacent`,
+    where the library normalized with ``Schedule(...)``): the merged,
+    sorted segment tuple.
+
+    Turns a feasible flow's work map into an explicit migratory schedule.
+    """
+    per_interval: Dict[int, List[Tuple[int, int]]] = {}
+    for job_id, row in work.items():
+        for k, amount in row.items():
+            per_interval.setdefault(k, []).append((job_id, amount))
+    bounds: Dict[int, Tuple[int, int]] = {}
+    for k in per_interval:
+        a, b = intervals[k]
+        bounds[k] = (_to_ticks(a, ticks), _to_ticks(b, ticks))
+    # runs[(job, machine, end tick)] = start tick; in time order, a piece
+    # that starts where a run of its job on its machine ends extends it
+    runs: Dict[Tuple[int, int, int], int] = {}
+    for k in sorted(per_interval, key=bounds.__getitem__):
+        pieces = per_interval[k]
+        pieces.sort(key=lambda item: (-item[1], item[0]))
+        a, b = bounds[k]
+        for job_id, machine, start, end in _wrap(pieces, a, b, m):
+            runs[(job_id, machine, end)] = runs.pop((job_id, machine, start), start)
+    fractions: Dict[int, Fraction] = {}
+
+    def at(tick: int) -> Fraction:
+        value = fractions.get(tick)
+        if value is None:
+            value = fractions[tick] = Fraction(tick, ticks)
+        return value
+
+    return reference_merge_adjacent(
+        Segment(job_id, machine, at(start), at(end))
+        for (job_id, machine, end), start in runs.items()
+    )
+
+
+def reference_job_fields(
+    release: Numeric, processing: Numeric, deadline: Numeric, id: int = 0
+) -> Tuple[Fraction, Fraction, Fraction]:
+    """The former ``Fraction`` body of ``Job.__post_init__``, verbatim on
+    plain arguments: the job's ``(release, processing, deadline)``, or the
+    ``ValueError`` it raised."""
+    release = to_fraction(release)
+    processing = to_fraction(processing)
+    deadline = to_fraction(deadline)
+    if processing <= 0:
+        raise ValueError(f"job {id}: processing time must be positive")
+    if deadline < release + processing:
+        raise ValueError(
+            f"job {id}: window [{release}, {deadline}) too "
+            f"short for processing time {processing}"
+        )
+    return release, processing, deadline
+
+
+def reference_jsonable(value):
+    """The former ``obs.sinks.jsonable``, verbatim: one ``isinstance``
+    chain.
+
+    Recursively convert ``value`` into something ``json.dump`` accepts.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [reference_jsonable(v) for v in value]
+    return str(value)

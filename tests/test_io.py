@@ -185,3 +185,79 @@ class TestMalformedInput:
             fn = instance_from_dict if payload["kind"] == "instance" else schedule_from_dict
             with pytest.raises(InstanceFormatError):
                 fn(payload)
+
+
+class TestFieldTypes:
+    """Job ids are ints, labels strings, segment jobs and machines ints;
+    a duplicate id names the job that repeats it."""
+
+    def _err(self, fn, payload):
+        from repro.model.io import InstanceFormatError
+
+        with pytest.raises(InstanceFormatError) as excinfo:
+            fn(payload, "req.json")
+        return str(excinfo.value)
+
+    @staticmethod
+    def _jobs(**second):
+        jobs = [{"id": 0, "release": 0, "processing": 1, "deadline": 2},
+                {"id": 1, "release": "1/2", "processing": 1, "deadline": 3}]
+        jobs[1].update(second)
+        return {"kind": "instance", "jobs": jobs}
+
+    @pytest.mark.parametrize("second, message", [
+        ({"id": [1]}, "jobs[1]: field 'id' must be an integer, got list"),
+        ({"id": {"a": 1}}, "jobs[1]: field 'id' must be an integer, got dict"),
+        ({"id": "b"}, "jobs[1]: field 'id' must be an integer, got str"),
+        ({"id": 1.5}, "jobs[1]: field 'id' must be an integer, got float"),
+        ({"id": True}, "jobs[1]: field 'id' must be an integer, got bool"),
+        ({"id": None}, "jobs[1]: field 'id' must be an integer, got NoneType"),
+        ({"label": 7}, "jobs[1]: field 'label' must be a string, got int"),
+        ({"label": None}, "jobs[1]: field 'label' must be a string, got NoneType"),
+        ({"id": 0}, "jobs[1]: duplicate job id 0"),
+    ])
+    def test_instance_field_types(self, second, message):
+        assert self._err(instance_from_dict, self._jobs(**second)) == (
+            f"req.json: {message}"
+        )
+
+    def test_duplicate_names_the_repeating_job(self):
+        payload = self._jobs()
+        payload["jobs"].append(
+            {"id": 1, "release": 0, "processing": 1, "deadline": 1}
+        )
+        assert self._err(instance_from_dict, payload) == (
+            "req.json: jobs[2]: duplicate job id 1"
+        )
+
+    def test_labels_and_int_ids_still_load(self):
+        inst = instance_from_dict(self._jobs(label="critical", id=-4))
+        assert inst.job(-4).label == "critical"
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("job", "0", "str"), ("job", 0.0, "float"), ("job", None, "NoneType"),
+        ("machine", [0], "list"), ("machine", 1.0, "float"),
+        ("machine", False, "bool"),
+    ])
+    def test_segment_field_types(self, field, value, kind):
+        segments = [{"job": 0, "machine": 0, "start": 0, "end": 1},
+                    {"job": 1, "machine": 1, "start": "1/2", "end": 2}]
+        segments[1][field] = value
+        assert self._err(
+            schedule_from_dict, {"kind": "schedule", "segments": segments}
+        ) == (
+            f"req.json: segments[1]: field {field!r} must be an integer, "
+            f"got {kind}"
+        )
+
+    def test_segment_validation_still_located(self):
+        segments = [{"job": 0, "machine": -1, "start": 0, "end": 1}]
+        assert self._err(
+            schedule_from_dict, {"kind": "schedule", "segments": segments}
+        ) == "req.json: segments[0]: machine index must be non-negative"
+
+    def test_decoded_values_are_shared(self):
+        inst = instance_from_dict(self._jobs(release=0, deadline=2))
+        a, b = inst.job(0), inst.job(1)
+        assert a.release is b.release and a.deadline is b.deadline
+        assert a.processing is b.processing

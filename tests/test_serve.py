@@ -72,6 +72,13 @@ def payload_for(instance, **extra):
     return body
 
 
+def instance_with(index, **fields):
+    """MCNAUGHTON's instance payload with fields of job ``index`` replaced."""
+    data = instance_to_dict(MCNAUGHTON)
+    data["jobs"][index].update(fields)
+    return data
+
+
 def make_app(tmp_path=None, *, start=False, **kwargs):
     """App (+ optional durable queue) for one test; queue unstarted unless asked."""
     queue = None
@@ -188,6 +195,13 @@ class TestHardening:
             {"backend": "networkx"},
             {"instance": None},
             {"instance": []},
+            # job ids: unhashable, mixed with strings, repeated, not ints
+            {"instance": instance_with(1, id=[1])},
+            {"instance": instance_with(1, id={"a": 1})},
+            {"instance": instance_with(1, id="b")},
+            {"instance": instance_with(1, id=0)},
+            {"instance": instance_with(1, id=1.5)},
+            {"instance": instance_with(1, label=3)},
         ],
     )
     def test_bad_field_is_400(self, mutation):
@@ -199,6 +213,10 @@ class TestHardening:
         assert resp.json()["error"]["code"] == "bad_request"
         if "backend" in mutation:  # the message names the allowed set
             assert str(BACKENDS + ("auto",)) in resp.json()["error"]["message"]
+        if isinstance(mutation.get("instance"), dict):  # names the job
+            assert resp.json()["error"]["message"].startswith(
+                "request.instance: jobs[1]: "
+            )
 
     def test_oversized_body_is_413(self):
         client = TestClient(make_app(max_body=256))

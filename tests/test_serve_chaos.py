@@ -20,13 +20,16 @@ subprocess tests pin the real-signal ends of the spectrum:
 * subprocess (satellite 1): ``repro sweep`` SIGTERM ≡ Ctrl-C — exit 130,
   flushed journal, ``--resume`` completes to the clean-run report,
 * subprocess: SIGTERM with an idle keep-alive connection open exits 0
-  within 5 s; in-process, in-flight requests finish across the drain.
+  within 5 s; in-process, in-flight requests finish across the drain,
+* in-process: a small response on a keep-alive connection does not wait
+  for the client's delayed ACK (the daemon sets TCP_NODELAY).
 """
 
 import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -423,3 +426,33 @@ class TestKeepAliveDrain:
             assert not t.is_alive()
         app.close()
         assert bodies and all(json.loads(b) == {"ok": True} for b in bodies)
+
+
+class TestKeepAliveLatency:
+    """A small response on a keep-alive connection goes out at once."""
+
+    def test_healthz_round_trips_do_not_wait_for_delayed_ack(self):
+        app = ServeApp(None)
+        server = make_server(app)
+        host, port = server.server_address[:2]
+        loop = threading.Thread(target=server.serve_forever, args=(0.01,))
+        loop.start()
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        times = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                body = resp.read()
+                times.append(time.perf_counter() - start)
+                assert resp.status == 200 and json.loads(body) == {"ok": True}
+        finally:
+            conn.close()
+            server.shutdown()
+            loop.join(10)
+            server.server_close()
+            app.close()
+        # With Nagle's algorithm on, the body (sent after the headers) waits
+        # for the client's delayed ACK: at least 40 ms, the kernel minimum.
+        assert statistics.median(times) < 0.010, times

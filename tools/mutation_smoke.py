@@ -4,7 +4,9 @@
 Applies small, deterministic AST mutations (operator swaps, comparison
 negations, min/max swaps) to the solver modules under ``src/repro/offline/``
 (including the integer table scan and sweep of ``feascache.py``)
-— plus the schedule checker (``model/schedule.py::verify``) and the
+— plus the schedule checker (``model/schedule.py::verify``), the
+schedule normalization, the served certify's decode and encode
+(``model/job.py``, ``model/io.py``, ``obs/sinks.py::jsonable``) and the
 certificate checkers (``verify/checkers.py``), the
 sweep-sharding partition (``runner/plan.py::shard``), the
 multi-journal merge (``runner/merge.py::merge_journals``), and the obs v2
@@ -70,7 +72,17 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # start order it relies on) and the certificate checkers.  The kill-set
     # pins it to its Fraction reference (tests/test_integer_time.py) and
     # to systematic schedule corruptions (tests/test_checker_mutations.py).
-    "src/repro/model/schedule.py": {"verify", "_merge_adjacent", "_ticks"},
+    "src/repro/model/schedule.py": {
+        "verify", "_merge_adjacent", "_ticks", "from_ticks", "_normalize",
+    },
+    # The served certify's integer paths, from the JSON fields to the JSON
+    # body: the job validation on numerators and denominators, the decode
+    # (field types, duplicate ids, one Fraction per distinct raw value) and
+    # the exact-type-first encoder.  tests/test_integer_paths.py holds each
+    # to its former body (tests/oracles.py), tests/test_io.py to its errors.
+    "src/repro/model/job.py": {"__post_init__"},
+    "src/repro/model/io.py": {"instance_from_dict", "_dec_field", "_enc"},
+    "src/repro/obs/sinks.py": {"jsonable"},
     "src/repro/verify/checkers.py": None,
     # Sharded sweeps (ISSUE 7): a mutated partition (split group, skewed
     # round-robin) or merge validation (accepted duplicate/overlap/foreign
@@ -121,6 +133,9 @@ DEFAULT_TESTS = [
     "tests/test_sparsify.py",
     "tests/test_tables.py",
     "tests/test_integer_time.py",
+    "tests/test_integer_paths.py",
+    "tests/test_io.py",
+    "tests/test_serve_golden.py",
     "tests/test_checker_mutations.py",
     "tests/test_runner.py::TestSharding",
     "tests/test_chaos.py::TestMergeJournals",
@@ -143,12 +158,22 @@ COMPARE_SWAP = {
     ast.NotEq: ast.Eq,
 }
 BINOP_SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.BitXor: ast.BitOr}
+#: Identity and membership swaps, applied only in :data:`IDENTITY_SWAP_FUNCS`.
+IDENTITY_SWAP = {ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
 NAME_SWAP = {"min": "max", "max": "min"}
 
 #: Functions where ``==``/``!=`` swaps are excluded: Dinic's level check
 #: (``level[v] == lu``) degenerates into plain DFS augmentation — slower but
 #: still a maximum flow, i.e. an equivalent mutant for correctness tests.
 NO_EQ_SWAP_FUNCS = {"max_flow"}
+
+#: Functions whose decisions are ``is``/``in`` tests (exact-type dispatch,
+#: memo lookups, duplicate ids): there ``is``/``is not`` and ``in``/``not in``
+#: swap too.  Elsewhere such a test mostly guards a cache, where a swap only
+#: costs time — an equivalent mutant for correctness tests.
+IDENTITY_SWAP_FUNCS = {
+    "__post_init__", "from_ticks", "instance_from_dict", "_dec_field", "jsonable",
+}
 
 #: Functions where ``^``/``|`` swaps are excluded: ``work_by_job`` reads
 #: ``cap[e ^ 1]`` only on *forward* (even) edge ids, where ``e ^ 1 == e | 1``
@@ -201,7 +226,11 @@ def iter_sites(path: str, tree: ast.Module, allow: Optional[Set[str]]) -> Iterat
             elif (
                 isinstance(node, ast.Compare)
                 and len(node.ops) == 1
-                and type(node.ops[0]) in COMPARE_SWAP
+                and (
+                    type(node.ops[0]) in COMPARE_SWAP
+                    or func.name in IDENTITY_SWAP_FUNCS
+                    and type(node.ops[0]) in IDENTITY_SWAP
+                )
                 and not _is_string_compare(node)
                 and not (
                     func.name in NO_EQ_SWAP_FUNCS
@@ -249,7 +278,8 @@ def mutate_source(source: str, site: Site) -> Optional[str]:
                 and len(node.ops) == 1
                 and type(node.ops[0]).__name__ == site.detail
             ):
-                node.ops = [COMPARE_SWAP[type(node.ops[0])]()]
+                op = type(node.ops[0])
+                node.ops = [(COMPARE_SWAP.get(op) or IDENTITY_SWAP[op])()]
                 return ast.unparse(tree)
             if site.node_kind == "minmax" and isinstance(node, ast.Call):
                 node.func = ast.Name(id=NAME_SWAP[node.func.id], ctx=ast.Load())
