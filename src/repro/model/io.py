@@ -2,7 +2,10 @@
 
 Exact rationals are stored as ``"num/den"`` strings so round-trips are
 lossless — a requirement for archiving adversarial instances, whose data
-has denominators that no float can represent (see DESIGN.md §4).
+has denominators that no float can represent (see DESIGN.md §4).  A JSON
+number decodes by the model's own rule (:func:`~repro.model.intervals.to_fraction`),
+so ``0.1`` in a payload is the same instant as ``Job(0.1, …)``; a boolean
+is not a number here.
 
 Malformed input never escapes as a bare ``KeyError``/``TypeError``: every
 structural problem — invalid JSON, wrong/missing ``kind``, a missing or
@@ -19,6 +22,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Union
 
 from .instance import Instance
+from .intervals import to_fraction
 from .job import Job
 from .schedule import Schedule, Segment
 
@@ -38,10 +42,6 @@ def _enc(x: Fraction) -> Union[int, str]:
     if den == 1:
         return num
     return f"{num}/{den}"
-
-
-def _dec(x: Union[int, str]) -> Fraction:
-    return Fraction(x)
 
 
 def _field(item: Dict[str, Any], name: str, where: str, source: Optional[str]):
@@ -68,14 +68,20 @@ def _dec_field(
     """``item[name]`` as a Fraction, one per distinct raw value in
     ``shared`` (equal raw values decode to equal Fractions)."""
     value = _field(item, name, where, source)
+    if type(value) is bool:  # before the lookup: True and 1 are one key
+        raise InstanceFormatError(
+            f"{where}: field {name!r} must be a rational, got bool", source
+        )
     try:
         x = shared.get(value)
     except TypeError:  # unhashable, so not a rational either
         x = None
     if x is None:
         try:
-            x = shared[value] = _dec(value)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            x = shared[value] = (
+                to_fraction(value) if type(value) is float else Fraction(value)
+            )
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise InstanceFormatError(
                 f"{where}: field {name!r} is not a valid rational "
                 f"({value!r}): {exc}",

@@ -437,7 +437,8 @@ class FeasibilityNetwork:
       contiguous even ids ``_src[idx] + 2 .. _src[idx] + 2(k1−k0)``, arc
       ``i`` feeding interval ``k0 + i``.
 
-    ``scale`` comes from the caller.  With ``tables`` (the per-instance
+    ``instance`` is an instance or its job tuple (the cache passes the
+    tuple); ``scale`` comes from the caller.  With ``tables`` (the per-instance
     cache's :class:`~repro.offline.feascache.NetworkTables`, passed with
     its ``intervals`` view) the build reads only integer tables and counts,
     never an interval's pairs.  Without, the stand-alone reference build
@@ -598,7 +599,10 @@ class FeasibilityNetwork:
         the source, leaving a valid (no longer maximum) flow that the next
         :meth:`solve` completes — far cheaper than re-solving from scratch
         when the binary search steps downward, because the greedy pass skips
-        every job that stayed saturated.
+        every job that stayed saturated.  Both steps run natively on the
+        compiled kernel (``repro_grow_sinks``, ``repro_drain``) and in
+        Python otherwise, with byte-identical results; a capacity past
+        int64 raises ``OverflowError`` on either, at the same interval.
         """
         delta = m - self.machines
         if delta > 0:
@@ -609,10 +613,20 @@ class FeasibilityNetwork:
                 for k, c in enumerate(self.iv_caps):
                     cap[2 * k] += delta * c
         elif delta < 0:
-            self._drain(-delta)
+            if self._ck is not None:
+                to, head, elist = self.dinic._csr_c()
+                drained = self._ck.drain(
+                    len(self.job_ids), -delta, self.iv_caps, to, head, elist,
+                    self._src, self.dinic.cap,
+                )
+            else:
+                drained = self._drain(-delta)
+            self.flow -= drained
+            if _obs.enabled() and drained:
+                _obs.incr("dinic.flow_drained", drained)
         self.machines = m
 
-    def _drain(self, delta: int) -> None:
+    def _drain(self, delta: int) -> int:
         """Shrink every sink capacity by ``delta`` machines, evicting flow.
 
         For interval ``k`` the sink arc loses ``delta·|E_k|`` capacity:
@@ -622,6 +636,8 @@ class FeasibilityNetwork:
         jobs' source arcs.  The result is a *valid* flow saturating no sink
         arc beyond its new capacity; conservation guarantees the walk always
         finds enough incoming flow (``excess = f_k − m'·|E_k| ≤ f_k``).
+        Returns the flow drained.  On the compiled kernel ``repro_drain``
+        runs the same walk natively.
         """
         dinic = self.dinic
         cap = dinic.cap
@@ -655,9 +671,7 @@ class FeasibilityNetwork:
                     excess -= take
                     if not excess:
                         break
-        self.flow -= drained
-        if _obs.enabled() and drained:
-            _obs.incr("dinic.flow_drained", drained)
+        return drained
 
     def _greedy_blocking(self) -> int:
         """A blocking flow on the depth-3 level graph, by direct layout walk.

@@ -12,11 +12,12 @@ denominator on *every* probe.
 itself (instances are immutable, so nothing can invalidate the memo):
 
 * ``tables`` — the speed-independent *integer* form of the network inputs
-  (:class:`NetworkTables`), built by one integer scan of the jobs: the base
-  scale, sparsified event intervals, per-job interval ranges, base-scaled
-  lengths and demands, the EDF probe order, window concurrency and span,
-  and — after the first build — the shared CSR topology, so a second speed
-  (or kernel) costs one capacity array instead of a graph construction,
+  (:class:`NetworkTables`), built by one integer scan of the jobs and one
+  sweep (native where the compiled kernel loads): the base scale,
+  sparsified event intervals, per-job interval ranges, base-scaled lengths
+  and demands, the EDF probe order, window concurrency and span, and —
+  after the first build — the shared CSR topology, so a second speed (or
+  kernel) costs one capacity array instead of a graph construction,
 * ``intervals`` / ``network_intervals`` — the elementary and the kept
   ``(a, b)`` ``Fraction`` pairs, built from the jobs' own ``Fraction``
   objects only when extraction, a certificate or the workload
@@ -27,7 +28,8 @@ itself (instances are immutable, so nothing can invalidate the memo):
   solvers with snapshot/restore, so a binary search's non-monotone probe
   sequence costs one network build plus warm-started residual pushes
   (growing ``m`` only bumps sink capacities; shrinking drains the excess
-  flow in place; revisiting a probed ``m`` restores its snapshot).
+  flow in place, natively on the compiled kernel; revisiting a probed
+  ``m`` restores its snapshot).
 
 The network is built over the *sparsified* event intervals: elementary
 intervals whose live-job set is empty are dropped — they carry no job arc,
@@ -49,9 +51,9 @@ read only the integer tables, so a cold ``migratory_optimum`` builds no
 cyclic garbage collector: at n = 10⁵ the ~126k tuples of an elementary
 list push its pending count past a quarter of the objects the instance
 keeps alive, which triggers a full (generation-2) collection.
-``tests/test_tables.py`` checks the scan field by field against the
-``Fraction`` sweep kept as ``tests/oracles.py::reference_tables`` and pins
-the laziness.
+``tests/test_tables.py`` checks the tables field by field against the
+``Fraction`` sweep kept as ``tests/oracles.py::reference_tables``, through
+both the compiled sweep and :func:`_sweep`, and pins the laziness.
 
 ``stats`` counts probes/hits so tests can pin the ``O(log(hi − lo))``
 probe-complexity contract and the cross-caller cache behaviour.
@@ -71,6 +73,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..model.instance import Instance
 from ..model.job import Job
 from ..obs import core as _obs
+from . import kernel as _ckernel
 from .dinic import FeasibilityNetwork
 
 _EMPTY_I = array("i")
@@ -296,18 +299,44 @@ def _sweep(
     t.span_base = points[-1] - points[0]
 
 
-def _build_tables(instance: Instance) -> NetworkTables:
-    """The instance's network tables: one integer scan, one integer sweep.
+def _sweep_c(
+    t: NetworkTables, rel: List[int], dem: List[int], dl: List[int]
+) -> bool:
+    """:func:`_sweep` in the compiled kernel (``repro_sweep``), same tables.
+
+    Returns ``False``, and fills nothing, when a value, the span or the
+    total demand passes int64: those tables need Python ints.
+    """
+    try:
+        r, p, d = array("q", rel), array("q", dem), array("q", dl)
+    except OverflowError:
+        return False
+    swept = _ckernel.load().sweep(r, p, d)
+    if swept is None:
+        return False
+    (t.kept, t.len_base, t.k0, t.k1, t.src, t.edf, t.elementary_count,
+     t.n_edges, t.max_live, t.zero_laxity_max, t.total_demand_base,
+     t.span_base) = swept
+    t.demand_base = p
+    t.n_nodes = 2 + len(rel) + len(t.kept)
+    t.dropped = t.elementary_count - len(t.kept)
+    return True
+
+
+def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
+    """The network tables of a job tuple: one integer scan, one integer sweep.
 
     No ``Fraction`` is built, hashed or compared: the scan reads each job's
     numerators and denominators once, and everything after it runs on
-    base-scaled ints.
+    base-scaled ints.  The sweep runs in the compiled kernel wherever that
+    kernel is available (the test ``backend="auto"`` makes) and the data
+    fit int64, else in Python; both write the same tables.
     """
     t = NetworkTables()
-    t.jobs = instance.jobs
+    t.jobs = jobs
     t.topology = t.topology_c = None
     t._elementary = t._kept_pairs = None
-    t.base_scale, rel, dem, dl = _scan(instance.jobs)
+    t.base_scale, rel, dem, dl = _scan(jobs)
     if not rel:
         t.kept = t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
         t.len_base = t.demand_base = _EMPTY_Q
@@ -316,7 +345,8 @@ def _build_tables(instance: Instance) -> NetworkTables:
         t.max_live = t.zero_laxity_max = 0
         t.total_demand_base = t.span_base = 0
         return t
-    _sweep(t, rel, dem, dl)
+    if not (_ckernel.available() and _sweep_c(t, rel, dem, dl)):
+        _sweep(t, rel, dem, dl)
     return t
 
 
@@ -336,10 +366,13 @@ class _SpeedState:
 class FeasibilityCache:
     """Instance-lifetime memo for Horn's feasibility flow."""
 
-    __slots__ = ("instance", "_tables", "_verdicts", "_speed_states", "stats")
+    __slots__ = ("jobs", "_tables", "_verdicts", "_speed_states", "stats")
 
     def __init__(self, instance: Instance) -> None:
-        self.instance = instance
+        # The job tuple, not the instance: the instance holds this cache,
+        # so a back reference would make a cycle that only a full garbage
+        # collection frees, and a warm serve pool evicts instances often.
+        self.jobs = instance.jobs
         self._tables: Optional[NetworkTables] = None
         self._verdicts: Dict[Tuple[int, Fraction, str], bool] = {}
         self._speed_states: Dict[Tuple[Fraction, str], _SpeedState] = {}
@@ -351,7 +384,7 @@ class FeasibilityCache:
     def tables(self) -> NetworkTables:
         """The integer network tables (built on first use)."""
         if self._tables is None:
-            self._tables = _build_tables(self.instance)
+            self._tables = _build_tables(self.jobs)
         return self._tables
 
     @property
@@ -413,7 +446,7 @@ class FeasibilityCache:
         if state is None:
             tables = self.tables
             network = FeasibilityNetwork(
-                self.instance, speed, tables.intervals, self.scale_for(speed),
+                self.jobs, speed, tables.intervals, self.scale_for(speed),
                 kernel=kernel, tables=tables,
             )
             state = _SpeedState(network)
@@ -465,7 +498,7 @@ class FeasibilityCache:
 
     def feasible(self, m: int, speed: Fraction, kernel: str = "py") -> bool:
         """Memoized feasibility verdict, warm-starting across probes."""
-        if len(self.instance) == 0:
+        if not self.jobs:
             return True
         if m <= 0:
             return False

@@ -29,11 +29,11 @@ Two interchangeable Dinic kernels answer the flow question (the default
   bit-identity reference for the compiled kernel;
 * ``"dinic_c"`` — the compiled kernel of :mod:`repro.offline.kernel`: the
   whole blocking-flow loop (plus the greedy pass, the topology build, the
-  capacity fill and the sink growth of upward probes) runs natively over
-  the same zero-copy buffers, bit-identical again; the drain of a
-  downward probe (``FeasibilityNetwork._drain``) runs in Python on both
-  kernels.  Lazily compiled at first use and unavailable (gracefully)
-  when no C compiler or cached build exists.
+  capacity fill, the sink growth of upward probes and the drain of
+  downward ones) runs natively over the same zero-copy buffers,
+  bit-identical again.  Lazily compiled at first use and unavailable
+  (gracefully) when no C compiler or cached build exists.  Where it loads,
+  the per-instance table sweep runs natively too, whichever backend asks.
 
 Independent oracles (a generic max-flow formulation of this network and
 an LP relaxation) live with the tests that cross-check against them.

@@ -12,6 +12,12 @@ The address of an ``array``'s buffer is stable for the lifetime of the
 object as long as its *length* never changes — the solver's contract after
 ``finalize()`` (topology frozen, only capacity values change) — so
 addresses are taken per call without pinning.
+
+Integer arguments that grow with the data are checked against int64
+before the call (ctypes truncates a larger Python int silently), and the C
+status codes come back as Python errors: ``MemoryError`` for a failed
+scratch allocation, ``OverflowError`` for a capacity past int64 or an edge
+id past int32 — where the Python kernel's ``array`` stores raise too.
 """
 
 from __future__ import annotations
@@ -24,6 +30,16 @@ _I64 = ctypes.c_int64
 _I32 = ctypes.c_int32
 _PTR = ctypes.c_void_p
 
+#: Status codes of the C entry points (``REPRO_*`` in the generated source).
+_NOMEM = -1
+_OVERFLOW = -2
+_UNSORTED = -3
+_BIGINT = 1
+
+#: ctypes truncates a Python int passed as ``c_int64`` silently, so every
+#: integer argument that can grow with the data is checked against this.
+_INT64 = range(-(2**63), 2**63)
+
 
 def _addr(buf: array) -> Optional[int]:
     """Base address of an array's buffer (NULL for an empty array)."""
@@ -32,16 +48,40 @@ def _addr(buf: array) -> Optional[int]:
     return buf.buffer_info()[0]
 
 
+def _int64(value: int, what: str) -> int:
+    """``value`` as a ``c_int64`` argument, or ``OverflowError``."""
+    if value not in _INT64:
+        raise OverflowError(f"dinic_c: {what} {value} does not fit int64")
+    return value
+
+
+def _check(status: int, what: str) -> None:
+    """Raise the Python error for a negative C status."""
+    if status == _NOMEM:
+        raise MemoryError(f"dinic_c: {what}: scratch allocation failed")
+    if status == _OVERFLOW:
+        raise OverflowError(f"dinic_c: {what}: a capacity does not fit int64")
+
+
+def _require(typecode: str, *bufs: array) -> None:
+    for buf in bufs:
+        if buf.typecode != typecode:
+            raise TypeError(f"dinic_c: expected array({typecode!r}) buffers")
+
+
 class DinicCKernel:
     """The loaded shared object with typed entry points.
 
     Thin by design: argument validation lives on the Python callers (which
     own the layout invariants); this class only guards the buffer typecodes
-    so a mis-wired caller fails loudly instead of corrupting memory.
+    so a mis-wired caller fails loudly instead of corrupting memory, refuses
+    an integer argument past int64 instead of letting ctypes wrap it, and
+    raises the C side's status codes as Python errors.
     """
 
     __slots__ = ("lib", "path", "_max_flow", "_greedy", "_topology",
-                 "_scale_caps", "_fill_caps", "_grow_sinks")
+                 "_scale_caps", "_fill_caps", "_grow_sinks", "_drain",
+                 "_sweep")
 
     def __init__(self, path: str) -> None:
         lib = ctypes.CDLL(str(path))
@@ -60,17 +100,26 @@ class DinicCKernel:
         f.argtypes = (_I32, _I32, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
         self._topology = f
         f = lib.repro_scale_caps
-        f.restype = None
+        f.restype = _I32
         f.argtypes = (_I32, _PTR, _I64, _PTR)
         self._scale_caps = f
         f = lib.repro_fill_caps
-        f.restype = None
+        f.restype = _I32
         f.argtypes = (_I32, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR)
         self._fill_caps = f
         f = lib.repro_grow_sinks
-        f.restype = None
+        f.restype = _I32
         f.argtypes = (_I32, _I64, _PTR, _PTR)
         self._grow_sinks = f
+        f = lib.repro_drain
+        f.restype = _I64
+        f.argtypes = (_I32, _I32, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
+        self._drain = f
+        f = lib.repro_sweep
+        f.restype = _I32
+        f.argtypes = (_I32, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                      _PTR, _PTR)
+        self._sweep = f
 
     # -- entry points ---------------------------------------------------------
 
@@ -82,11 +131,13 @@ class DinicCKernel:
 
         ``limit < 0`` runs to disconnection; ``stats`` (an ``array('q')``
         of length >= 3) receives ``(phases, paths, retreats)`` when given.
+        A limit past int64 is no bound for an int64 flow, so it runs to
+        disconnection too.
         """
-        if to.typecode != "i" or head.typecode != "i" or elist.typecode != "i":
-            raise TypeError("CSR topology buffers must be array('i')")
-        if cap.typecode != "q":
-            raise TypeError("capacity buffer must be array('q')")
+        _require("i", to, head, elist)
+        _require("q", cap)
+        if limit not in _INT64:
+            limit = -1
         added = self._max_flow(
             n, _addr(to), _addr(head), _addr(elist), _addr(cap),
             s, t, limit, _addr(stats) if stats is not None else None,
@@ -100,8 +151,7 @@ class DinicCKernel:
         cap: array,
     ) -> int:
         """The EDF greedy blocking pass; returns the flow pushed."""
-        if cap.typecode != "q":
-            raise TypeError("capacity buffer must be array('q')")
+        _require("q", cap)
         return self._greedy(
             n_jobs, _addr(edf), _addr(k0), _addr(k1), _addr(src), _addr(cap)
         )
@@ -118,19 +168,20 @@ class DinicCKernel:
         to = array("i", bytes(4 * n_edges2))
         head = array("i", bytes(4 * (n_nodes + 1)))
         elist = array("i", bytes(4 * n_edges2))
-        rc = self._topology(
+        _check(self._topology(
             n_jobs, n_iv, _addr(k0), _addr(k1), _addr(src),
             _addr(to), _addr(head), _addr(elist),
-        )
-        if rc != 0:
-            raise MemoryError("dinic_c: topology scratch allocation failed")
+        ), "build_topology")
         return to, head, elist
 
     def scale_caps(self, len_base: array, lenfac: int) -> array:
         """Per-interval unit capacities ``len_base[k] * lenfac`` (int64)."""
         n_iv = len(len_base)
         iv_caps = array("q", bytes(8 * n_iv))
-        self._scale_caps(n_iv, _addr(len_base), lenfac, _addr(iv_caps))
+        _check(self._scale_caps(
+            n_iv, _addr(len_base), _int64(lenfac, "length factor"),
+            _addr(iv_caps),
+        ), "scale_caps")
         return iv_caps
 
     def fill_caps(
@@ -138,13 +189,67 @@ class DinicCKernel:
         demand_base: array, demfac: int, iv_caps: array, cap: array,
     ) -> None:
         """Cold capacity fill (source demands + window arcs) into ``cap``."""
-        if cap.typecode != "q":
-            raise TypeError("capacity buffer must be array('q')")
-        self._fill_caps(
-            n_jobs, _addr(k0), _addr(k1), _addr(src),
-            _addr(demand_base), demfac, _addr(iv_caps), _addr(cap),
-        )
+        _require("q", cap)
+        _check(self._fill_caps(
+            n_jobs, _addr(k0), _addr(k1), _addr(src), _addr(demand_base),
+            _int64(demfac, "demand factor"), _addr(iv_caps), _addr(cap),
+        ), "fill_caps")
 
     def grow_sinks(self, delta: int, iv_caps: array, cap: array) -> None:
         """Grow every sink arc by ``delta`` machines' worth of capacity."""
-        self._grow_sinks(len(iv_caps), delta, _addr(iv_caps), _addr(cap))
+        _require("q", iv_caps, cap)
+        _check(self._grow_sinks(
+            len(iv_caps), _int64(delta, "machine step"), _addr(iv_caps),
+            _addr(cap),
+        ), "grow_sinks")
+
+    def drain(
+        self, n_jobs: int, delta: int, iv_caps: array, to: array,
+        head: array, elist: array, src: array, cap: array,
+    ) -> int:
+        """Shrink every sink arc by ``delta`` machines, evicting flow;
+        returns the flow drained."""
+        _require("q", iv_caps, cap)
+        _require("i", to, head, elist, src)
+        drained = self._drain(
+            n_jobs, len(iv_caps), _int64(delta, "machine step"),
+            _addr(iv_caps), _addr(to), _addr(head), _addr(elist),
+            _addr(src), _addr(cap),
+        )
+        _check(drained, "drain")
+        return drained
+
+    def sweep(self, r: array, p: array, d: array) -> Optional[tuple]:
+        """The table sweep of ``feascache._sweep`` over int64 job data.
+
+        ``r``, ``p``, ``d``: the base-scaled releases (in order),
+        processing times and deadlines of ``n >= 1`` jobs.  Returns
+        ``(kept, len_base, k0, k1, src, edf, elementary_count, n_edges,
+        max_live, zero_laxity_max, total_demand_base, span_base)``, or
+        ``None`` when the span or the total demand passes int64.  An edge
+        id past int32 raises ``OverflowError``, as ``array('i')`` does.
+        """
+        _require("q", r, p, d)
+        n = len(r)
+        if len(p) != n or len(d) != n:
+            raise ValueError("dinic_c: sweep: r, p and d differ in length")
+        points = 2 * n  # n jobs make at most 2n event points
+        kept = array("i", bytes(4 * points))
+        len_base = array("q", bytes(8 * points))
+        k0, k1, src, edf = (array("i", bytes(4 * n)) for _ in range(4))
+        counts = array("q", bytes(8 * 7))
+        status = self._sweep(
+            n, _addr(r), _addr(p), _addr(d), _addr(kept), _addr(len_base),
+            _addr(k0), _addr(k1), _addr(src), _addr(edf), _addr(counts),
+        )
+        if status == _BIGINT:
+            return None
+        if status == _UNSORTED:
+            raise ValueError("dinic_c: sweep: releases are not in order")
+        if status == _OVERFLOW:
+            raise OverflowError("dinic_c: sweep: an edge id does not fit int32")
+        _check(status, "sweep")
+        n_kept, m_el, n_edges, max_live, zero_max, total, span = counts
+        del kept[n_kept:], len_base[n_kept:]
+        return (kept, len_base, k0, k1, src, edf, m_el, n_edges, max_live,
+                zero_max, total, span)

@@ -45,7 +45,11 @@ DISABLE_ENV = "REPRO_DINIC_C"
 #: Tried in order when ``REPRO_CC`` is unset.
 DEFAULT_COMPILERS = ("cc", "gcc", "clang")
 
-CFLAGS = ("-O2", "-fPIC", "-shared")
+#: ``-O1``: every cold start pays this compile.  The kernel's loops are
+#: memory-bound index walks, and on gcc 12 (2-vCPU host) ``-O1`` ran the
+#: blocking flow, the table sweep and a cold n = 10⁵ search as fast as
+#: ``-O2`` while compiling the source in ~0.21 s instead of ~0.34 s.
+CFLAGS = ("-O1", "-fPIC", "-shared")
 
 
 class KernelUnavailable(RuntimeError):

@@ -16,6 +16,13 @@ the ``py`` kernel's, not merely maximum.  ``tests/test_kernel.py`` pins
 that equality byte for byte, and ``tests/test_sparsify.py`` also on the
 unsparsified network.
 
+Eight functions are exported: the blocking-flow loop, the greedy pass,
+the topology build, the capacity scale/fill/grow helpers, the drain of a
+downward probe (``repro_drain``, the twin of
+``FeasibilityNetwork._drain``) and the table sweep (``repro_sweep``, the
+twin of ``feascache._sweep``).  The twins are mirrored just as closely, so
+tables and drained buffers are byte-identical too.
+
 Buffer ABI (shared with the Python side, all zero-copy):
 
 * ``cap`` — the live ``array('q')`` capacity buffer (int64).  The reverse
@@ -24,8 +31,13 @@ Buffer ABI (shared with the Python side, all zero-copy):
 * ``to`` / ``head`` / ``elist`` — the immutable CSR topology as int32
   arrays (``head`` offsets into ``elist``; ``elist[head[u]:head[u+1]]``
   are node ``u``'s incident edge ids in ascending order).
-* Job tables (``k0``/``k1``/``src``/``edf``) — int32; base-scaled lengths,
-  demands, and interval capacities — int64.
+* Job tables (``k0``/``k1``/``src``/``edf``) — int32; base-scaled job
+  data, lengths, demands, and interval capacities — int64.
+
+Every capacity product and sum is checked (``__builtin_mul_overflow``,
+``__builtin_add_overflow``): where the Python kernel's ``array('q')``
+store would raise, a C call stops at the same place and returns
+``REPRO_OVERFLOW``, which the wrapper raises as ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import hashlib
 
 #: Bump when the exported symbols or their signatures change; part of the
 #: build-cache key, so old shared objects are never dlopen'ed into a new ABI.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 C_SOURCE = r"""
 /* Flat-CSR blocking-flow Dinic core for the feasibility network.
@@ -308,19 +320,32 @@ API int32_t repro_build_topology(
     return 0;
 }
 
-/* iv_caps[k] = len_base[k] * lenfac  (per-interval unit capacity). */
-API void repro_scale_caps(
+/* Status codes shared with kernel/abi.py.  Every capacity product and sum
+ * below is checked: where the Python kernel's array('q') store would raise,
+ * these return REPRO_OVERFLOW instead of wrapping. */
+#define REPRO_NOMEM (-1)     /* scratch allocation failed */
+#define REPRO_OVERFLOW (-2)  /* a value past int64, or an edge id past int32 */
+#define REPRO_UNSORTED (-3)  /* repro_sweep: releases out of order */
+#define REPRO_BIGINT 1       /* repro_sweep: the span or total demand passes
+                              * int64, so the caller sweeps on Python ints */
+
+/* iv_caps[k] = len_base[k] * lenfac  (per-interval unit capacity).
+ * Returns 0, or REPRO_OVERFLOW at the first product past int64. */
+API int32_t repro_scale_caps(
     int32_t n_iv, const int64_t *len_base, int64_t lenfac, int64_t *iv_caps)
 {
     int32_t k;
     for (k = 0; k < n_iv; k++)
-        iv_caps[k] = len_base[k] * lenfac;
+        if (__builtin_mul_overflow(len_base[k], lenfac, &iv_caps[k]))
+            return REPRO_OVERFLOW;
+    return 0;
 }
 
 /* The cold capacity fill of FeasibilityNetwork.__init__ (tables path):
  * source arcs carry demand_base * demfac, window arcs the interval's unit
- * capacity.  Sink arcs stay 0 (m = 0); cap must be zero-initialized. */
-API void repro_fill_caps(
+ * capacity.  Sink arcs stay 0 (m = 0); cap must be zero-initialized.
+ * Returns 0, or REPRO_OVERFLOW at the first demand past int64. */
+API int32_t repro_fill_caps(
     int32_t n_jobs, const int32_t *k0, const int32_t *k1, const int32_t *src,
     const int64_t *demand_base, int64_t demfac, const int64_t *iv_caps,
     int64_t *cap)
@@ -328,24 +353,239 @@ API void repro_fill_caps(
     int32_t idx, k;
     for (idx = 0; idx < n_jobs; idx++) {
         int64_t e = src[idx];
+        int64_t demand;
         int32_t b = k1[idx];
-        cap[e] = demand_base[idx] * demfac;
+        if (__builtin_mul_overflow(demand_base[idx], demfac, &demand))
+            return REPRO_OVERFLOW;
+        cap[e] = demand;
         e += 2;
         for (k = k0[idx]; k < b; k++) {
             cap[e] = iv_caps[k];
             e += 2;
         }
     }
+    return 0;
 }
 
 /* The warm-start grow of set_machines: sink arc of interval k gains
- * delta machines' worth of capacity. */
-API void repro_grow_sinks(
+ * delta machines' worth of capacity.  Returns 0, or REPRO_OVERFLOW at the
+ * first interval whose new capacity passes int64; the intervals before it
+ * are grown, it and the rest are untouched (as in the Python loop). */
+API int32_t repro_grow_sinks(
     int32_t n_iv, int64_t delta, const int64_t *iv_caps, int64_t *cap)
 {
     int32_t k;
-    for (k = 0; k < n_iv; k++)
-        cap[2 * (int64_t)k] += delta * iv_caps[k];
+    for (k = 0; k < n_iv; k++) {
+        int64_t add, grown;
+        if (__builtin_mul_overflow(delta, iv_caps[k], &add)
+            || __builtin_add_overflow(cap[2 * (int64_t)k], add, &grown))
+            return REPRO_OVERFLOW;
+        cap[2 * (int64_t)k] = grown;
+    }
+    return 0;
+}
+
+/* The drain of a downward probe (FeasibilityNetwork._drain): every sink
+ * arc loses delta machines' worth of capacity.  Residual headroom absorbs
+ * what it can; the rest is pulled back, interval by interval, along the
+ * interval's incoming job arcs (the odd ids of its edge list, in list
+ * order) and off those jobs' source arcs.  Returns the flow drained, or
+ * REPRO_OVERFLOW when delta * iv_caps[k] or the drained total passes int64
+ * (intervals before k are drained, k and the rest untouched). */
+API int64_t repro_drain(
+    int32_t n_jobs, int32_t n_iv, int64_t delta, const int64_t *iv_caps,
+    const int32_t *to, const int32_t *head, const int32_t *elist,
+    const int32_t *src, int64_t *cap)
+{
+    int64_t drained = 0;
+    int32_t k;
+    for (k = 0; k < n_iv; k++) {
+        int64_t ks = 2 * (int64_t)k;
+        int64_t cut, avail, excess;
+        int32_t i, end, node;
+        if (__builtin_mul_overflow(delta, iv_caps[k], &cut))
+            return REPRO_OVERFLOW;
+        avail = cap[ks];
+        if (avail >= cut) {
+            cap[ks] = avail - cut;
+            continue;
+        }
+        excess = cut - avail;
+        if (__builtin_add_overflow(drained, excess, &drained))
+            return REPRO_OVERFLOW;
+        cap[ks] = 0;
+        cap[ks + 1] -= excess;
+        node = 2 + n_jobs + k;
+        end = head[node + 1];
+        for (i = head[node]; i < end; i++) {
+            int32_t e = elist[i];
+            /* Odd ids incident to an interval node are exactly the reverse
+             * window arcs; cap[e] is the forward arc's flow. */
+            if ((e & 1) && cap[e]) {
+                int64_t take = cap[e] < excess ? cap[e] : excess;
+                int64_t se = src[to[e] - 2];  /* that job's source arc */
+                cap[e] -= take;
+                cap[e - 1] += take;
+                cap[se] += take;
+                cap[se + 1] -= take;
+                excess -= take;
+                if (!excess)
+                    break;
+            }
+        }
+    }
+    return drained;
+}
+
+#define RADIX_BITS 11
+#define RADIX (1 << RADIX_BITS)
+
+/* The integer table sweep of feascache._sweep, step for step.
+ *
+ * In: n >= 1 jobs in release order; r, p, d their base-scaled release,
+ * processing time and deadline.  Out: kept and len_base for the K kept
+ * intervals (the caller sizes both for 2n), k0, k1, src and edf per
+ * job, and counts = {K, elementary count, n_edges, max_live,
+ * zero_laxity_max, total demand, span}.
+ *
+ * The releases are sorted already, so only the deadlines are sorted: a
+ * stable LSD radix sort of the job indices by d - min(d).  One merge of
+ * the two sorted runs then yields the unique event points and each job's
+ * point indices i0 (release) and i1 (deadline).  That deadline order is
+ * also edf, the stable order by k1: k1 is strictly increasing in the
+ * deadline, because the interval just before a deadline is live.
+ *
+ * Returns 0, REPRO_BIGINT, REPRO_OVERFLOW (a source edge id past int32),
+ * REPRO_UNSORTED or REPRO_NOMEM. */
+API int32_t repro_sweep(
+    int32_t n, const int64_t *r, const int64_t *p, const int64_t *d,
+    int32_t *kept, int64_t *len_base, int32_t *k0, int32_t *k1,
+    int32_t *src, int32_t *edf, int64_t *counts)
+{
+    int64_t *pts = (int64_t *)malloc(2 * (size_t)n * sizeof(int64_t));
+    int32_t *scratch = (int32_t *)malloc(7 * (size_t)n * sizeof(int32_t));
+    int32_t *i0, *i1, *tmp, *live, *zero, *ord;
+    int64_t total = 0, dmin = d[0], dmax = d[0], span, acc;
+    int32_t j, a, b, npts, m_el, n_kept, run, zrun, max_live, zmax;
+    uint64_t range;
+    unsigned shift;
+    int32_t status = 0;
+
+    if (!pts || !scratch) {
+        free(pts);
+        free(scratch);
+        return REPRO_NOMEM;
+    }
+    i0 = scratch;
+    i1 = scratch + n;
+    tmp = scratch + 2 * (size_t)n;
+    live = scratch + 3 * (size_t)n;   /* 2n entries */
+    zero = scratch + 5 * (size_t)n;   /* 2n entries */
+    for (j = 0; j < n; j++) {
+        if (j && r[j] < r[j - 1]) {
+            status = REPRO_UNSORTED;
+            goto out;
+        }
+        if (__builtin_add_overflow(total, p[j], &total)) {
+            status = REPRO_BIGINT;
+            goto out;
+        }
+        if (d[j] < dmin)
+            dmin = d[j];
+        if (d[j] > dmax)
+            dmax = d[j];
+        edf[j] = j;
+    }
+    /* Stable LSD radix sort of the job indices by deadline, in edf. */
+    range = (uint64_t)dmax - (uint64_t)dmin;
+    ord = edf;
+    for (shift = 0; shift < 64 && (range >> shift); shift += RADIX_BITS) {
+        int32_t count[RADIX + 1];
+        int32_t *swap;
+        memset(count, 0, sizeof(count));
+        for (j = 0; j < n; j++)
+            count[(((uint64_t)d[ord[j]] - (uint64_t)dmin) >> shift & (RADIX - 1)) + 1]++;
+        for (j = 0; j < RADIX; j++)
+            count[j + 1] += count[j];
+        for (j = 0; j < n; j++)
+            tmp[count[((uint64_t)d[ord[j]] - (uint64_t)dmin) >> shift & (RADIX - 1)]++] = ord[j];
+        swap = ord;
+        ord = tmp;
+        tmp = swap;
+    }
+    if (ord != edf)
+        memcpy(edf, ord, (size_t)n * sizeof(int32_t));
+    /* Merge releases (index order) and deadlines (edf order) into the
+     * sorted unique event points. */
+    npts = 0;
+    a = b = 0;
+    while (a < n || b < n) {
+        int rel = b == n || (a < n && r[a] <= d[edf[b]]);
+        int64_t x = rel ? r[a] : d[edf[b]];
+        if (!npts || pts[npts - 1] != x)
+            pts[npts++] = x;
+        if (rel)
+            i0[a++] = npts - 1;
+        else
+            i1[edf[b++]] = npts - 1;
+    }
+    if (__builtin_sub_overflow(pts[npts - 1], pts[0], &span)) {
+        status = REPRO_BIGINT;
+        goto out;
+    }
+    m_el = npts - 1;
+    /* Difference arrays over elementary intervals: a job is live in
+     * [i0, i1), and zero-laxity when its window is exactly p_j long. */
+    memset(live, 0, 4 * (size_t)n * sizeof(int32_t));
+    for (j = 0; j < n; j++) {
+        live[i0[j]] += 1;
+        live[i1[j]] -= 1;
+        if (d[j] - r[j] == p[j]) {
+            zero[i0[j]] += 1;
+            zero[i1[j]] -= 1;
+        }
+    }
+    /* Prefix sums in place.  live[i] becomes rank[i], the number of kept
+     * intervals before elementary interval i: no live job, no arc can
+     * reach the interval, so it is dropped. */
+    run = zrun = max_live = zmax = 0;
+    n_kept = 0;
+    for (j = 0; j < npts; j++) {
+        run += live[j];
+        zrun += zero[j];
+        if (run > max_live)
+            max_live = run;
+        if (zrun > zmax)
+            zmax = zrun;
+        live[j] = n_kept;
+        if (run && j < m_el) {
+            kept[n_kept] = j;
+            len_base[n_kept] = pts[j + 1] - pts[j];
+            n_kept++;
+        }
+    }
+    acc = 2 * (int64_t)n_kept;  /* sink arcs occupy edge ids [0, 2K) */
+    for (j = 0; j < n; j++) {
+        k0[j] = live[i0[j]];
+        k1[j] = live[i1[j]];
+        if (acc > INT32_MAX) {
+            status = REPRO_OVERFLOW;
+            goto out;
+        }
+        src[j] = (int32_t)acc;
+        acc += 2 * (1 + (int64_t)k1[j] - k0[j]);  /* source + window arcs */
+    }
+    counts[0] = n_kept;
+    counts[1] = m_el;
+    counts[2] = acc / 2;
+    counts[3] = max_live;
+    counts[4] = zmax;
+    counts[5] = total;
+    counts[6] = span;
+out:
+    free(pts);
+    free(scratch);
+    return status;
 }
 """
 

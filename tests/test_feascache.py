@@ -7,9 +7,12 @@ cache behaviour are deterministic, so they are testable without timers):
 * repeated calls with the same instance are answered from the verdict memo,
 * the memoized structure (intervals, scale) is computed once and can never
   be invalidated because :class:`Instance` is immutable,
-* the speed-scaled lower-bound start is valid (never exceeds the optimum).
+* the speed-scaled lower-bound start is valid (never exceeds the optimum),
+* a solved instance is freed by reference counting alone: the cache it
+  owns holds no reference back to it.
 """
 
+import gc
 from fractions import Fraction
 from math import ceil, log2
 
@@ -24,6 +27,7 @@ from repro.offline.flow import max_flow_assignment
 from repro.offline.kernel import available
 from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound, trivial_lower_bounds
+from repro.verify import certify
 
 from tests.strategies import instances_st
 
@@ -223,3 +227,21 @@ class TestSnapshotRestore:
         net = cache.solved_network(hi, Fraction(1))
         assert cache.stats.restores == 1
         assert net.feasible
+
+
+class TestNoReferenceCycle:
+    def test_dropped_instance_leaves_nothing_for_the_collector(self):
+        """Instance → cache → instance would be a cycle that only a full
+        collection frees; a warm serve pool evicts instances all day."""
+        base = uniform_random_instance(60, horizon=120, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            instance = Instance(list(base))
+            m = migratory_optimum(instance)
+            certificate = certify(instance, m)
+            certify(instance, m - 1)
+            del instance, certificate
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -256,6 +256,36 @@ class TestFieldTypes:
             schedule_from_dict, {"kind": "schedule", "segments": segments}
         ) == "req.json: segments[0]: machine index must be non-negative"
 
+    @pytest.mark.parametrize("second, message", [
+        # True == 1 and False == 0, both already decoded for job 0
+        ({"processing": True}, "field 'processing' must be a rational, got bool"),
+        ({"release": False}, "field 'release' must be a rational, got bool"),
+        ({"deadline": 1e400}, "field 'deadline' is not a valid rational (inf)"),
+        ({"deadline": float("nan")}, "field 'deadline' is not a valid rational (nan)"),
+    ])
+    def test_numbers_that_are_not_rationals(self, second, message):
+        assert self._err(instance_from_dict, self._jobs(**second)).startswith(
+            f"req.json: jobs[1]: {message}"
+        )
+
+    def test_segment_bool_time_refused(self):
+        segments = [{"job": 0, "machine": 0, "start": 0, "end": 1},
+                    {"job": 1, "machine": 1, "start": 0, "end": True}]
+        assert self._err(
+            schedule_from_dict, {"kind": "schedule", "segments": segments}
+        ) == "req.json: segments[1]: field 'end' must be a rational, got bool"
+
+    def test_float_decodes_like_the_model(self):
+        """A JSON number is the instant ``to_fraction`` makes of it, the
+        same one ``Job(0.1, …)`` gets, not its binary expansion."""
+        inst = instance_from_dict(self._jobs(release=0.1, processing=0.25))
+        job = inst.job(1)
+        assert job.release == Fraction(1, 10)
+        assert job.processing == Fraction(1, 4)
+        assert (job.release, job.processing) == (
+            Job(0.1, 0.25, 3).release, Job(0.1, 0.25, 3).processing
+        )
+
     def test_decoded_values_are_shared(self):
         inst = instance_from_dict(self._jobs(release=0, deadline=2))
         a, b = inst.job(0), inst.job(1)

@@ -18,7 +18,10 @@ Four angles on ``repro.offline.kernel``:
 * **Kill set** (``TestKillSet``) — small deterministic py-vs-c equality
   checks wired into ``tools/mutation_smoke.py``; with ``auto`` resolving
   to ``dinic_c`` everywhere else, these are what keep mutants of the
-  python kernel and of the C dispatch dead.
+  python kernel (its drain included) and of the C dispatch dead.
+* **The int64 edge** (``TestInt64Edge``) — where a capacity passes int64
+  both kernels raise ``OverflowError`` and leave the same buffer behind;
+  none wraps into a different answer.
 """
 
 from __future__ import annotations
@@ -29,14 +32,17 @@ import random
 import time
 from array import array
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.generators import uniform_random_instance
 from repro.model import Instance, Job
 from repro.model.io import load
-from repro.offline import kernel
+from repro.offline import feascache, kernel
 from repro.offline.dinic import Dinic, FeasibilityNetwork, _feasibility_topology
 from repro.offline.feascache import cache_for
 from repro.offline.flow import (
@@ -46,7 +52,11 @@ from repro.offline.flow import (
 )
 from repro.offline.kernel import KernelUnavailable
 from repro.offline.kernel.codegen import ABI_VERSION, source_hash
+from repro.offline.optimum import window_concurrency
+from repro.offline.workload import scaled_lower_bound
 from repro.verify import Unsatisfiable, certified_optimum
+
+from tests.strategies import instances_st
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "corpus")
 
@@ -109,6 +119,28 @@ def clone(d: Dinic) -> Dinic:
     return Dinic.from_csr(d.n, d.to, array("q", d.cap), d._head, d._elist)
 
 
+def downward_probes(instance: Instance, speed: Fraction) -> list:
+    """A probe sequence with fresh downward steps (drains), not restores:
+    window concurrency, the lower bound, their midpoint, back up, then
+    below the lower bound."""
+    hi = window_concurrency(instance)
+    lo = max(1, scaled_lower_bound(instance, speed))
+    return [hi, lo, (lo + hi) // 2, hi + 1, max(1, lo - 1)]
+
+
+def probe_trail(instance: Instance, speed: Fraction, kern: str, probes) -> list:
+    """``(flow, cap bytes, dinic.flow_drained so far)`` after every probe
+    of a cold cache on ``kern``."""
+    cache = cache_for(Instance(list(instance)))
+    trail = []
+    with obs.capture() as reg:
+        for m in probes:
+            net = cache.solved_network(m, speed, kern)
+            drained = reg.snapshot()["counters"].get("dinic.flow_drained", 0)
+            trail.append((net.flow, net.dinic.cap.tobytes(), drained))
+    return trail
+
+
 def cert_dict(cert) -> dict:
     """A certificate's payload without the solver-effort bookkeeping.
 
@@ -163,7 +195,7 @@ class TestBuildCache:
         # The object lives under a prefix of the source hash, so editing
         # the generated C (or bumping ABI_VERSION) can never collide with
         # this directory.
-        assert ABI_VERSION == 1
+        assert ABI_VERSION == 2
         assert os.path.dirname(info["path"]).endswith(info["key"][:24])
 
 
@@ -240,6 +272,17 @@ class TestBitIdentical:
             net_c = cache.solved_network(m, 1, "c")
             state_c = (net_c.feasible, net_c.snapshot())
             assert state_py == state_c, f"diverged at m={m}"
+
+    @given(instances_st(max_size=10), st.sampled_from(["1", "1/2", "3/2"]))
+    @settings(max_examples=60, deadline=None)
+    def test_drains_match(self, instance, speed):
+        """The native drain is the Python one: same caps, flow and drained
+        counter after every probe of a sequence with downward steps."""
+        speed = Fraction(speed)
+        probes = downward_probes(instance, speed)
+        assert probe_trail(instance, speed, "py", probes) == probe_trail(
+            instance, speed, "c", probes
+        )
 
     @pytest.mark.parametrize(
         "case",
@@ -342,6 +385,15 @@ class TestKillSet:
             )
             assert [list(part) for part in c] == [list(part) for part in py], n
 
+    def test_drain_paths_match(self):
+        """One fixed probe sequence with two drains that evict flow."""
+        instance = uniform_random_instance(40, horizon=80, seed=2)
+        probes = downward_probes(instance, Fraction(1))
+        trail = probe_trail(instance, Fraction(1), "py", probes)
+        assert trail == probe_trail(instance, Fraction(1), "c", probes)
+        drained = [step[2] for step in trail]
+        assert 0 < drained[1] < drained[-1]  # both drains evicted flow
+
     def test_greedy_and_grow_paths_match(self):
         inst = Instance(
             [Job(0, 3, 5, id=0), Job(1, 2, 4, id=1), Job(2, 4, 9, id=2),
@@ -378,6 +430,58 @@ class TestKillSet:
             assert got == expected, kern
             hist = reg.snapshot()["hists"]["dinic.max_flow_ns"]
             assert 0 < hist["max"] <= wall, kern
+
+
+#: Three jobs whose denominators are primes just below 10⁶, so the base
+#: scale is ~10¹⁸ and the last interval's unit capacity ~3·10¹⁸.
+_PRIMES = (999983, 999979, 999961)
+
+
+def large_denominators() -> Instance:
+    return Instance(
+        [Job(Fraction(i, q), 1 + Fraction(1, q), 3, id=i)
+         for i, q in enumerate(_PRIMES)]
+    )
+
+
+@needs_compiler
+class TestInt64Edge:
+    """Past int64 both kernels raise; the compiled one used to wrap."""
+
+    @pytest.mark.parametrize("m, speed", [
+        (40, 1),                            # m · |E_k| in the sink growth
+        (2**64, 1),                         # the machine step itself
+        (2, Fraction(2**33 + 1, 2**33)),    # the length factor of the build
+    ], ids=["sink-capacity", "machine-step", "length-factor"])
+    def test_both_kernels_raise(self, m, speed):
+        for backend in ("dinic", "dinic_c"):
+            with pytest.raises(OverflowError):
+                migratory_feasible(large_denominators(), m, speed, backend=backend)
+
+    def test_failed_growth_leaves_the_same_buffer(self):
+        """The sink growth stops at the interval where the Python store
+        raises: earlier intervals grown, the rest untouched."""
+        caps = {}
+        for kern in ("py", "c"):
+            cache = cache_for(large_denominators())
+            with pytest.raises(OverflowError):
+                cache.solved_network(40, Fraction(1), kern)
+            network = cache._state_for(Fraction(1), kern).network
+            assert network.machines == 0
+            caps[kern] = network.dinic.cap.tobytes()
+        assert caps["py"] == caps["c"]
+        sinks = array("q", caps["c"])[0:6:2]
+        assert sinks[0] > 0 and sinks[-1] == 0
+
+    def test_fitting_machine_count_still_solves(self):
+        """The scan's values fit int64, so the native sweep builds the
+        tables, and a machine count whose capacities fit still solves."""
+        instance = large_denominators()
+        with mock.patch.object(feascache, "_sweep") as python_sweep:
+            cache_for(instance).tables
+        python_sweep.assert_not_called()
+        assert migratory_feasible(instance, 2, backend="dinic_c")
+        assert migratory_feasible(large_denominators(), 2, backend="dinic")
 
 
 class TestResolution:

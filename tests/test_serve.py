@@ -202,6 +202,9 @@ class TestHardening:
             {"instance": instance_with(1, id=0)},
             {"instance": instance_with(1, id=1.5)},
             {"instance": instance_with(1, label=3)},
+            # a bool is not a number, even where 1 is already decoded
+            {"instance": instance_with(1, release=True)},
+            {"instance": instance_with(1, processing=True)},
         ],
     )
     def test_bad_field_is_400(self, mutation):
@@ -217,6 +220,29 @@ class TestHardening:
             assert resp.json()["error"]["message"].startswith(
                 "request.instance: jobs[1]: "
             )
+
+    def test_float_decodes_like_the_model(self):
+        """``0.1`` is the instant ``Job(0.1, …)`` is, 1/10: the body equals
+        the one for ``"1/10"``, not one on a 2⁵⁵ base scale."""
+        bodies = []
+        for release in (0.1, "1/10"):
+            body = payload_for(MCNAUGHTON, m=2)
+            body["instance"] = instance_with(1, release=release)
+            resp = TestClient(make_app()).post("/v1/certify", json=body)
+            assert resp.status == 200
+            bodies.append(resp.body)
+        assert bodies[0] == bodies[1]
+
+    def test_infinite_number_is_typed_400(self):
+        raw = json.dumps(payload_for(MCNAUGHTON, m=2)).replace(
+            '"release": 0', '"release": 1e400', 1
+        ).encode()
+        assert b"1e400" in raw
+        resp = TestClient(make_app()).post("/v1/certify", data=raw)
+        assert resp.status == 400
+        error = resp.json()["error"]
+        assert error["code"] == "bad_request"
+        assert error["message"].startswith("request.instance: jobs[0]: ")
 
     def test_oversized_body_is_413(self):
         client = TestClient(make_app(max_body=256))

@@ -2,15 +2,19 @@
 
 The feasibility cache builds its network tables with one integer scan of
 the jobs (``feascache._build_tables``) and builds the ``Fraction`` interval
-lists only on demand.  The ``Fraction`` sweep it replaced lives on as
-``tests/oracles.py::reference_tables``; this module pins the two to each
-other and pins the laziness:
+lists only on demand.  The sweep after the scan runs in the compiled kernel
+(``repro_sweep``) where it is available and the values fit int64, else in
+Python (``feascache._sweep``).  The ``Fraction`` sweep they replaced lives
+on as ``tests/oracles.py::reference_tables``; this module pins both sweeps
+to it and pins the laziness:
 
 * every table field, both interval lists, ``base_scale``, ``span_length``
-  and ``total_work`` equal the reference's, on the golden corpus, on
-  generated instances and on hypothesis instances built to hit every sweep
-  case (mixed denominators, a large common offset, identical, touching and
-  nested windows, zero-laxity jobs and idle gaps);
+  and ``total_work`` equal the reference's, through either sweep, on the
+  golden corpus, on generated instances and on hypothesis instances built
+  to hit every sweep case (mixed denominators, a large common offset,
+  identical, touching and nested windows, zero-laxity jobs and idle gaps);
+* the compiled sweep builds the corpus and generated tables, and
+  ``_sweep`` those whose values pass int64;
 * the search, the bounds and ``len(tables.intervals)`` build no
   ``Fraction`` interval list, ``certify`` builds only the kept one, and the
   two lists share one tuple per kept interval whichever is built first.
@@ -18,9 +22,11 @@ other and pins the laziness:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +35,7 @@ from hypothesis import strategies as st
 from repro.generators import laminar_instance, uniform_random_instance
 from repro.model import Instance, Job
 from repro.model.io import load
+from repro.offline import feascache, kernel
 from repro.offline.feascache import cache_for
 from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound
@@ -56,29 +63,59 @@ def _built(tables):
     return tables._elementary is not None, tables._kept_pairs is not None
 
 
-def assert_tables_match(instance: Instance) -> None:
+def cold_cache(instance: Instance, compiled: bool):
+    """A cold cache with its tables built, and whether ``_sweep`` built them.
+
+    ``compiled=False`` hides the compiled kernel from the table build, so
+    ``_sweep`` runs; otherwise the build picks its sweep itself.
+    """
+    with contextlib.ExitStack() as stack:
+        spy = stack.enter_context(
+            mock.patch.object(feascache, "_sweep", wraps=feascache._sweep)
+        )
+        if not compiled:
+            stack.enter_context(
+                mock.patch.object(kernel, "available", return_value=False)
+            )
+        cache = cache_for(Instance(list(instance)))
+        cache.tables
+    return cache, spy.called
+
+
+def assert_tables_match(instance: Instance, fits_int64: bool = True) -> None:
+    """Both sweeps' tables equal the reference's.  Where the compiled
+    kernel is available and ``fits_int64`` holds, it must have built its
+    leg's tables; where the values pass int64, ``_sweep`` must have."""
     ref = oracles.reference_tables(instance)
-    for kept_first in (True, False):
-        cache = cache_for(Instance(list(instance)))  # a cold cache each pass
-        tables = cache.tables
-        for name in FIELDS:
-            got, want = getattr(tables, name), getattr(ref, name)
-            assert got == want, name
-            assert type(got) is type(want), name
-            assert getattr(got, "typecode", None) == getattr(want, "typecode", None)
-        assert len(tables.intervals) == len(ref.intervals)
-        assert cache.base_scale == ref.base_scale
-        assert cache.span_length == ref.span_length
-        assert cache.total_work == ref.total_work
-        assert cache.window_concurrency == ref.max_live
-        assert cache.zero_laxity_concurrency == ref.zero_laxity_max
-        if kept_first:
-            kept, elementary = cache.network_intervals, cache.intervals
-        else:
-            elementary, kept = cache.intervals, cache.network_intervals
-        assert kept == ref.intervals
-        assert elementary == ref.elementary
-        assert list(tables.intervals) == ref.intervals
+    legs = (False, True) if kernel.available() else (False,)
+    for compiled in legs:
+        for kept_first in (True, False):
+            cache, python_swept = cold_cache(instance, compiled)
+            if len(instance):  # an empty instance runs neither sweep
+                assert python_swept is not (compiled and fits_int64)
+            assert_cache_matches(cache, ref, kept_first)
+
+
+def assert_cache_matches(cache, ref, kept_first: bool) -> None:
+    tables = cache.tables
+    for name in FIELDS:
+        got, want = getattr(tables, name), getattr(ref, name)
+        assert got == want, name
+        assert type(got) is type(want), name
+        assert getattr(got, "typecode", None) == getattr(want, "typecode", None)
+    assert len(tables.intervals) == len(ref.intervals)
+    assert cache.base_scale == ref.base_scale
+    assert cache.span_length == ref.span_length
+    assert cache.total_work == ref.total_work
+    assert cache.window_concurrency == ref.max_live
+    assert cache.zero_laxity_concurrency == ref.zero_laxity_max
+    if kept_first:
+        kept, elementary = cache.network_intervals, cache.intervals
+    else:
+        elementary, kept = cache.intervals, cache.network_intervals
+    assert kept == ref.intervals
+    assert elementary == ref.elementary
+    assert list(tables.intervals) == ref.intervals
 
 
 @st.composite
@@ -139,7 +176,25 @@ class TestAgainstReference:
     @given(sweep_instances())
     @settings(max_examples=150, deadline=None)
     def test_sweep_cases(self, instance):
-        assert_tables_match(instance)
+        fits = instance.max_deadline * cache_for(instance).base_scale < 2**63
+        assert_tables_match(instance, fits_int64=fits)
+
+    @pytest.mark.parametrize("offset", [2**63 + 1, -(2**63) - 5])
+    def test_values_past_int64_take_the_python_sweep(self, offset):
+        jobs = [Job(offset, 2, offset + 3, id=0),
+                Job(offset + 1, Fraction(1, 3), offset + 2, id=1),
+                Job(offset + 5, 1, offset + 6, id=2)]
+        assert_tables_match(Instance(jobs), fits_int64=False)
+
+    def test_span_past_int64_takes_the_python_sweep(self):
+        """Every value fits int64, their span does not."""
+        jobs = [Job(-(2**62), 1, -(2**62) + 1, id=0),
+                Job(2**62, 1, 2**62 + 1, id=1)]
+        assert_tables_match(Instance(jobs), fits_int64=False)
+
+    def test_total_demand_past_int64_takes_the_python_sweep(self):
+        jobs = [Job(0, 2**62, 2**62, id=i) for i in range(3)]
+        assert_tables_match(Instance(jobs), fits_int64=False)
 
 
 class TestLaziness:

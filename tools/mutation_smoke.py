@@ -61,11 +61,13 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # scale, live counts, dropped intervals, per-job windows, node/edge
     # counts, EDF order) and the points of the lazy Fraction interval lists.
     # tests/test_tables.py checks them field by field against the former
-    # Fraction sweep; tests/test_sparsify.py against references built over
-    # every elementary interval (the networkx oracle and the stand-alone
-    # build).
+    # Fraction sweep, through both the compiled sweep (``_sweep_c``) and
+    # the Python one (``_sweep``, which ``auto`` no longer runs where the
+    # kernel builds, so the test forces it); tests/test_sparsify.py against
+    # references built over every elementary interval (the networkx oracle
+    # and the stand-alone build).
     "src/repro/offline/feascache.py": {
-        "_scan", "_sweep", "_build_tables", "_pairs",
+        "_scan", "_sweep", "_sweep_c", "_build_tables", "_pairs",
     },
     # The checker every feasible certificate is re-verified by: the
     # one-pass integer ``Schedule.verify`` (plus the normalization whose
@@ -103,8 +105,9 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # Compiled kernel (ISSUE 9): the ctypes ABI layer (buffer addresses,
     # error propagation, allocation sizes) and the build-cache publish
     # logic.  With ``auto`` resolving to ``dinic_c``, test_corpus alone no
-    # longer exercises the python kernel — the explicit py-vs-c equality
-    # checks in tests/test_kernel.py::TestKillSet keep both sides honest,
+    # longer exercises the python kernel (its drain included) — the
+    # explicit py-vs-c equality checks in tests/test_kernel.py::TestKillSet
+    # keep both sides honest,
     # TestBuildCache kills mutants that break the compile/cache path
     # (which would otherwise hide behind the graceful auto fallback), and
     # TestFallbackLadder those that break the typed no-compiler error.
