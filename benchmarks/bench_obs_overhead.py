@@ -6,10 +6,12 @@ This file *proves* it rather than asserting it on faith:
 
 * ``test_no_sink_overhead_vs_uninstrumented`` — A/B of the real hot loop:
   ``migratory_optimum`` at n = 1000 with the instrumented
-  :meth:`Dinic.max_flow` versus a verbatim pre-instrumentation copy of the
-  same method (kept below), interleaved best-of-R timing on identical
-  cold-cache runs.  This is a true no-obs baseline for the hottest code in
-  the repository.
+  :meth:`FeasibilityNetwork.solve` versus a verbatim copy of the same
+  method without its obs calls (kept below), interleaved best-of-R timing
+  on identical cold-cache runs.  ``solve`` holds the only obs code around
+  the kernels' ``max_flow`` (its span, the greedy counter and the
+  ``max_flow`` stats flush), so this is a true no-obs baseline for the
+  hottest code in the repository.
 * ``test_guard_cost_nanoseconds`` — the absolute per-call price of the
   disabled-path primitives (``incr`` / ``span`` / ``observe`` with no
   sink), so future instrumentation can be budgeted: call-site count ×
@@ -19,10 +21,10 @@ This file *proves* it rather than asserting it on faith:
   allocation-light: dict arithmetic on ``__slots__`` state, no per-call
   object graph.
 
-The n = 1000 A/B re-gates obs v2 as well: ``Dinic.max_flow`` now feeds
+The n = 1000 A/B re-gates obs v2 as well: ``solve`` feeds the
 ``dinic.max_flow_ns`` / ``dinic.phases_per_call`` / ``dinic.flow_per_call``
-histograms, and the baseline copy below predates all instrumentation, so
-the measured delta includes the histogram call sites.
+histograms, and the baseline copy below has no obs call at all, so the
+measured delta includes the histogram call sites.
 
 These tests do not use the ``benchmark`` fixture on purpose: the benchmark
 conftest attaches a registry to every benchmarked test, which would defeat
@@ -30,96 +32,59 @@ the point of measuring the *no-sink* path.
 """
 
 import time
-from typing import List, Optional
 
 from repro import obs
 from repro.analysis.report import print_table
 from repro.generators import uniform_random_instance
 from repro.model import Instance
-from repro.offline.dinic import KERNELS, Dinic
+from repro.offline.dinic import FeasibilityNetwork
 from repro.offline.optimum import migratory_optimum
 
 #: Accepted no-sink overhead on the end-to-end hot path (ISSUE 3: < 5%).
 MAX_OVERHEAD = 0.05
 
 
-def _baseline_max_flow(self, s: int, t: int, kernel: str = "py",
-                       limit: Optional[int] = None) -> int:
-    """Verbatim copy of the current ``Dinic.max_flow``, minus every obs call.
+def _baseline_solve(self) -> int:
+    """Verbatim copy of the current ``FeasibilityNetwork.solve``, minus
+    every obs call.
 
     Binding this in place of the instrumented method yields a true no-obs
-    build of the hot loop — the flat-buffer CSR kernel of PR 6, without
-    the PR-3 counters or the obs v2 histogram observations.  Must be kept
-    in sync with :meth:`repro.offline.dinic.Dinic.max_flow` whenever the
-    kernel itself (not its instrumentation) changes.
+    build of the hot loop — the greedy pass and the kernel's ``max_flow`` —
+    without the span, the counters or the obs v2 histogram observations.
+    Must be kept in sync with
+    :meth:`repro.offline.dinic.FeasibilityNetwork.solve` whenever the
+    solve itself (not its instrumentation) changes.
     """
-    self.finalize()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    if limit is not None and limit <= 0:
-        return 0
-    to, cap, head, elist = self.to, self.cap, self._head, self._elist
-    it = self._it
-    added = 0
-    while True:
-        level = self._bfs_py(s, t)
-        if level[t] < 0:
-            return added
-        it[:] = head[: self.n]
-        path: List[int] = []
-        u = s
-        while True:
-            if u == t:
-                aug = min(cap[e] for e in path)
-                added += aug
-                for e in path:
-                    cap[e] -= aug
-                    cap[e ^ 1] += aug
-                if limit is not None and added >= limit:
-                    return added
-                cut = next(i for i, e in enumerate(path) if not cap[e])
-                del path[cut + 1 :]
-                e = path.pop()
-                u = to[e ^ 1]
-                it[u] += 1
-                continue
-            i = it[u]
-            end = head[u + 1]
-            lu = level[u] + 1
-            e = -1
-            while i < end:
-                e = elist[i]
-                v = to[e]
-                if cap[e] and level[v] == lu:
-                    break
-                i += 1
-            it[u] = i
-            if i < end:
-                path.append(e)
-                u = v
-            elif path:
-                level[u] = -1
-                e = path.pop()
-                u = to[e ^ 1]
-                it[u] += 1
-            else:
-                break
+    kern = self.kernel
+    remaining = self.total_demand - self.flow
+    if remaining:
+        remaining -= kern.greedy_blocking(
+            len(self.job_ids), self._edf, self._k0, self._k1,
+            self._src, self.cap,
+        )
+        if remaining:
+            remaining -= kern.max_flow(
+                self.n_nodes, self.to, self.head, self.elist,
+                self.cap, self.SOURCE, self.SINK, remaining,
+            )
+        self.flow = self.total_demand - remaining
+    return self.flow
 
 
 def _time_optimum(jobs, rounds: int, use_baseline: bool) -> float:
     """Best-of-``rounds`` seconds for a cold-cache optimum computation."""
-    instrumented = Dinic.max_flow
+    instrumented = FeasibilityNetwork.solve
     best = float("inf")
     try:
         if use_baseline:
-            Dinic.max_flow = _baseline_max_flow
+            FeasibilityNetwork.solve = _baseline_solve
         for _ in range(rounds):
             inst = Instance(jobs)  # fresh instance: cold cache each round
             t0 = time.perf_counter()
             migratory_optimum(inst, backend="dinic")
             best = min(best, time.perf_counter() - t0)
     finally:
-        Dinic.max_flow = instrumented
+        FeasibilityNetwork.solve = instrumented
     return best
 
 
@@ -140,7 +105,7 @@ def test_no_sink_overhead_vs_uninstrumented():
         "E-OBS no-sink overhead (migratory_optimum, n=1000, best-of-8)",
         ["variant", "seconds", "overhead"],
         [
-            ("uninstrumented max_flow", round(t_base, 4), "baseline"),
+            ("uninstrumented solve", round(t_base, 4), "baseline"),
             ("instrumented, no sink", round(t_instr, 4), f"{overhead:+.2%}"),
         ],
     )

@@ -7,7 +7,7 @@ from .nonpreemptive import (
     single_machine_np_schedule,
 )
 from .migration_elimination import eliminate_migration, majority_machine, theorem2_blowup
-from .dinic import Dinic, FeasibilityNetwork
+from .dinic import FeasibilityNetwork
 from .feascache import CacheStats, FeasibilityCache, cache_for
 from .flow import (
     BACKENDS,
@@ -43,7 +43,6 @@ from .workload import (
 )
 
 __all__ = [
-    "Dinic",
     "FeasibilityNetwork",
     "CacheStats",
     "FeasibilityCache",

@@ -16,20 +16,20 @@ itself (instances are immutable, so nothing can invalidate the memo):
   sweep (native where the compiled kernel loads): the base scale,
   sparsified event intervals, per-job interval ranges, base-scaled lengths
   and demands, the EDF probe order, window concurrency and span, and —
-  after the first build — the shared CSR topology, so a second speed (or
-  kernel) costs one capacity array instead of a graph construction,
+  after the first build — each kernel's shared CSR topology, so a second
+  speed costs one capacity array instead of a graph construction,
 * ``intervals`` / ``network_intervals`` — the elementary and the kept
   ``(a, b)`` ``Fraction`` pairs, built from the jobs' own ``Fraction``
   objects only when extraction, a certificate or the workload
   characterization asks (one tuple per kept interval, shared by both),
-* ``verdicts`` — resolved ``(m, speed, kernel)`` answers, shared by every
-  caller that probes the same instance,
 * per-``(speed, kernel)`` :class:`~repro.offline.dinic.FeasibilityNetwork`
   solvers with snapshot/restore, so a binary search's non-monotone probe
   sequence costs one network build plus warm-started residual pushes
   (growing ``m`` only bumps sink capacities; shrinking drains the excess
-  flow in place, natively on the compiled kernel; revisiting a probed
-  ``m`` restores its snapshot).
+  flow in place; revisiting a probed ``m`` restores its snapshot).  Each
+  probed ``m``'s post-solve snapshot is also its verdict (its flow against
+  the total demand), shared by every caller that probes the same
+  instance.
 
 The network is built over the *sparsified* event intervals: elementary
 intervals whose live-job set is empty are dropped — they carry no job arc,
@@ -53,7 +53,7 @@ list push its pending count past a quarter of the objects the instance
 keeps alive, which triggers a full (generation-2) collection.
 ``tests/test_tables.py`` checks the tables field by field against the
 ``Fraction`` sweep kept as ``tests/oracles.py::reference_tables``, through
-both the compiled sweep and :func:`_sweep`, and pins the laziness.
+both kernels' sweeps, and pins the laziness.
 
 ``stats`` counts probes/hits so tests can pin the ``O(log(hi − lo))``
 probe-complexity contract and the cross-caller cache behaviour.
@@ -67,13 +67,12 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, compress
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..model.instance import Instance
 from ..model.job import Job
 from ..obs import core as _obs
-from . import kernel as _ckernel
+from . import kernel as _kernel
 from .dinic import FeasibilityNetwork
 
 _EMPTY_I = array("i")
@@ -90,7 +89,7 @@ class CacheStats:
     """
 
     probes: int = 0  # feasibility questions answered by a flow computation
-    verdict_hits: int = 0  # answered from the (m, speed) memo
+    verdict_hits: int = 0  # answered from a probed m's snapshot
     network_builds: int = 0  # cold FeasibilityNetwork constructions
     restores: int = 0  # snapshot restores (probe below current m)
 
@@ -114,10 +113,11 @@ class NetworkTables:
     jobs (:func:`_build_tables`); per speed only two integer multipliers
     remain (``base_scale → scale`` for demands, ``· speed`` for
     capacities), so a network build is pure integer array work.
-    ``topology`` starts ``None`` and is filled by the first
-    :class:`~repro.offline.dinic.FeasibilityNetwork` build with the shared
-    immutable CSR arrays ``(to, head, elist)``; later builds (other speeds,
-    the other kernel) reuse them and only allocate a capacity array.
+    ``topology`` maps a kernel name to the shared immutable CSR arrays
+    ``(to, head, elist)`` its first
+    :class:`~repro.offline.dinic.FeasibilityNetwork` build wrote; later
+    builds on that kernel (other speeds) reuse them and only allocate a
+    capacity array.
 
     The ``Fraction`` interval lists are lazy: :meth:`kept_intervals` and
     :meth:`elementary_intervals` build them from the jobs' own ``Fraction``
@@ -142,8 +142,7 @@ class NetworkTables:
         "total_demand_base",
         "span_base",       # (last event − first event) · base_scale
         "base_scale",
-        "topology",        # None | (to, head, elist) as plain lists
-        "topology_c",      # None | the same CSR as int32 arrays ("c" kernel)
+        "topology",        # kernel name → its (to, head, elist)
         "_elementary",     # None | the elementary (a, b) Fraction pairs
         "_kept_pairs",     # None | the kept (a, b) Fraction pairs
     )
@@ -244,85 +243,6 @@ def _scan(jobs: Sequence[Job]) -> Tuple[int, List[int], List[int], List[int]]:
     )
 
 
-def _sweep(
-    t: NetworkTables, rel: List[int], dem: List[int], dl: List[int]
-) -> None:
-    """Fill ``t``'s tables from base-scaled ``r``, ``p`` and ``d`` (n ≥ 1).
-
-    Plain ints throughout: sorted unique event points, live and
-    zero-laxity counts by prefix sums, the kept intervals (those with a
-    live job), each job's kept window and source arc, and the EDF order.
-    """
-    n = len(rel)
-    points = sorted({*rel, *dl})
-    at = dict(zip(points, range(len(points))))
-    i0s = [at[x] for x in rel]
-    i1s = [at[x] for x in dl]
-    m_el = len(points) - 1
-    # Difference arrays over elementary intervals: a job is live in
-    # [i0, i1), and zero-laxity when its window is exactly p_j long.
-    live = [0] * len(points)
-    zero = [0] * len(points)
-    for i0, i1, r, p, d in zip(i0s, i1s, rel, dem, dl):
-        live[i0] += 1
-        live[i1] -= 1
-        if d - r == p:
-            zero[i0] += 1
-            zero[i1] -= 1
-    live = list(accumulate(live))
-    # No live job: no arc can ever reach the interval, so it is dropped.
-    kept = list(compress(range(m_el), live))
-    # rank[k]: kept intervals before elementary interval k.  A job is live
-    # throughout [i0, i1), so both ends of its window are kept.
-    rank = list(accumulate(map(bool, live), initial=0))
-    k0s = [rank[i] for i in i0s]
-    k1s = [rank[i] for i in i1s]
-    srcs: List[int] = []
-    acc = 2 * len(kept)  # sink arcs occupy edge ids [0, 2K)
-    for k0, k1 in zip(k0s, k1s):
-        srcs.append(acc)
-        acc += 2 * (1 + k1 - k0)  # source arc + window arcs, paired ids
-    t.kept = array("i", kept)
-    t.len_base = array("q", [points[k + 1] - points[k] for k in kept])
-    t.demand_base = array("q", dem)
-    t.k0, t.k1, t.src = array("i", k0s), array("i", k1s), array("i", srcs)
-    # Jobs come in release order, so k0 never decreases with the index and
-    # a stable sort on k1 alone yields the (k1, k0, idx) order.
-    t.edf = array("i", sorted(range(n), key=k1s.__getitem__))
-    t.n_nodes = 2 + n + len(kept)
-    t.n_edges = acc // 2
-    t.elementary_count = m_el
-    t.dropped = m_el - len(kept)
-    t.max_live = max(live)
-    t.zero_laxity_max = max(accumulate(zero))
-    t.total_demand_base = sum(dem)
-    t.span_base = points[-1] - points[0]
-
-
-def _sweep_c(
-    t: NetworkTables, rel: List[int], dem: List[int], dl: List[int]
-) -> bool:
-    """:func:`_sweep` in the compiled kernel (``repro_sweep``), same tables.
-
-    Returns ``False``, and fills nothing, when a value, the span or the
-    total demand passes int64: those tables need Python ints.
-    """
-    try:
-        r, p, d = array("q", rel), array("q", dem), array("q", dl)
-    except OverflowError:
-        return False
-    swept = _ckernel.load().sweep(r, p, d)
-    if swept is None:
-        return False
-    (t.kept, t.len_base, t.k0, t.k1, t.src, t.edf, t.elementary_count,
-     t.n_edges, t.max_live, t.zero_laxity_max, t.total_demand_base,
-     t.span_base) = swept
-    t.demand_base = p
-    t.n_nodes = 2 + len(rel) + len(t.kept)
-    t.dropped = t.elementary_count - len(t.kept)
-    return True
-
-
 def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
     """The network tables of a job tuple: one integer scan, one integer sweep.
 
@@ -330,11 +250,11 @@ def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
     numerators and denominators once, and everything after it runs on
     base-scaled ints.  The sweep runs in the compiled kernel wherever that
     kernel is available (the test ``backend="auto"`` makes) and the data
-    fit int64, else in Python; both write the same tables.
+    fit int64, else in the ``py`` kernel; both return the same tables.
     """
     t = NetworkTables()
     t.jobs = jobs
-    t.topology = t.topology_c = None
+    t.topology = {}
     t._elementary = t._kept_pairs = None
     t.base_scale, rel, dem, dl = _scan(jobs)
     if not rel:
@@ -345,8 +265,24 @@ def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
         t.max_live = t.zero_laxity_max = 0
         t.total_demand_base = t.span_base = 0
         return t
-    if not (_ckernel.available() and _sweep_c(t, rel, dem, dl)):
-        _sweep(t, rel, dem, dl)
+    swept = None
+    if _kernel.available():
+        try:
+            r, p, d = array("q", rel), array("q", dem), array("q", dl)
+        except OverflowError:
+            pass  # a value past int64: the py sweep runs on Python ints
+        else:
+            # None when the span or the total demand passes int64.
+            swept = _kernel.load().sweep(r, p, d)
+    if swept is None:
+        swept = _kernel.py.sweep(rel, dem, dl)
+        p = array("q", dem)
+    (t.kept, t.len_base, t.k0, t.k1, t.src, t.edf, t.elementary_count,
+     t.n_edges, t.max_live, t.zero_laxity_max, t.total_demand_base,
+     t.span_base) = swept
+    t.demand_base = p
+    t.n_nodes = 2 + len(rel) + len(t.kept)
+    t.dropped = t.elementary_count - len(t.kept)
     return t
 
 
@@ -366,7 +302,7 @@ class _SpeedState:
 class FeasibilityCache:
     """Instance-lifetime memo for Horn's feasibility flow."""
 
-    __slots__ = ("jobs", "_tables", "_verdicts", "_speed_states", "stats")
+    __slots__ = ("jobs", "_tables", "_speed_states", "stats")
 
     def __init__(self, instance: Instance) -> None:
         # The job tuple, not the instance: the instance holds this cache,
@@ -374,7 +310,6 @@ class FeasibilityCache:
         # collection frees, and a warm serve pool evicts instances often.
         self.jobs = instance.jobs
         self._tables: Optional[NetworkTables] = None
-        self._verdicts: Dict[Tuple[int, Fraction, str], bool] = {}
         self._speed_states: Dict[Tuple[Fraction, str], _SpeedState] = {}
         self.stats = CacheStats()
 
@@ -493,19 +428,24 @@ class FeasibilityCache:
                 network.solve()
             state.snapshots[m] = network.snapshot()
             self.stats.bump("probes")
-            self._verdicts[(m, speed, kernel)] = network.feasible
         return network
 
     def feasible(self, m: int, speed: Fraction, kernel: str = "py") -> bool:
-        """Memoized feasibility verdict, warm-starting across probes."""
+        """Memoized feasibility verdict, warm-starting across probes.
+
+        A probed ``m``'s snapshot holds its post-solve flow, so comparing
+        it with the total demand answers again without touching the
+        network.
+        """
         if not self.jobs:
             return True
         if m <= 0:
             return False
-        cached = self._verdicts.get((m, speed, kernel))
-        if cached is not None:
+        state = self._speed_states.get((speed, kernel))
+        snap = state.snapshots.get(m) if state is not None else None
+        if snap is not None:
             self.stats.bump("verdict_hits")
-            return cached
+            return snap[2] == state.network.total_demand
         return self.solved_network(m, speed, kernel).feasible
 
 

@@ -18,19 +18,21 @@ explicit migratory :class:`~repro.model.schedule.Schedule` by McNaughton's
 wrap-around rule inside each elementary interval, run on the flow's own
 integer ticks.
 
-Two interchangeable Dinic kernels answer the flow question (the default
+Both backends run the flat-buffer network of :mod:`repro.offline.dinic`,
+fed by the per-instance memo in :mod:`repro.offline.feascache` (event
+intervals, scales, and verdicts are computed once per instance;
+feasibility probes warm-start each other).  They differ only in the kernel
+the network calls — two implementations of one interface (the default
 ``"auto"`` resolves to the fastest one available — see
 :func:`resolve_backend`):
 
-* ``"dinic"`` — the flat-array solver in :mod:`repro.offline.dinic`, fed by
-  the per-instance memo in :mod:`repro.offline.feascache` (event intervals,
-  scales, and verdicts are computed once per instance; feasibility probes
-  warm-start each other); the fallback without a compiler and the
-  bit-identity reference for the compiled kernel;
-* ``"dinic_c"`` — the compiled kernel of :mod:`repro.offline.kernel`: the
-  whole blocking-flow loop (plus the greedy pass, the topology build, the
+* ``"dinic"`` — the pure-Python ``py`` kernel (:mod:`repro.offline.kernel.py`);
+  the fallback without a compiler and the bit-identity reference for the
+  compiled kernel;
+* ``"dinic_c"`` — the compiled ``c`` kernel of :mod:`repro.offline.kernel`:
+  the blocking-flow loop, the greedy pass, the topology build, the
   capacity fill, the sink growth of upward probes and the drain of
-  downward ones) runs natively over the same zero-copy buffers,
+  downward ones run natively over the same zero-copy buffers,
   bit-identical again.  Lazily compiled at first use and unavailable
   (gracefully) when no C compiler or cached build exists.  Where it loads,
   the per-instance table sweep runs natively too, whichever backend asks.
@@ -62,11 +64,8 @@ BACKENDS = ("dinic", "dinic_c")
 #: (``dinic_c`` → ``dinic``); see :func:`resolve_backend`.
 DEFAULT_BACKEND = "auto"
 
-#: Backends and the level-graph kernel each one selects.
+#: Backends and the kernel (:func:`repro.offline.kernel.get`) each one runs.
 _DINIC_KERNELS = {"dinic": "py", "dinic_c": "c"}
-
-#: Inverse map: kernel name → backend name (used by the auto resolution).
-_KERNEL_BACKENDS = {"py": "dinic", "c": "dinic_c"}
 
 
 def _check_backend(backend: str) -> None:
@@ -91,9 +90,9 @@ def resolve_backend(backend: str = DEFAULT_BACKEND) -> str:
     than silently degrading an explicit request.
     """
     if backend == "auto":
-        from .kernel import best_kernel
+        from .kernel import available
 
-        return _KERNEL_BACKENDS[best_kernel()]
+        return "dinic_c" if available() else "dinic"
     _check_backend(backend)
     return backend
 

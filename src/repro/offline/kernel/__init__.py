@@ -1,16 +1,22 @@
-"""The compiled Dinic kernel: lazy codegen build with graceful fallback.
+"""The Dinic kernels: one interface, a Python and a compiled implementation.
+
+A kernel is an object with the eight entry points the feasibility network
+calls (``max_flow``, ``greedy_blocking``, ``build_topology``,
+``scale_caps``, ``fill_caps``, ``grow_sinks``, ``drain``, ``sweep``) and a
+``name``: the :mod:`~repro.offline.kernel.py` module (``"py"``) or the
+compiled :class:`~repro.offline.kernel.abi.DinicCKernel` (``"c"``), which
+mirrors it step for step over the same buffers.
 
 Public surface:
 
+* :func:`get` — the kernel called ``"py"`` or ``"c"``; the one place a
+  kernel name turns into a kernel.
 * :func:`load` — the process-wide :class:`~repro.offline.kernel.abi.DinicCKernel`
   (compiled on first use, then dlopen'ed from the content-addressed cache);
   raises :class:`KernelUnavailable` when it cannot be provided.
 * :func:`available` — ``True`` iff :func:`load` would succeed (memoized,
-  including the negative answer).
-* :func:`best_kernel` — the fastest usable kernel name for
-  :meth:`repro.offline.dinic.Dinic.max_flow`: ``"c"`` when the compiled
-  kernel loads, else ``"py"``.  This is the resolution ladder behind
-  ``backend="auto"``.
+  including the negative answer).  ``backend="auto"`` resolves to
+  ``dinic_c`` exactly when it holds.
 * :func:`build_info` — how the kernel was provided (cache hit, compiler,
   object path, content key), surfaced by ``repro stats``.
 * :func:`reset` — drop the memoized state (tests flip the env knobs).
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from . import py
 from .abi import DinicCKernel
 from .build import (
     CACHE_ENV,
@@ -42,8 +49,8 @@ __all__ = [
     "DinicCKernel",
     "KernelUnavailable",
     "available",
-    "best_kernel",
     "build_info",
+    "get",
     "load",
     "reset",
     "CACHE_ENV",
@@ -90,9 +97,18 @@ def available() -> bool:
     return True
 
 
-def best_kernel() -> str:
-    """The fastest usable kernel name: ``"c"`` → ``"py"``."""
-    return "c" if available() else "py"
+def get(name: str):
+    """The kernel called ``name``: ``"py"`` or ``"c"``.
+
+    ``"py"`` is the :mod:`~repro.offline.kernel.py` module; ``"c"`` is the
+    compiled kernel (:func:`load`, which raises :class:`KernelUnavailable`
+    where it cannot be provided).
+    """
+    if name == "py":
+        return py
+    if name == "c":
+        return load()
+    raise ValueError(f"unknown kernel {name!r}; expected one of ('py', 'c')")
 
 
 def build_info() -> Dict[str, Any]:

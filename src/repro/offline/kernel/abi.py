@@ -1,17 +1,18 @@
 """ctypes bindings over the compiled kernel: zero-copy on the live buffers.
 
+:class:`DinicCKernel` has the interface of the ``py`` kernel
+(:mod:`repro.offline.kernel.py`): the same eight entry points, arguments
+and results, over int32 topology arrays where that kernel reads lists.
 Every exported function takes raw buffer addresses obtained from
-``array.buffer_info()`` — no marshalling, no copies.  That is what keeps
-the warm-start machinery intact across kernels: the C code mutates the
-*same* ``array('q')`` capacity buffer that ``FeasibilityNetwork``
-snapshots (``cap.tobytes()``), restores (memoryview slice assignment, in
-place), and drains, so a probe may freely mix compiled and interpreted
-steps on one network.
+``array.buffer_info()`` — no marshalling, no copies: the C code mutates
+the *same* ``array('q')`` capacity buffer that ``FeasibilityNetwork``
+snapshots (``cap.tobytes()``) and restores (memoryview slice assignment,
+in place).
 
 The address of an ``array``'s buffer is stable for the lifetime of the
-object as long as its *length* never changes — the solver's contract after
-``finalize()`` (topology frozen, only capacity values change) — so
-addresses are taken per call without pinning.
+object as long as its *length* never changes — the network's contract
+once built (topology fixed, only capacity values change) — so addresses
+are taken per call without pinning.
 
 Integer arguments that grow with the data are checked against int64
 before the call (ctypes truncates a larger Python int silently), and the C
@@ -79,6 +80,9 @@ class DinicCKernel:
     raises the C side's status codes as Python errors.
     """
 
+    #: The name :func:`repro.offline.kernel.get` knows this kernel by.
+    name = "c"
+
     __slots__ = ("lib", "path", "_max_flow", "_greedy", "_topology",
                  "_scale_caps", "_fill_caps", "_grow_sinks", "_drain",
                  "_sweep")
@@ -125,18 +129,22 @@ class DinicCKernel:
 
     def max_flow(
         self, n: int, to: array, head: array, elist: array, cap: array,
-        s: int, t: int, limit: int, stats: Optional[array] = None,
+        s: int, t: int, limit: Optional[int] = None,
+        stats: Optional[array] = None,
     ) -> int:
         """Flow added from ``s`` to ``t`` on the current residual.
 
-        ``limit < 0`` runs to disconnection; ``stats`` (an ``array('q')``
-        of length >= 3) receives ``(phases, paths, retreats)`` when given.
-        A limit past int64 is no bound for an int64 flow, so it runs to
-        disconnection too.
+        ``limit=None`` runs to disconnection, a ``limit`` of at most 0
+        returns 0 at once; ``stats`` (an ``array('q')`` of length >= 3)
+        receives ``(phases, paths, retreats)`` when given.  A limit past
+        int64 is no bound for an int64 flow, so it runs to disconnection
+        too.
         """
         _require("i", to, head, elist)
         _require("q", cap)
-        if limit not in _INT64:
+        if limit is not None and limit <= 0:
+            return 0
+        if limit is None or limit not in _INT64:
             limit = -1
         added = self._max_flow(
             n, _addr(to), _addr(head), _addr(elist), _addr(cap),
@@ -220,7 +228,7 @@ class DinicCKernel:
         return drained
 
     def sweep(self, r: array, p: array, d: array) -> Optional[tuple]:
-        """The table sweep of ``feascache._sweep`` over int64 job data.
+        """The table sweep of the ``py`` kernel's ``sweep`` over int64 job data.
 
         ``r``, ``p``, ``d``: the base-scaled releases (in order),
         processing times and deadlines of ``n >= 1`` jobs.  Returns

@@ -6,28 +6,32 @@ string plus :data:`ABI_VERSION`, which means an edit here (or an ABI bump)
 transparently invalidates every stale shared object without any version
 bookkeeping.  See :mod:`repro.offline.kernel.build`.
 
-The C code mirrors the pure-Python reference in
-:mod:`repro.offline.dinic` **step for step** — the depth-synchronized BFS
-(the whole frontier of the depth that reaches ``t`` is finished before the
-search stops), the iterative current-arc DFS, the retreat to the
+The C code mirrors the pure-Python ``py`` kernel,
+:mod:`repro.offline.kernel.py`, **step for step** — the depth-synchronized
+BFS (the whole frontier of the depth that reaches ``t`` is finished before
+the search stops), the iterative current-arc DFS, the retreat to the
 shallowest saturated edge after an augment, and the dead-end
 ``level[u] = -1`` pruning — so the flows it produces are bit-identical to
 the ``py`` kernel's, not merely maximum.  ``tests/test_kernel.py`` pins
 that equality byte for byte, and ``tests/test_sparsify.py`` also on the
 unsparsified network.
 
-Eight functions are exported: the blocking-flow loop, the greedy pass,
-the topology build, the capacity scale/fill/grow helpers, the drain of a
-downward probe (``repro_drain``, the twin of
-``FeasibilityNetwork._drain``) and the table sweep (``repro_sweep``, the
-twin of ``feascache._sweep``).  The twins are mirrored just as closely, so
-tables and drained buffers are byte-identical too.
+Eight functions are exported, one per entry point of the ``py`` kernel:
+the blocking-flow loop (``max_flow``), the greedy pass
+(``greedy_blocking``), the topology build (``build_topology``), the
+capacity scale/fill/grow helpers (``scale_caps``, ``fill_caps``,
+``grow_sinks``), the drain of a downward probe (``repro_drain``, the twin
+of ``drain``) and the table sweep (``repro_sweep``, the twin of
+``sweep``).  They are mirrored just as closely, so tables and drained
+buffers are byte-identical too.  (The comments inside the C source keep
+the names these functions had when it was written; the source is the
+build-cache key, so it is left byte for byte as it is.)
 
 Buffer ABI (shared with the Python side, all zero-copy):
 
 * ``cap`` — the live ``array('q')`` capacity buffer (int64).  The reverse
   edge of ``e`` is ``e ^ 1``; forward edges are even.  This is the *same*
-  buffer ``FeasibilityNetwork`` snapshots, restores, and drains.
+  buffer ``FeasibilityNetwork`` owns, snapshots and restores.
 * ``to`` / ``head`` / ``elist`` — the immutable CSR topology as int32
   arrays (``head`` offsets into ``elist``; ``elist[head[u]:head[u+1]]``
   are node ``u``'s incident edge ids in ascending order).

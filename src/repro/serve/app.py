@@ -12,7 +12,9 @@ Request lifecycle (the hardening ladder, in order):
 2. **size** — body larger than ``max_body`` → 413 before any parsing,
 3. **parse** — invalid JSON, wrong shapes, malformed instances (via
    :class:`~repro.model.io.InstanceFormatError`) → typed 400 naming the
-   offending field; nothing is half-processed,
+   offending field; nothing is half-processed (an instance too large for
+   the flow kernels' exact int64 arithmetic is a typed 400 as well, raised
+   once the computation meets the limit),
 4. **deadline** — compute endpoints run on a bounded thread pool with
    ``future.result(timeout=…)``; an overrun returns 503 +
    ``Retry-After`` *within the deadline* instead of hanging the client
@@ -70,6 +72,18 @@ ROUTES: Tuple[Tuple[str, str, str], ...] = (
 _TENANT_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
 )
+
+
+def _past_int64() -> BadRequest:
+    """The 400 for an instance the flow kernels cannot hold exactly.
+
+    The message is fixed, not the ``OverflowError``'s own, so a body does
+    not depend on which kernel or step met the limit first.
+    """
+    return BadRequest(
+        "instance too large for exact flow arithmetic: a scaled time, "
+        "capacity or total demand passes the int64 limit 2**63 - 1"
+    )
 
 
 @dataclass
@@ -297,7 +311,10 @@ class ServeApp:
             raise BadRequest('"m" must be an integer machine count in [0, 1e6]')
         warm, lock = self.cache_pool.get(tenant, instance)
         with lock:
-            cert = certify(warm, m, speed, backend=backend)
+            try:
+                cert = certify(warm, m, speed, backend=backend)
+            except OverflowError:
+                raise _past_int64() from None
         payload = cert.to_dict()
         payload.pop("cache_stats", None)  # warmth-dependent: never in responses
         return Response(200, payload)
@@ -310,6 +327,8 @@ class ServeApp:
         with lock:
             try:
                 co = certified_optimum(warm, speed, backend=backend)
+            except OverflowError:
+                raise _past_int64() from None
             except Unsatisfiable as exc:
                 witness = exc.certificate.to_dict()
                 witness.pop("cache_stats", None)

@@ -492,7 +492,6 @@ def reference_build_tables(
     t.elementary_count = m_el
     t.base_scale = base_scale
     t.topology = None
-    t.topology_c = None
     if n == 0:
         t.intervals = []
         t.len_base = _EMPTY_Q

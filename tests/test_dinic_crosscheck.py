@@ -8,11 +8,14 @@ random, laminar, and agreeable instances, with fractional data and speeds
 below 1, and that the oracle's own certificates — its flow as a schedule,
 its minimum cut as a Theorem 1 witness — pass the solver-independent
 checker.  When the compiled kernel is available, ``dinic_c`` joins the
-cross-check and must reproduce the python kernel's work map exactly.
+cross-check and must reproduce the python kernel's work map exactly, and
+on large-denominator instances at the int64 edge (``TestInt64Edge``) the
+two kernels must give the same verdict or both raise ``OverflowError``.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +53,43 @@ def fractional_instances_st(draw, max_size: int = 6):
         slack = Fraction(draw(st.integers(0, 16)), denom)
         jobs.append(Job(release, processing, release + processing + slack, id=i))
     return Instance(jobs)
+
+
+#: The eight largest primes below 10⁶.
+PRIMES_1E6 = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
+
+
+@st.composite
+def large_denominator_instances_st(draw, max_size: int = 6):
+    """Jobs whose denominators are 1 or one to three of :data:`PRIMES_1E6`.
+
+    Three such primes make a base scale near 10¹⁸: the scaled times of
+    these short windows still fit int64, while the total demand of a few
+    jobs may not — the int64 edge, where the kernels must still agree.
+    """
+    primes = draw(
+        st.lists(st.sampled_from(PRIMES_1E6), min_size=1, max_size=3, unique=True)
+    )
+    denominators = st.sampled_from((1, *primes))
+    jobs = []
+    for i in range(draw(st.integers(1, max_size))):
+        q = draw(denominators)
+        release = Fraction(draw(st.integers(0, 2 * q)), q)
+        q = draw(denominators)
+        processing = Fraction(draw(st.integers(q, 4 * q)), q)
+        q = draw(denominators)
+        slack = Fraction(draw(st.integers(0, q)), q)
+        jobs.append(Job(release, processing, release + processing + slack, id=i))
+    return Instance(jobs)
+
+
+def cold_verdict(instance: Instance, m: int, backend: str):
+    """``migratory_feasible`` on a cold copy of ``instance``, or
+    ``OverflowError`` when it raises one."""
+    try:
+        return migratory_feasible(Instance(list(instance)), m, backend=backend)
+    except OverflowError:
+        return OverflowError
 
 
 def assert_backends_agree(instance: Instance, m: int, speed: Fraction) -> None:
@@ -147,3 +187,16 @@ class TestOptimumAgrees:
         assert migratory_optimum(inst, speed, backend="dinic_c") == (
             migratory_optimum(inst, speed, backend="dinic")
         )
+
+
+@pytest.mark.skipif(not _kernel.available(), reason="no compiled kernel")
+class TestInt64Edge:
+    @given(large_denominator_instances_st())
+    @settings(max_examples=100, deadline=None)
+    def test_kernels_agree_or_both_overflow(self, inst):
+        """One answer per instance at every m from 1 to n + 1: the same
+        verdict on both kernels, or ``OverflowError`` on both."""
+        for m in range(1, len(inst) + 2):
+            assert cold_verdict(inst, m, "dinic") == cold_verdict(
+                inst, m, "dinic_c"
+            ), m

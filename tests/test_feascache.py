@@ -175,12 +175,12 @@ class TestSnapshotRestore:
         cache = cache_for(inst)
         hi = window_concurrency(inst)
         network = cache.solved_network(hi, Fraction(1))
-        cap_before = network.dinic.cap
+        cap_before = network.cap
         snap = network.snapshot()
         cache.solved_network(max(1, hi - 1), Fraction(1))
         network.restore(snap)
         # Same array object: restore writes through a memoryview in place.
-        assert network.dinic.cap is cap_before
+        assert network.cap is cap_before
         assert network.snapshot()[1] == snap[1]
 
     def test_restored_state_is_byte_identical(self):

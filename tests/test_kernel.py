@@ -7,10 +7,10 @@ Four angles on ``repro.offline.kernel``:
   hit, no compiler), and a warm cache keeps working after the compiler
   disappears.
 * **Fallback ladder** — with no compiler and a cold cache (or with
-  ``REPRO_DINIC_C=off``) the kernel reports unavailable, ``best_kernel``
-  steps down to the interpreted kernels, ``auto`` resolves past
-  ``dinic_c``, and the solver stack keeps answering; only an *explicit*
-  ``backend="dinic_c"`` request surfaces :class:`KernelUnavailable`.
+  ``REPRO_DINIC_C=off``) the kernel reports unavailable,
+  ``kernel.get("c")`` raises, ``auto`` resolves past ``dinic_c``, and the
+  solver stack keeps answering; only an *explicit* ``backend="dinic_c"``
+  request surfaces :class:`KernelUnavailable`.
 * **Bit-identity** — the C kernel is the same algorithm as the python
   kernel on the same buffers, so its residual capacity array (not just the
   flow value) must match byte for byte, on random CSR graphs and through
@@ -42,8 +42,8 @@ from repro import obs
 from repro.generators import uniform_random_instance
 from repro.model import Instance, Job
 from repro.model.io import load
-from repro.offline import feascache, kernel
-from repro.offline.dinic import Dinic, FeasibilityNetwork, _feasibility_topology
+from repro.offline import kernel
+from repro.offline.dinic import FeasibilityNetwork, _csr
 from repro.offline.feascache import cache_for
 from repro.offline.flow import (
     available_backends,
@@ -52,9 +52,9 @@ from repro.offline.flow import (
 )
 from repro.offline.kernel import KernelUnavailable
 from repro.offline.kernel.codegen import ABI_VERSION, source_hash
-from repro.offline.optimum import window_concurrency
+from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound
-from repro.verify import Unsatisfiable, certified_optimum
+from repro.verify import Unsatisfiable, certified_optimum, certify
 
 from tests.strategies import instances_st
 
@@ -104,19 +104,30 @@ def kernel_memo():
 
 
 def random_csr(rng: random.Random, n: int, arcs: int):
-    """A random small flow network in the Dinic builder's CSR form."""
-    d = Dinic(n)
+    """A random small flow network in CSR form: ``[n, to, head, elist,
+    cap]`` as the ``py`` kernel reads them (paired edges, reverse at
+    ``e ^ 1``)."""
+    to, caps = [], []
     for _ in range(arcs):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
-            d.add_edge(u, v, rng.randrange(0, 9))
-    d.finalize()
-    return d
+            to += (v, u)
+            caps += (rng.randrange(0, 9), 0)
+    head, elist = _csr(n, to)
+    return [n, to, head, elist, array("q", caps)]
 
 
-def clone(d: Dinic) -> Dinic:
-    """A solver over the same (shared) topology with a private cap copy."""
-    return Dinic.from_csr(d.n, d.to, array("q", d.cap), d._head, d._elist)
+def clone(d: list) -> list:
+    """The same network as the compiled kernel reads it: int32 topology
+    and a private cap copy."""
+    n, to, head, elist, cap = d
+    return [n, array("i", to), array("i", head), array("i", elist),
+            array("q", cap)]
+
+
+def max_flow(d: list, s: int, t: int, name: str, limit=None) -> int:
+    """One ``max_flow`` call of the kernel called ``name`` on ``d``."""
+    return kernel.get(name).max_flow(*d, s, t, limit)
 
 
 def downward_probes(instance: Instance, speed: Fraction) -> list:
@@ -137,7 +148,7 @@ def probe_trail(instance: Instance, speed: Fraction, kern: str, probes) -> list:
         for m in probes:
             net = cache.solved_network(m, speed, kern)
             drained = reg.snapshot()["counters"].get("dinic.flow_drained", 0)
-            trail.append((net.flow, net.dinic.cap.tobytes(), drained))
+            trail.append((net.flow, net.cap.tobytes(), drained))
     return trail
 
 
@@ -207,7 +218,8 @@ class TestFallbackLadder:
         with pytest.raises(KernelUnavailable):
             kernel.load()
         assert not kernel.available()
-        assert kernel.best_kernel() == "py"
+        with pytest.raises(KernelUnavailable):
+            kernel.get("c")
         assert resolve_backend("auto") == "dinic"
         assert "dinic_c" not in available_backends()
         assert "error" in kernel.build_info()
@@ -251,10 +263,10 @@ class TestBitIdentical:
             d_c = clone(d_py)
             s, t = rng.sample(range(n), 2)
             limit = rng.choice([None, None, rng.randrange(0, 12)])
-            f_py = d_py.max_flow(s, t, limit=limit, kernel="py")
-            f_c = d_c.max_flow(s, t, limit=limit, kernel="c")
+            f_py = max_flow(d_py, s, t, "py", limit)
+            f_c = max_flow(d_c, s, t, "c", limit)
             assert f_py == f_c, f"trial {trial}: flow {f_py} != {f_c}"
-            assert d_py.cap.tobytes() == d_c.cap.tobytes(), f"trial {trial}"
+            assert d_py[4].tobytes() == d_c[4].tobytes(), f"trial {trial}"
 
     def test_drain_and_regrow_match(self):
         """Warm-start sequence (grow, drain, restore) sees the same bytes."""
@@ -315,8 +327,8 @@ class TestKillSet:
         rng = random.Random(4)
         d_py = random_csr(rng, 8, 24)
         d_c = clone(d_py)
-        assert d_py.max_flow(0, 7, kernel="py") == d_c.max_flow(0, 7, kernel="c")
-        assert d_py.cap.tobytes() == d_c.cap.tobytes()
+        assert max_flow(d_py, 0, 7, "py") == max_flow(d_c, 0, 7, "c")
+        assert d_py[4].tobytes() == d_c[4].tobytes()
 
     @pytest.mark.parametrize("name", ["overload_six.json", "nested_tight.json",
                                       "fractional_thirds.json"])
@@ -350,19 +362,19 @@ class TestKillSet:
                 inst, Fraction(1), tables.intervals, scale, kernel=kern,
                 tables=tables,
             )
-            for part in ("to", "_head", "_elist"):
-                assert list(getattr(standalone.dinic, part)) == list(
-                    getattr(cached.dinic, part)
+            for part in ("to", "head", "elist"):
+                assert list(getattr(standalone, part)) == list(
+                    getattr(cached, part)
                 ), (kern, part)
-            assert standalone.dinic.cap.tobytes() == cached.dinic.cap.tobytes()
+            assert standalone.cap.tobytes() == cached.cap.tobytes()
             for m in (1, 2, 3):
                 standalone.set_machines(m)
                 cached.set_machines(m)
                 standalone.solve()
                 cached.solve()
                 assert standalone.feasible == cached.feasible, (kern, m)
-                assert standalone.dinic.cap.tobytes() == (
-                    cached.dinic.cap.tobytes()
+                assert standalone.cap.tobytes() == (
+                    cached.cap.tobytes()
                 ), (kern, m)
 
     def test_topology_builders_agree(self):
@@ -378,7 +390,9 @@ class TestKillSet:
                 k1s.append(k1)
                 srcs.append(acc)
                 acc += 2 * (1 + k1 - k0)
-            py = _feasibility_topology(n, n_iv, k0s, k1s, srcs, acc)
+            py = kernel.py.build_topology(
+                n, n_iv, k0s, k1s, srcs, acc, 2 + n + n_iv
+            )
             c = ck.build_topology(
                 n, n_iv, array("i", k0s), array("i", k1s), array("i", srcs),
                 acc, 2 + n + n_iv,
@@ -468,16 +482,34 @@ class TestInt64Edge:
                 cache.solved_network(40, Fraction(1), kern)
             network = cache._state_for(Fraction(1), kern).network
             assert network.machines == 0
-            caps[kern] = network.dinic.cap.tobytes()
+            caps[kern] = network.cap.tobytes()
         assert caps["py"] == caps["c"]
         sinks = array("q", caps["c"])[0:6:2]
         assert sinks[0] > 0 and sinks[-1] == 0
+
+    def test_total_demand_past_int64_raises_on_both(self):
+        """Every capacity fits int64 but the total demand (3·2⁶² units)
+        does not, so a flow sum could wrap: both kernels raise before the
+        first solve instead of answering differently."""
+        h = 2**61
+
+        def instance():
+            return Instance([Job(0, 2 * h, 2 * h, id=0), Job(0, h, h, id=1),
+                             Job(h, h, 2 * h, id=2), Job(0, 2 * h, 2 * h, id=3)])
+
+        for backend in ("dinic", "dinic_c"):
+            with pytest.raises(OverflowError):
+                migratory_feasible(instance(), 3, backend=backend)
+            with pytest.raises(OverflowError):
+                certify(instance(), 3, backend=backend)
+            with pytest.raises(OverflowError):
+                migratory_optimum(instance(), backend=backend)
 
     def test_fitting_machine_count_still_solves(self):
         """The scan's values fit int64, so the native sweep builds the
         tables, and a machine count whose capacities fit still solves."""
         instance = large_denominators()
-        with mock.patch.object(feascache, "_sweep") as python_sweep:
+        with mock.patch.object(kernel.py, "sweep") as python_sweep:
             cache_for(instance).tables
         python_sweep.assert_not_called()
         assert migratory_feasible(instance, 2, backend="dinic_c")

@@ -31,6 +31,7 @@ import stat
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,19 @@ RATIO_SPEC = {
     "n": 4,
     "seeds": 2,
 }
+
+
+#: The eight largest primes below 10⁶.
+PRIMES_1E6 = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
+
+
+def prime_denominators(primes):
+    """Job ``i`` released at ``i/q`` with ``p = 1 + 1/q`` and deadline 3,
+    ``q`` the ``i``-th prime: the base scale is the primes' product."""
+    return Instance(
+        [Job(Fraction(i, q), 1 + Fraction(1, q), 3, id=i)
+         for i, q in enumerate(primes)]
+    )
 
 
 def payload_for(instance, **extra):
@@ -243,6 +257,23 @@ class TestHardening:
         error = resp.json()["error"]
         assert error["code"] == "bad_request"
         assert error["message"].startswith("request.instance: jobs[0]: ")
+
+    @pytest.mark.parametrize("route, primes, extra", [
+        # Sink capacities m·|E_k| past int64 in the growth to m = 40.
+        ("/v1/certify", PRIMES_1E6[:3], {"m": 40}),
+        # Base-scaled times past int64 in the table sweep itself.
+        ("/v1/optimum", PRIMES_1E6, {}),
+    ], ids=["certify-sink-capacity", "optimum-scaled-times"])
+    def test_past_int64_is_typed_400(self, route, primes, extra):
+        """An instance the int64 kernels cannot hold exactly is a typed
+        400 naming the limit, on every kernel, never a 500."""
+        resp = TestClient(make_app()).post(
+            route, json=payload_for(prime_denominators(primes), **extra)
+        )
+        assert resp.status == 400
+        error = resp.json()["error"]
+        assert error["code"] == "bad_request"
+        assert "int64 limit 2**63 - 1" in error["message"]
 
     def test_oversized_body_is_413(self):
         client = TestClient(make_app(max_body=256))

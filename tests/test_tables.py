@@ -4,7 +4,7 @@ The feasibility cache builds its network tables with one integer scan of
 the jobs (``feascache._build_tables``) and builds the ``Fraction`` interval
 lists only on demand.  The sweep after the scan runs in the compiled kernel
 (``repro_sweep``) where it is available and the values fit int64, else in
-Python (``feascache._sweep``).  The ``Fraction`` sweep they replaced lives
+Python (``kernel.py.sweep``).  The ``Fraction`` sweep they replaced lives
 on as ``tests/oracles.py::reference_tables``; this module pins both sweeps
 to it and pins the laziness:
 
@@ -14,7 +14,7 @@ to it and pins the laziness:
   to hit every sweep case (mixed denominators, a large common offset,
   identical, touching and nested windows, zero-laxity jobs and idle gaps);
 * the compiled sweep builds the corpus and generated tables, and
-  ``_sweep`` those whose values pass int64;
+  ``kernel.py.sweep`` those whose values pass int64;
 * the search, the bounds and ``len(tables.intervals)`` build no
   ``Fraction`` interval list, ``certify`` builds only the kept one, and the
   two lists share one tuple per kept interval whichever is built first.
@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from repro.generators import laminar_instance, uniform_random_instance
 from repro.model import Instance, Job
 from repro.model.io import load
-from repro.offline import feascache, kernel
+from repro.offline import kernel
 from repro.offline.feascache import cache_for
 from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound
@@ -64,14 +64,15 @@ def _built(tables):
 
 
 def cold_cache(instance: Instance, compiled: bool):
-    """A cold cache with its tables built, and whether ``_sweep`` built them.
+    """A cold cache with its tables built, and whether ``kernel.py.sweep``
+    built them.
 
     ``compiled=False`` hides the compiled kernel from the table build, so
-    ``_sweep`` runs; otherwise the build picks its sweep itself.
+    ``kernel.py.sweep`` runs; otherwise the build picks its sweep itself.
     """
     with contextlib.ExitStack() as stack:
         spy = stack.enter_context(
-            mock.patch.object(feascache, "_sweep", wraps=feascache._sweep)
+            mock.patch.object(kernel.py, "sweep", wraps=kernel.py.sweep)
         )
         if not compiled:
             stack.enter_context(
@@ -85,7 +86,8 @@ def cold_cache(instance: Instance, compiled: bool):
 def assert_tables_match(instance: Instance, fits_int64: bool = True) -> None:
     """Both sweeps' tables equal the reference's.  Where the compiled
     kernel is available and ``fits_int64`` holds, it must have built its
-    leg's tables; where the values pass int64, ``_sweep`` must have."""
+    leg's tables; where the values pass int64, ``kernel.py.sweep`` must
+    have."""
     ref = oracles.reference_tables(instance)
     legs = (False, True) if kernel.available() else (False,)
     for compiled in legs:

@@ -46,6 +46,11 @@ REPO = Path(__file__).resolve().parent.parent
 #: mutation only degrades performance (an equivalent mutant for these tests).
 TARGETS: Dict[str, Optional[Set[str]]] = {
     "src/repro/offline/dinic.py": None,
+    # The ``py`` kernel: the blocking-flow loop, the greedy pass, the
+    # topology build, the capacity fill, grow and drain, and the table
+    # sweep (which ``auto`` no longer runs where the compiled kernel
+    # builds, so tests/test_tables.py forces it).
+    "src/repro/offline/kernel/py.py": None,
     "src/repro/offline/flow.py": {
         "_tick_base",
         "_wrap",
@@ -57,18 +62,15 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
         "migratory_schedule",
     },
     "src/repro/offline/optimum.py": {"migratory_optimum"},
-    # The integer table scan and sweep every network is built from (base
-    # scale, live counts, dropped intervals, per-job windows, node/edge
-    # counts, EDF order) and the points of the lazy Fraction interval lists.
-    # tests/test_tables.py checks them field by field against the former
-    # Fraction sweep, through both the compiled sweep (``_sweep_c``) and
-    # the Python one (``_sweep``, which ``auto`` no longer runs where the
-    # kernel builds, so the test forces it); tests/test_sparsify.py against
+    # The integer table scan every network is built from, the choice of
+    # sweep and the tables it fills (base scale, live counts, dropped
+    # intervals, per-job windows, node/edge counts, EDF order), and the
+    # points of the lazy Fraction interval lists.  tests/test_tables.py
+    # checks them field by field against the former Fraction sweep,
+    # through both kernels' sweeps; tests/test_sparsify.py against
     # references built over every elementary interval (the networkx oracle
     # and the stand-alone build).
-    "src/repro/offline/feascache.py": {
-        "_scan", "_sweep", "_sweep_c", "_build_tables", "_pairs",
-    },
+    "src/repro/offline/feascache.py": {"_scan", "_build_tables", "_pairs"},
     # The checker every feasible certificate is re-verified by: the
     # one-pass integer ``Schedule.verify`` (plus the normalization whose
     # start order it relies on) and the certificate checkers.  The kill-set
