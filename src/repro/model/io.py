@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Union
+from math import gcd
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from .instance import Instance
 from .intervals import to_fraction
@@ -165,12 +166,34 @@ def instance_from_dict(
     return Instance(jobs)
 
 
-def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
-    """Lossless dictionary form of a schedule."""
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "schedule",
-        "segments": [
+def _tick_values(schedule: Schedule) -> Dict[int, Union[int, str]]:
+    """Each distinct tick of a schedule's runs, encoded once as
+    :func:`_enc` encodes its ``Fraction``."""
+    starts, _, _, ends = schedule.runs
+    base = schedule.base
+    values: Dict[int, Union[int, str]] = {}
+    for tick in {*starts, *ends}:
+        g = gcd(tick, base)
+        values[tick] = tick // g if g == base else f"{tick // g}/{base // g}"
+    return values
+
+
+def schedule_to_dict(schedule: Union[Schedule, Iterable[Segment]]) -> Dict[str, Any]:
+    """Lossless dictionary form of a schedule (or of bare segments).
+
+    A :class:`Schedule`'s entries are written from its runs, so no
+    :class:`Segment` is built for them.
+    """
+    if isinstance(schedule, Schedule):
+        starts, machines, jobs, ends = schedule.runs
+        value = _tick_values(schedule).__getitem__
+        segments = [
+            {"job": job_id, "machine": machine, "start": value(start),
+             "end": value(end)}
+            for start, machine, job_id, end in zip(starts, machines, jobs, ends)
+        ]
+    else:
+        segments = [
             {
                 "job": s.job_id,
                 "machine": s.machine,
@@ -178,8 +201,27 @@ def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
                 "end": _enc(s.end),
             }
             for s in schedule
-        ],
+        ]
+    return {"format": FORMAT_VERSION, "kind": "schedule", "segments": segments}
+
+
+def segments_json(schedule: Schedule) -> str:
+    """``json.dumps(schedule_to_dict(schedule)["segments"], sort_keys=True)``,
+    written as text straight from the runs: each distinct tick is encoded
+    once and no dict or :class:`Segment` is built.  The served body's
+    segment list (:func:`repro.serve.app.encode_body`).
+    """
+    text = {
+        tick: f'"{value}"' if type(value) is str else str(value)
+        for tick, value in _tick_values(schedule).items()
     }
+    starts, machines, jobs, ends = schedule.runs
+    return "[" + ", ".join([
+        f'{{"end": {text[end]}, "job": '
+        f'{job_id if type(job_id) is int else json.dumps(job_id)}, '
+        f'"machine": {machine}, "start": {text[start]}}}'
+        for start, machine, job_id, end in zip(starts, machines, jobs, ends)
+    ]) + "]"
 
 
 def schedule_from_dict(

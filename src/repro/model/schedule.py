@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .intervals import Interval, Numeric, to_fraction
 from .instance import Instance
@@ -84,14 +84,34 @@ class Schedule:
 
     Adjacent segments of the same job on the same machine are merged so that
     preemption counts are not inflated by representation artifacts.
+
+    A schedule holds its normalized runs in integer ticks of ``1/base``:
+    ``runs`` is four columns ``(starts, machines, jobs, ends)``, sorted by
+    ``(start, machine, job)``.  :attr:`segments` builds the
+    :class:`Segment` objects from them on first use, one shared
+    ``Fraction`` per distinct tick; ``len``, :attr:`machines_used`,
+    :meth:`verify` and the encoders read the runs alone.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("runs", "base", "_segments")
 
-    segments: Tuple[Segment, ...]
+    runs: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
+    base: int
 
     def __init__(self, segments: Iterable[Segment]) -> None:
-        object.__setattr__(self, "segments", _merge_adjacent(segments))
+        runs, base, merged = _merge_adjacent(segments)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_segments", merged)
+
+    @classmethod
+    def _of_runs(cls, runs, base: int) -> "Schedule":
+        """The schedule of normalized ``runs`` over ``base`` (segments lazy)."""
+        schedule = cls.__new__(cls)
+        object.__setattr__(schedule, "runs", runs)
+        object.__setattr__(schedule, "base", base)
+        object.__setattr__(schedule, "_segments", None)
+        return schedule
 
     @classmethod
     def from_ticks(
@@ -102,47 +122,55 @@ class Schedule:
 
         Equal to ``Schedule(Segment(job, machine, Fraction(start, base),
         Fraction(end, base)) for ...)``, errors included, but checked,
-        merged and sorted on the ints: each segment is built once, and
-        each distinct tick becomes one shared Fraction.
+        merged and sorted on the ints: no segment is built until
+        :attr:`segments` is read.
         """
-        rows: List[Tuple[int, int, int, int, int]] = []
-        for i, (job_id, machine, start, end) in enumerate(pieces):
+        jobs, machines, starts, ends = tuple(zip(*pieces)) or ((),) * 4
+        for job_id, machine, start, end in zip(jobs, machines, starts, ends):
             if end <= start:
                 raise ValueError(f"segment for job {job_id} has non-positive length")
             if machine < 0:
                 raise ValueError("machine index must be non-negative")
-            rows.append((machine, job_id, start, i, end))
-        times: Dict[int, Fraction] = {}
-        segments: List[Segment] = []
-        for start, machine, job_id, _, _, end in _normalize(rows):
-            a = times.get(start)
-            if a is None:
-                a = times[start] = Fraction(start, base)
-            b = times.get(end)
-            if b is None:
-                b = times[end] = Fraction(end, base)
-            segments.append(_segment(job_id, machine, a, b))
-        schedule = cls.__new__(cls)
-        object.__setattr__(schedule, "segments", tuple(segments))
-        return schedule
+        starts, machines, jobs, _, _, ends = _normalize(
+            list(zip(machines, jobs, starts, range(len(starts)), ends))
+        )
+        return cls._of_runs((starts, machines, jobs, ends), base)
+
+    def __reduce__(self):
+        return (type(self)._of_runs, (self.runs, self.base))
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Schedule is immutable")
+
+    @property
+    def segments(self) -> Tuple[Segment, ...]:
+        """The runs as :class:`Segment` objects (built on first use)."""
+        segments = self._segments
+        if segments is None:
+            starts, machines, jobs, ends = self.runs
+            base = self.base
+            times = {t: Fraction(t, base) for t in {*starts, *ends}}
+            at = times.__getitem__
+            segments = tuple(
+                map(_segment, jobs, machines, map(at, starts), map(at, ends))
+            )
+            object.__setattr__(self, "_segments", segments)
+        return segments
 
     def __iter__(self):
         return iter(self.segments)
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.runs[0])
 
     # -- accessors ----------------------------------------------------------
 
     def machines(self) -> Tuple[int, ...]:
-        return tuple(sorted({s.machine for s in self.segments}))
+        return tuple(sorted(set(self.runs[1])))
 
     @property
     def machines_used(self) -> int:
-        return len({s.machine for s in self.segments})
+        return len(set(self.runs[1]))
 
     def job_segments(self, job_id: int) -> List[Segment]:
         return [s for s in self.segments if s.job_id == job_id]
@@ -209,42 +237,44 @@ class Schedule:
         machines — the extra condition that turns a verified schedule into a
         *feasibility certificate at* ``m`` (see :mod:`repro.verify`).
 
-        Exact and integer: every time is mapped to ticks of ``1/L``, ``L``
-        the LCM of the denominators of every segment endpoint and of every
-        job's ``r``, ``p``, ``d``, and one pass over the (start-sorted)
-        segments checks windows and machine exclusivity while it collects
-        each job's segments for the overlap, preemption, migration and work
-        checks.  Fractions appear only in violation text and ``unfinished``.
+        Exact and integer: the runs and every job's ``r``, ``p``, ``d`` are
+        mapped to ticks of ``1/L``, ``L`` the LCM of the runs' base and the
+        jobs' denominators, and one pass over the (start-sorted) runs
+        checks windows and machine exclusivity while it collects each
+        job's runs for the overlap, preemption, migration and work checks.
+        Fractions appear only in violation text and ``unfinished``.  Only
+        the runs are read: the checker shares nothing with the solver that
+        produced them.
         """
         speed = to_fraction(speed)
-        segments = self.segments
+        starts, machine_of, jobs_of, ends = self.runs
         jobs = instance.jobs
-        denominators = {s.start.denominator for s in segments}
-        denominators.update(s.end.denominator for s in segments)
-        for job in jobs:
-            denominators.update(
-                (job.release.denominator, job.processing.denominator,
-                 job.deadline.denominator)
-            )
-        base = math.lcm(*denominators)
+        denominators = {job.release.denominator for job in jobs}
+        denominators.update(job.processing.denominator for job in jobs)
+        denominators.update(job.deadline.denominator for job in jobs)
+        base = math.lcm(self.base, *denominators)
+        scale = base // self.base
+        if scale != 1:
+            starts = [t * scale for t in starts]
+            ends = [t * scale for t in ends]
         windows = {
             job.id: (_ticks(job.release, base), _ticks(job.deadline, base))
             for job in jobs
         }
 
+        def at(tick: int) -> Fraction:
+            return Fraction(tick, base)
+
         unknown: List[str] = []
         outside: List[str] = []
-        # machine -> (rank of first appearance, last segment, its end tick)
-        last_on: Dict[int, Tuple[int, Segment, int]] = {}
+        # machine -> (rank of first appearance, its last run's job, start, end)
+        last_on: Dict[int, Tuple[int, int, int, int]] = {}
         overlaps: List[Tuple[int, str]] = []
-        # job -> [(start, end, segment)] in start order; ``tied`` marks jobs
-        # with two segments at one start, which need the (start, end) order
-        by_job: Dict[int, List[Tuple[int, int, Segment]]] = {}
+        # job -> [(start, end, machine)] in start order; ``tied`` marks jobs
+        # with two runs at one start, which need the (start, end) order
+        by_job: Dict[int, List[Tuple[int, int, int]]] = {}
         tied = set()
-        for seg in segments:
-            start = _ticks(seg.start, base)
-            end = _ticks(seg.end, base)
-            job_id = seg.job_id
+        for start, machine, job_id, end in zip(starts, machine_of, jobs_of, ends):
             # (1) window containment
             window = windows.get(job_id)
             if window is None:
@@ -252,31 +282,31 @@ class Schedule:
             elif start < window[0] or end > window[1]:
                 job = instance.job(job_id)
                 outside.append(
-                    f"job {job_id} runs [{seg.start},{seg.end}) outside "
+                    f"job {job_id} runs [{at(start)},{at(end)}) outside "
                     f"window [{job.release},{job.deadline})"
                 )
-            # (2) machine exclusivity: segments are sorted by start, so each
-            # machine's segments arrive in start order
-            prev = last_on.get(seg.machine)
+            # (2) machine exclusivity: runs are sorted by start, so each
+            # machine's runs arrive in start order
+            prev = last_on.get(machine)
             if prev is None:
                 rank = len(last_on)
             else:
-                rank, a, a_end = prev
+                rank, a_job, a_start, a_end = prev
                 if start < a_end:
                     overlaps.append((
                         rank,
-                        f"machine {seg.machine} overlap: job {a.job_id} "
-                        f"[{a.start},{a.end}) vs job {job_id} "
-                        f"[{seg.start},{seg.end})",
+                        f"machine {machine} overlap: job {a_job} "
+                        f"[{at(a_start)},{at(a_end)}) vs job {job_id} "
+                        f"[{at(start)},{at(end)})",
                     ))
-            last_on[seg.machine] = (rank, seg, end)
+            last_on[machine] = (rank, job_id, start, end)
             chain = by_job.get(job_id)
             if chain is None:
-                by_job[job_id] = [(start, end, seg)]
+                by_job[job_id] = [(start, end, machine)]
             else:
                 if chain[-1][0] == start:
                     tied.add(job_id)
-                chain.append((start, end, seg))
+                chain.append((start, end, machine))
 
         violations: List[str] = []
         if machines is not None and len(last_on) > machines:
@@ -295,22 +325,22 @@ class Schedule:
         for job_id, chain in by_job.items():
             if job_id in tied:
                 chain.sort(key=lambda item: item[:2])
-            a_start, a_end, a = chain[0]
-            first_machine = a.machine
+            a_start, a_end, a_machine = chain[0]
+            first_machine = a_machine
             total = a_end - a_start
             migrated = False
-            for b_start, b_end, b in chain[1:]:
+            for b_start, b_end, b_machine in chain[1:]:
                 if b_start < a_end:
                     violations.append(
-                        f"job {job_id} runs on machines {a.machine} and "
-                        f"{b.machine} simultaneously at {b.start}"
+                        f"job {job_id} runs on machines {a_machine} and "
+                        f"{b_machine} simultaneously at {at(b_start)}"
                     )
-                elif b_start > a_end or b.machine != a.machine:
+                elif b_start > a_end or b_machine != a_machine:
                     preemptions += 1
-                if b.machine != first_machine:
+                if b_machine != first_machine:
                     migrated = True
                 total += b_end - b_start
-                a_end, a = b_end, b
+                a_end, a_machine = b_end, b_machine
             if migrated:
                 migratory.append(job_id)
             received[job_id] = total
@@ -359,15 +389,18 @@ def _segment(job_id: int, machine: int, start: Fraction, end: Fraction) -> Segme
     return seg
 
 
-def _normalize(rows: List[Tuple[int, int, int, int, int]]) -> List[List[int]]:
+def _normalize(
+    rows: List[Tuple[int, int, int, int, int]],
+) -> Tuple[Tuple[int, ...], ...]:
     """The one schedule normalization, on integer ticks.
 
     ``rows`` are pieces ``(machine, job, start, index, end)``; ``index`` is
     the piece's input position, so ties on ``(machine, job, start)`` keep
     input order.  A piece that starts where the previous run of its job on
-    its machine ends extends that run.  Returns the runs ``[start, machine,
-    job, first index, last index, end]``, sorted by ``(start, machine,
-    job)`` (ties in input order: the indices are unique).
+    its machine ends extends that run.  Returns the runs as six columns
+    ``(starts, machines, jobs, first indices, last indices, ends)``, sorted
+    by ``(start, machine, job)`` (ties in input order: the indices are
+    unique).
     """
     rows.sort()
     runs: List[List[int]] = []
@@ -380,15 +413,18 @@ def _normalize(rows: List[Tuple[int, int, int, int, int]]) -> List[List[int]]:
             run = [start, machine, job_id, i, i, end]
             runs.append(run)
     runs.sort()
-    return runs
+    return tuple(zip(*runs)) or ((),) * 6
 
 
-def _merge_adjacent(segments: Iterable[Segment]) -> Tuple[Segment, ...]:
+def _merge_adjacent(
+    segments: Iterable[Segment],
+) -> Tuple[tuple, int, Tuple[Segment, ...]]:
     """Merge back-to-back segments of the same job on the same machine.
 
     Runs :func:`_normalize` on integer ticks of ``1/L``, ``L`` the LCM of
     the endpoint denominators — an exact, order-preserving image of the
-    Fraction endpoints.  The result is sorted by ``(start, machine, job)``;
+    Fraction endpoints.  Returns ``(runs, L, segments)``: the runs' four
+    columns and the merged segments, sorted by ``(start, machine, job)``;
     a segment that merges with nothing is the caller's own object.
     """
     segs = list(segments)
@@ -398,8 +434,10 @@ def _merge_adjacent(segments: Iterable[Segment]) -> Tuple[Segment, ...]:
         (s.machine, s.job_id, _ticks(s.start, base), i, _ticks(s.end, base))
         for i, s in enumerate(segs)
     ]
-    return tuple(
+    starts, machines, jobs, firsts, lasts, ends = _normalize(rows)
+    merged = tuple(
         segs[first] if first == last else
         _segment(job_id, machine, segs[first].start, segs[last].end)
-        for _, machine, job_id, first, last, _ in _normalize(rows)
+        for machine, job_id, first, last in zip(machines, jobs, firsts, lasts)
     )
+    return (starts, machines, jobs, ends), base, merged

@@ -20,7 +20,8 @@ and snapshots are single ``memcpy``s:
   Sink capacities ``m·|E_k|`` are *grown in place*, so a solved flow at
   ``m`` machines warm-starts the probe at any ``m' > m``.
 * Every step — topology, capacity fill, sink growth, drain, greedy pass,
-  blocking-flow loop — is a call on one kernel object with one interface
+  blocking-flow loop, and extraction's gather of the flow's pieces — is a
+  call on one kernel object with one interface
   (:mod:`repro.offline.kernel`): the pure-Python ``py`` kernel
   (:mod:`repro.offline.kernel.py`) or the compiled ``c`` kernel, which
   mirrors it step for step over the same buffers, so flows and capacity
@@ -42,7 +43,7 @@ from __future__ import annotations
 import time
 from array import array
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from ..obs import core as _obs
 from . import kernel as _kernel
@@ -69,6 +70,33 @@ def _flush_max_flow(
     _obs.observe("dinic.max_flow_%s_ns" % kernel, dt)
     _obs.observe("dinic.phases_per_call", phases)
     _obs.observe("dinic.flow_per_call", added)
+
+
+class FlowPieces(NamedTuple):
+    """A flow's positive window arcs (:meth:`FeasibilityNetwork.work_by_job`).
+
+    Kept interval ``k``'s pieces are ``jobs[offsets[k] : offsets[k + 1]]``
+    (job indices into ``ids``) with their flow ``amounts``: work in units
+    of ``1/scale``, so machine time in ticks of ``1/(scale·speed)``.
+    Within an interval they run by decreasing amount, then by job id, the
+    order McNaughton's wrap-around needs; ``kernel`` gathered them and
+    wraps them (:func:`repro.offline.flow.schedule_from_work`).
+    """
+
+    offsets: Sequence[int]
+    jobs: Sequence[int]
+    amounts: Sequence[int]
+    ids: Sequence[Any]
+    kernel: Any
+
+
+def id_rank(ids: Sequence[Any]) -> array:
+    """Per index: the rank of ``ids[index]`` among ``ids`` (distinct), as
+    the int32 array a kernel's ``gather`` orders ties by."""
+    rank = array("i", bytes(4 * len(ids)))
+    for r, idx in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
+        rank[idx] = r
+    return rank
 
 
 def _csr(n: int, to: List[int]) -> Tuple[List[int], List[int]]:
@@ -123,7 +151,8 @@ class FeasibilityNetwork:
     tuple); ``scale`` comes from the caller.  With ``tables`` (the per-instance
     cache's :class:`~repro.offline.feascache.NetworkTables`, passed with
     its ``intervals`` view) the build reads only integer tables and counts,
-    never an interval's pairs.  Without, the stand-alone reference build
+    never an interval's pairs, and keeps them as ``tables`` for
+    extraction's id ranks.  Without, the stand-alone reference build
     works from ``intervals`` and the jobs' ``Fraction`` data, resolving
     job → interval ranges through O(1) dict lookups on the interval
     endpoints (every job's release starts, and deadline ends, an
@@ -145,6 +174,7 @@ class FeasibilityNetwork:
         "cap",
         "iv_caps",
         "job_ids",
+        "tables",
         "total_demand",
         "machines",
         "flow",
@@ -253,6 +283,7 @@ class FeasibilityNetwork:
         self.to, self.head, self.elist, self.cap = to, head, elist, cap
         self.iv_caps = iv_caps
         self.job_ids = [job.id for job in instance]
+        self.tables = tables
         self.total_demand = total
         self.machines = 0
         self.flow = 0
@@ -396,23 +427,19 @@ class FeasibilityNetwork:
         ivs = [k for k in range(len(self.iv_caps)) if seen[2 + n + k]]
         return jobs, ivs
 
-    def work_by_job(self) -> Dict[int, Dict[int, int]]:
-        """``work[job_id][k]`` — the raw flow per (sparsified) interval.
+    def work_by_job(self) -> FlowPieces:
+        """The raw flow per (sparsified) interval, as :class:`FlowPieces`:
+        one kernel ``gather`` over the window arcs.
 
         Flow is work in units of ``1/scale``, so it is also machine time in
         ticks of ``1/(scale·speed)`` (an integer tick base at every speed;
         see :func:`repro.offline.flow.schedule_from_work`).
         """
-        cap = self.cap
-        k0s, k1s, srcs = self._k0, self._k1, self._src
-        work: Dict[int, Dict[int, int]] = {}
-        for idx, job_id in enumerate(self.job_ids):
-            row: Dict[int, int] = {}
-            e = srcs[idx] + 2
-            for k in range(k0s[idx], k1s[idx]):
-                amount = cap[e ^ 1]  # flow on the forward edge, in work units
-                if amount:
-                    row[k] = amount
-                e += 2
-            work[job_id] = row
-        return work
+        ids = self.job_ids
+        tables = self.tables
+        rank = id_rank(ids) if tables is None else tables.id_rank()
+        offsets, jobs, amounts = self.kernel.gather(
+            len(ids), len(self.iv_caps), self._k0, self._k1, self._src, rank,
+            self.cap,
+        )
+        return FlowPieces(offsets, jobs, amounts, ids, self.kernel)

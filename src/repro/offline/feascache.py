@@ -20,8 +20,10 @@ itself (instances are immutable, so nothing can invalidate the memo):
   speed costs one capacity array instead of a graph construction,
 * ``intervals`` / ``network_intervals`` — the elementary and the kept
   ``(a, b)`` ``Fraction`` pairs, built from the jobs' own ``Fraction``
-  objects only when extraction, a certificate or the workload
-  characterization asks (one tuple per kept interval, shared by both),
+  objects only when an infeasible certificate or the workload
+  characterization asks (one tuple per kept interval, shared by both);
+  extraction reads the kept intervals' integer bounds (``start_base``,
+  ``len_base``) instead,
 * per-``(speed, kernel)`` :class:`~repro.offline.dinic.FeasibilityNetwork`
   solvers with snapshot/restore, so a binary search's non-monotone probe
   sequence costs one network build plus warm-started residual pushes
@@ -73,7 +75,7 @@ from ..model.instance import Instance
 from ..model.job import Job
 from ..obs import core as _obs
 from . import kernel as _kernel
-from .dinic import FeasibilityNetwork
+from .dinic import FeasibilityNetwork, id_rank
 
 _EMPTY_I = array("i")
 _EMPTY_Q = array("q")
@@ -121,15 +123,17 @@ class NetworkTables:
 
     The ``Fraction`` interval lists are lazy: :meth:`kept_intervals` and
     :meth:`elementary_intervals` build them from the jobs' own ``Fraction``
-    objects on first use (extraction, certificates, the workload
+    objects on first use (infeasible certificates, the workload
     characterization), and share one tuple per kept interval.
     :attr:`intervals` is a view of the kept list whose ``len`` builds
-    nothing.
+    nothing.  Extraction reads the integer bounds (``start_base``,
+    ``len_base``) and :meth:`id_rank` instead.
     """
 
     __slots__ = (
         "jobs",            # the instance's job tuple (the lazy lists' source)
         "kept",            # per kept interval: its elementary index
+        "start_base",      # per kept interval: a · base_scale, int
         "len_base",        # per kept interval: (b − a) · base_scale, int
         "demand_base",     # per job: p_j · base_scale, int
         "k0", "k1",        # per job: kept-interval window [k0, k1)
@@ -145,7 +149,15 @@ class NetworkTables:
         "topology",        # kernel name → its (to, head, elist)
         "_elementary",     # None | the elementary (a, b) Fraction pairs
         "_kept_pairs",     # None | the kept (a, b) Fraction pairs
+        "_rank",           # None | per job: its id's rank (id_rank)
     )
+
+    def id_rank(self) -> array:
+        """Per job: its id's rank among the instance's ids (built on first
+        use), the tie order of extraction's pieces."""
+        if self._rank is None:
+            self._rank = id_rank([job.id for job in self.jobs])
+        return self._rank
 
     @property
     def intervals(self) -> "KeptIntervals":
@@ -255,11 +267,11 @@ def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
     t = NetworkTables()
     t.jobs = jobs
     t.topology = {}
-    t._elementary = t._kept_pairs = None
+    t._elementary = t._kept_pairs = t._rank = None
     t.base_scale, rel, dem, dl = _scan(jobs)
     if not rel:
         t.kept = t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
-        t.len_base = t.demand_base = _EMPTY_Q
+        t.start_base = t.len_base = t.demand_base = _EMPTY_Q
         t.n_nodes, t.n_edges = 2, 0
         t.elementary_count = t.dropped = 0
         t.max_live = t.zero_laxity_max = 0
@@ -277,9 +289,9 @@ def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
     if swept is None:
         swept = _kernel.py.sweep(rel, dem, dl)
         p = array("q", dem)
-    (t.kept, t.len_base, t.k0, t.k1, t.src, t.edf, t.elementary_count,
-     t.n_edges, t.max_live, t.zero_laxity_max, t.total_demand_base,
-     t.span_base) = swept
+    (t.kept, t.start_base, t.len_base, t.k0, t.k1, t.src, t.edf,
+     t.elementary_count, t.n_edges, t.max_live, t.zero_laxity_max,
+     t.total_demand_base, t.span_base) = swept
     t.demand_base = p
     t.n_nodes = 2 + len(rel) + len(t.kept)
     t.dropped = t.elementary_count - len(t.kept)
@@ -406,6 +418,10 @@ class FeasibilityCache:
         a *new* ``m`` below the current state drains the excess flow in
         place (:meth:`~repro.offline.dinic.FeasibilityNetwork.set_machines`)
         so the re-solve only re-places the evicted work.
+
+        A probe is all or nothing: one that raises (a capacity past int64
+        in the sink growth, say) may leave the buffer half grown, so the
+        speed's state is dropped and the next probe builds afresh.
         """
         state = self._state_for(speed, kernel)
         network = state.network
@@ -417,15 +433,19 @@ class FeasibilityCache:
                 network.restore(exact)
                 self.stats.bump("restores")
         if m != network.machines:
-            if _obs.enabled():
-                t0 = time.perf_counter_ns()
-                network.set_machines(m)
-                network.solve()
-                _obs.observe("feascache.probe_ns", time.perf_counter_ns() - t0)
-                _obs.observe("feascache.probe_m", m)
-            else:
-                network.set_machines(m)
-                network.solve()
+            try:
+                if _obs.enabled():
+                    t0 = time.perf_counter_ns()
+                    network.set_machines(m)
+                    network.solve()
+                    _obs.observe("feascache.probe_ns", time.perf_counter_ns() - t0)
+                    _obs.observe("feascache.probe_m", m)
+                else:
+                    network.set_machines(m)
+                    network.solve()
+            except BaseException:
+                del self._speed_states[(speed, kernel)]
+                raise
             state.snapshots[m] = network.snapshot()
             self.stats.bump("probes")
         return network

@@ -16,7 +16,9 @@ All rational data is scaled by the common denominator so the flow problem is
 *integral* and the answer is exact.  A feasible flow is turned into an
 explicit migratory :class:`~repro.model.schedule.Schedule` by McNaughton's
 wrap-around rule inside each elementary interval, run on the flow's own
-integer ticks.
+integer ticks by the network's kernel (its ``gather`` and ``wrap`` entry
+points), so the schedule is normalized on ints and builds its ``Segment``
+objects only when asked for them.
 
 Both backends run the flat-buffer network of :mod:`repro.offline.dinic`,
 fed by the per-instance memo in :mod:`repro.offline.feascache` (event
@@ -48,14 +50,14 @@ elementary intervals dropped before the network is built — see
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..model.instance import Instance
 from ..model.intervals import Numeric, to_fraction
 from ..model.schedule import Schedule, Segment
-from .feascache import cache_for
+from . import kernel as _kernel
+from .dinic import FlowPieces
+from .feascache import NetworkTables, cache_for
 
 #: Solver backends accepted by :func:`max_flow_assignment` and friends.
 BACKENDS = ("dinic", "dinic_c")
@@ -140,10 +142,11 @@ def max_flow_assignment(
     cache = cache_for(instance)
     network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
     ticks = _tick_base(cache.scale_for(speed), speed)
-    work = {
-        job_id: {k: Fraction(amount, ticks) for k, amount in row.items()}
-        for job_id, row in network.work_by_job().items()
-    }
+    offsets, jobs, amounts, ids, _ = network.work_by_job()
+    work: Dict[int, Dict[int, Fraction]] = {job_id: {} for job_id in ids}
+    for k in range(len(offsets) - 1):
+        for i in range(offsets[k], offsets[k + 1]):
+            work[ids[jobs[i]]][k] = Fraction(amounts[i], ticks)
     return network.feasible, work, cache.network_intervals
 
 
@@ -167,43 +170,6 @@ def migratory_feasible(
     return cache_for(instance).feasible(m, to_fraction(speed), kernel)
 
 
-#: A point in time: integer ticks or an exact Fraction.
-_Time = TypeVar("_Time", int, Fraction)
-
-
-def _wrap(
-    pieces: Iterable[Tuple[int, _Time]], start: _Time, end: _Time, m: int
-) -> List[Tuple[int, int, _Time, _Time]]:
-    """McNaughton's wrap-around loop: ``(job_id, machine, a, b)`` pieces.
-
-    It only adds, subtracts and compares times, so it runs on integer
-    ticks and on Fractions alike.
-    """
-    length = end - start
-    if length <= 0:
-        raise ValueError("empty elementary interval")
-    out: List[Tuple[int, int, _Time, _Time]] = []
-    machine = 0
-    cursor = start
-    for job_id, amount in pieces:
-        if amount <= 0:
-            continue
-        if amount > length:
-            raise ValueError(f"piece of job {job_id} exceeds interval length")
-        remaining = amount
-        while remaining > 0:
-            if machine >= m:
-                raise ValueError("pieces exceed machine capacity")
-            take = min(end - cursor, remaining)
-            out.append((job_id, machine, cursor, cursor + take))
-            cursor += take
-            remaining -= take
-            if cursor == end:
-                machine += 1
-                cursor = start
-    return out
-
-
 def mcnaughton(
     pieces: Sequence[Tuple[int, Fraction]],
     start: Fraction,
@@ -217,53 +183,45 @@ def mcnaughton(
     ``end − start`` and total at most ``m (end − start)``.  Pieces are laid
     out on a virtual timeline of length ``m (end − start)`` and wrapped onto
     machines; a wrapped piece becomes two non-overlapping segments on two
-    machines (this is where migration enters).
+    machines (this is where migration enters).  The loop is the ``py``
+    kernel's :func:`~repro.offline.kernel.py.wrap_interval`.
     """
     return [
         Segment(job_id, machine + machine_offset, a, b)
-        for job_id, machine, a, b in _wrap(pieces, start, end, m)
+        for job_id, machine, a, b in _kernel.py.wrap_interval(pieces, start, end, m)
     ]
 
 
 def schedule_from_work(
-    work: Dict[int, Dict[int, int]],
-    intervals: Sequence[Tuple[Fraction, Fraction]],
-    m: int,
-    ticks: int,
+    work: FlowPieces, tables: NetworkTables, m: int, ticks: int
 ) -> Schedule:
-    """Turn a feasible flow's work map into an explicit migratory schedule.
+    """Turn a feasible flow's pieces into an explicit migratory schedule.
 
-    ``work[job_id][k]`` is the machine time job ``job_id`` gets in interval
-    ``k``, in integer ticks of ``1/ticks`` (the raw flow of
-    :meth:`~repro.offline.dinic.FeasibilityNetwork.work_by_job`, whose
-    network counts in ticks of ``1/(scale·speed)``).  Within each interval,
-    jobs are sorted by decreasing machine time before the wrap-around so
-    that a job split across the wrap boundary never overlaps itself (its
-    piece is at most the interval length).  Everything runs on integer
-    ticks: one sort orders the ``(interval, −machine time, job)`` rows, and
-    :meth:`Schedule.from_ticks` merges the wrapped pieces and makes each
-    distinct tick a Fraction once.
+    ``work`` is :meth:`~repro.offline.dinic.FeasibilityNetwork.work_by_job`'s
+    result: each kept interval's pieces in integer ticks of ``1/ticks``, by
+    decreasing machine time, so a job split across the wrap boundary never
+    overlaps itself (its piece is at most the interval length).  ``tables``
+    gives the kept intervals' bounds over its ``base_scale``
+    (``start_base``, ``len_base``), ``ticks`` a multiple of that scale.
+    The kernel that gathered the pieces wraps them on integer ticks, on
+    Python ints where a tick passes int64, and :meth:`Schedule.from_ticks`
+    merges the wrapped pieces into the schedule's runs.
     """
-    rows = sorted(
-        (k, -amount, job_id)
-        for job_id, row in work.items()
-        for k, amount in row.items()
-    )
-    pieces: List[Tuple[int, int, int, int]] = []
-    for k, group in groupby(rows, itemgetter(0)):
-        a, b = intervals[k]
-        pieces += _wrap(
-            ((job_id, -amount) for _, amount, job_id in group),
-            _to_ticks(a, ticks), _to_ticks(b, ticks), m,
-        )
-    return Schedule.from_ticks(pieces, ticks)
-
-
-def _to_ticks(x: Fraction, ticks: int) -> int:
-    value, rest = divmod(x.numerator * ticks, x.denominator)
+    f, rest = divmod(ticks, tables.base_scale)
     if rest:
-        raise ValueError(f"time {x} is not a multiple of 1/{ticks}")
-    return value
+        raise ValueError(
+            f"time 1/{tables.base_scale} is not a multiple of 1/{ticks}"
+        )
+    args = (m, work.offsets, work.jobs, work.amounts, tables.start_base,
+            tables.len_base, f, work.ids)
+    flat = work.kernel.wrap(*args)
+    if flat is None:
+        flat = _kernel.py.wrap(*args)
+    ids = work.ids
+    return Schedule.from_ticks(
+        zip(map(ids.__getitem__, flat[0::4]), flat[1::4], flat[2::4], flat[3::4]),
+        ticks,
+    )
 
 
 def migratory_schedule(
@@ -284,6 +242,6 @@ def migratory_schedule(
     if not network.feasible:
         return None
     return schedule_from_work(
-        network.work_by_job(), cache.network_intervals, m,
+        network.work_by_job(), cache.tables, m,
         _tick_base(cache.scale_for(speed), speed),
     )

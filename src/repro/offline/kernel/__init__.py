@@ -1,9 +1,10 @@
 """The Dinic kernels: one interface, a Python and a compiled implementation.
 
-A kernel is an object with the eight entry points the feasibility network
-calls (``max_flow``, ``greedy_blocking``, ``build_topology``,
-``scale_caps``, ``fill_caps``, ``grow_sinks``, ``drain``, ``sweep``) and a
-``name``: the :mod:`~repro.offline.kernel.py` module (``"py"``) or the
+A kernel is an object with the ten entry points the feasibility network
+and extraction call (``max_flow``, ``greedy_blocking``, ``build_topology``,
+``scale_caps``, ``fill_caps``, ``grow_sinks``, ``drain``, ``sweep``,
+``gather``, ``wrap``) and a ``name``: the
+:mod:`~repro.offline.kernel.py` module (``"py"``) or the
 compiled :class:`~repro.offline.kernel.abi.DinicCKernel` (``"c"``), which
 mirrors it step for step over the same buffers.
 

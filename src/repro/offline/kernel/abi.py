@@ -1,7 +1,7 @@
 """ctypes bindings over the compiled kernel: zero-copy on the live buffers.
 
 :class:`DinicCKernel` has the interface of the ``py`` kernel
-(:mod:`repro.offline.kernel.py`): the same eight entry points, arguments
+(:mod:`repro.offline.kernel.py`): the same ten entry points, arguments
 and results, over int32 topology arrays where that kernel reads lists.
 Every exported function takes raw buffer addresses obtained from
 ``array.buffer_info()`` — no marshalling, no copies: the C code mutates
@@ -35,6 +35,9 @@ _PTR = ctypes.c_void_p
 _NOMEM = -1
 _OVERFLOW = -2
 _UNSORTED = -3
+_EMPTY = -4
+_LONG = -5
+_FULL = -6
 _BIGINT = 1
 
 #: ctypes truncates a Python int passed as ``c_int64`` silently, so every
@@ -85,7 +88,7 @@ class DinicCKernel:
 
     __slots__ = ("lib", "path", "_max_flow", "_greedy", "_topology",
                  "_scale_caps", "_fill_caps", "_grow_sinks", "_drain",
-                 "_sweep")
+                 "_sweep", "_gather", "_wrap")
 
     def __init__(self, path: str) -> None:
         lib = ctypes.CDLL(str(path))
@@ -122,8 +125,18 @@ class DinicCKernel:
         f = lib.repro_sweep
         f.restype = _I32
         f.argtypes = (_I32, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                      _PTR, _PTR)
+                      _PTR, _PTR, _PTR)
         self._sweep = f
+        f = lib.repro_gather
+        f.restype = _I32
+        f.argtypes = (_I32, _I32, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                      _PTR)
+        self._gather = f
+        f = lib.repro_wrap
+        f.restype = _I32
+        f.argtypes = (_I32, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                      _PTR)
+        self._wrap = f
 
     # -- entry points ---------------------------------------------------------
 
@@ -232,10 +245,11 @@ class DinicCKernel:
 
         ``r``, ``p``, ``d``: the base-scaled releases (in order),
         processing times and deadlines of ``n >= 1`` jobs.  Returns
-        ``(kept, len_base, k0, k1, src, edf, elementary_count, n_edges,
-        max_live, zero_laxity_max, total_demand_base, span_base)``, or
-        ``None`` when the span or the total demand passes int64.  An edge
-        id past int32 raises ``OverflowError``, as ``array('i')`` does.
+        ``(kept, start_base, len_base, k0, k1, src, edf, elementary_count,
+        n_edges, max_live, zero_laxity_max, total_demand_base,
+        span_base)``, or ``None`` when the span or the total demand passes
+        int64.  An edge id past int32 raises ``OverflowError``, as
+        ``array('i')`` does.
         """
         _require("q", r, p, d)
         n = len(r)
@@ -243,12 +257,14 @@ class DinicCKernel:
             raise ValueError("dinic_c: sweep: r, p and d differ in length")
         points = 2 * n  # n jobs make at most 2n event points
         kept = array("i", bytes(4 * points))
+        start_base = array("q", bytes(8 * points))
         len_base = array("q", bytes(8 * points))
         k0, k1, src, edf = (array("i", bytes(4 * n)) for _ in range(4))
         counts = array("q", bytes(8 * 7))
         status = self._sweep(
-            n, _addr(r), _addr(p), _addr(d), _addr(kept), _addr(len_base),
-            _addr(k0), _addr(k1), _addr(src), _addr(edf), _addr(counts),
+            n, _addr(r), _addr(p), _addr(d), _addr(kept), _addr(start_base),
+            _addr(len_base), _addr(k0), _addr(k1), _addr(src), _addr(edf),
+            _addr(counts),
         )
         if status == _BIGINT:
             return None
@@ -258,6 +274,61 @@ class DinicCKernel:
             raise OverflowError("dinic_c: sweep: an edge id does not fit int32")
         _check(status, "sweep")
         n_kept, m_el, n_edges, max_live, zero_max, total, span = counts
-        del kept[n_kept:], len_base[n_kept:]
-        return (kept, len_base, k0, k1, src, edf, m_el, n_edges, max_live,
-                zero_max, total, span)
+        del kept[n_kept:], start_base[n_kept:], len_base[n_kept:]
+        return (kept, start_base, len_base, k0, k1, src, edf, m_el, n_edges,
+                max_live, zero_max, total, span)
+
+    def gather(
+        self, n_jobs: int, n_iv: int, k0: array, k1: array, src: array,
+        rank: array, cap: array,
+    ) -> Tuple[array, array, array]:
+        """A flow's positive window arcs by kept interval: ``(offsets,
+        jobs, amounts)`` as int32/int32/int64 arrays, in the ``py``
+        kernel's order."""
+        _require("i", k0, k1, src, rank)
+        _require("q", cap)
+        edges = len(cap) // 2  # at least one per window arc, so per piece
+        offsets = array("i", bytes(4 * (n_iv + 1)))
+        jobs = array("i", bytes(4 * edges))
+        amounts = array("q", bytes(8 * edges))
+        count = self._gather(
+            n_jobs, n_iv, _addr(k0), _addr(k1), _addr(src), _addr(rank),
+            _addr(cap), _addr(offsets), _addr(jobs), _addr(amounts),
+        )
+        _check(count, "gather")
+        del jobs[count:], amounts[count:]
+        return offsets, jobs, amounts
+
+    def wrap(
+        self, m: int, offsets: array, jobs: array, amounts: array,
+        start_base, len_base: array, f: int, ids,
+    ) -> Optional[array]:
+        """The ``py`` kernel's ``wrap`` as one int64 array of ``(job,
+        machine, start, end)`` quadruples, or ``None`` where a tick bound
+        passes int64 (``f`` does, ``start_base`` is a list of Python ints,
+        or a product does), so the caller wraps on Python ints."""
+        if f not in _INT64 or not isinstance(start_base, array):
+            return None
+        _require("i", offsets, jobs)
+        _require("q", amounts, start_base, len_base)
+        out = array("q", bytes(64 * len(jobs)))  # two segments per piece
+        at = array("q", bytes(8))
+        # A wrap uses at most one machine per piece, so a larger m is no
+        # bound and ctypes must not truncate it.
+        status = self._wrap(
+            len(offsets) - 1, min(m, _INT64[-1]), f, _addr(offsets),
+            _addr(jobs), _addr(amounts), _addr(start_base), _addr(len_base),
+            _addr(out), _addr(at),
+        )
+        if status == _BIGINT:
+            return None
+        if status == _EMPTY:
+            raise ValueError("empty elementary interval")
+        if status == _LONG:
+            raise ValueError(
+                f"piece of job {ids[jobs[at[0]]]} exceeds interval length"
+            )
+        if status == _FULL:
+            raise ValueError("pieces exceed machine capacity")
+        del out[at[0]:]
+        return out

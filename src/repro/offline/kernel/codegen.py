@@ -16,16 +16,18 @@ the ``py`` kernel's, not merely maximum.  ``tests/test_kernel.py`` pins
 that equality byte for byte, and ``tests/test_sparsify.py`` also on the
 unsparsified network.
 
-Eight functions are exported, one per entry point of the ``py`` kernel:
+Ten functions are exported, one per entry point of the ``py`` kernel:
 the blocking-flow loop (``max_flow``), the greedy pass
 (``greedy_blocking``), the topology build (``build_topology``), the
 capacity scale/fill/grow helpers (``scale_caps``, ``fill_caps``,
 ``grow_sinks``), the drain of a downward probe (``repro_drain``, the twin
-of ``drain``) and the table sweep (``repro_sweep``, the twin of
-``sweep``).  They are mirrored just as closely, so tables and drained
-buffers are byte-identical too.  (The comments inside the C source keep
-the names these functions had when it was written; the source is the
-build-cache key, so it is left byte for byte as it is.)
+of ``drain``), the table sweep (``repro_sweep``, the twin of ``sweep``,
+which also writes each kept interval's base-scaled start) and
+extraction's two steps (``repro_gather``, the twin of ``gather``, and
+``repro_wrap``, the twin of ``wrap``).  They are mirrored just as
+closely, so tables, drained buffers and extracted pieces are
+byte-identical too; where a tick bound passes int64, ``repro_wrap``
+returns ``REPRO_BIGINT`` and the ``py`` twin wraps on Python ints.
 
 Buffer ABI (shared with the Python side, all zero-copy):
 
@@ -50,14 +52,14 @@ import hashlib
 
 #: Bump when the exported symbols or their signatures change; part of the
 #: build-cache key, so old shared objects are never dlopen'ed into a new ABI.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 C_SOURCE = r"""
 /* Flat-CSR blocking-flow Dinic core for the feasibility network.
  *
- * Mirrors repro/offline/dinic.py exactly (BFS depth synchronization, DFS
- * current-arc pointers, retreat and pruning rules) so flows, residual
- * capacities, and min cuts are bit-identical to the Python kernels.
+ * Mirrors the py kernel, repro/offline/kernel/py.py, exactly (BFS depth
+ * synchronization, DFS current-arc pointers, retreat and pruning rules) so
+ * flows, residual capacities, and min cuts are bit-identical to it.
  *
  * Conventions: node/edge ids are int32, capacities int64; the reverse edge
  * of e is e ^ 1 and forward edges are even.  All buffers are caller-owned;
@@ -100,7 +102,7 @@ API int64_t repro_dinic_max_flow(
         phases += 1;
         /* Level graph: depth-synchronized BFS.  The whole frontier at the
          * depth that reaches t is labeled before the loop stops, exactly
-         * like the Python _bfs_py, so levels are identical. */
+         * like the py kernel's _bfs, so levels are identical. */
         memset(level, -1, (size_t)n * sizeof(int32_t));
         level[s] = 0;
         queue[0] = s;
@@ -197,7 +199,7 @@ done:
     return added;
 }
 
-/* The EDF greedy blocking pass of FeasibilityNetwork._greedy_blocking:
+/* The EDF greedy blocking pass of the py kernel's greedy_blocking:
  * for each job in edf order, push source residual left to right through
  * its window arcs into the sink arcs (sink arc of interval k is edge 2k;
  * job idx's source arc is src[idx], window arcs the following even ids).
@@ -250,7 +252,7 @@ API int64_t repro_greedy_blocking(
     return pushed;
 }
 
-/* The arithmetic CSR topology of _feasibility_topology: fills the
+/* The arithmetic CSR topology of the py kernel's build_topology: fills the
  * caller-allocated (and zero-initialized) to/head/elist buffers.  Sizes:
  * to[n_edges2], head[2 + n_jobs + n_iv + 1], elist[n_edges2] where
  * n_edges2 = src[n_jobs-1] + 2*(1 + k1[n_jobs-1] - k0[n_jobs-1]) (or
@@ -345,7 +347,7 @@ API int32_t repro_scale_caps(
     return 0;
 }
 
-/* The cold capacity fill of FeasibilityNetwork.__init__ (tables path):
+/* The cold capacity fill of the py kernel's fill_caps:
  * source arcs carry demand_base * demfac, window arcs the interval's unit
  * capacity.  Sink arcs stay 0 (m = 0); cap must be zero-initialized.
  * Returns 0, or REPRO_OVERFLOW at the first demand past int64. */
@@ -371,7 +373,7 @@ API int32_t repro_fill_caps(
     return 0;
 }
 
-/* The warm-start grow of set_machines: sink arc of interval k gains
+/* The warm-start grow of the py kernel's grow_sinks: sink arc k gains
  * delta machines' worth of capacity.  Returns 0, or REPRO_OVERFLOW at the
  * first interval whose new capacity passes int64; the intervals before it
  * are grown, it and the rest are untouched (as in the Python loop). */
@@ -389,7 +391,7 @@ API int32_t repro_grow_sinks(
     return 0;
 }
 
-/* The drain of a downward probe (FeasibilityNetwork._drain): every sink
+/* The drain of a downward probe (the py kernel's drain): every sink
  * arc loses delta machines' worth of capacity.  Residual headroom absorbs
  * what it can; the rest is pulled back, interval by interval, along the
  * interval's incoming job arcs (the odd ids of its edge list, in list
@@ -444,12 +446,12 @@ API int64_t repro_drain(
 #define RADIX_BITS 11
 #define RADIX (1 << RADIX_BITS)
 
-/* The integer table sweep of feascache._sweep, step for step.
+/* The integer table sweep of the py kernel's sweep, step for step.
  *
  * In: n >= 1 jobs in release order; r, p, d their base-scaled release,
- * processing time and deadline.  Out: kept and len_base for the K kept
- * intervals (the caller sizes both for 2n), k0, k1, src and edf per
- * job, and counts = {K, elementary count, n_edges, max_live,
+ * processing time and deadline.  Out: kept, start_base and len_base for
+ * the K kept intervals (the caller sizes each for 2n), k0, k1, src and
+ * edf per job, and counts = {K, elementary count, n_edges, max_live,
  * zero_laxity_max, total demand, span}.
  *
  * The releases are sorted already, so only the deadlines are sorted: a
@@ -463,8 +465,8 @@ API int64_t repro_drain(
  * REPRO_UNSORTED or REPRO_NOMEM. */
 API int32_t repro_sweep(
     int32_t n, const int64_t *r, const int64_t *p, const int64_t *d,
-    int32_t *kept, int64_t *len_base, int32_t *k0, int32_t *k1,
-    int32_t *src, int32_t *edf, int64_t *counts)
+    int32_t *kept, int64_t *start_base, int64_t *len_base, int32_t *k0,
+    int32_t *k1, int32_t *src, int32_t *edf, int64_t *counts)
 {
     int64_t *pts = (int64_t *)malloc(2 * (size_t)n * sizeof(int64_t));
     int32_t *scratch = (int32_t *)malloc(7 * (size_t)n * sizeof(int32_t));
@@ -564,6 +566,7 @@ API int32_t repro_sweep(
         live[j] = n_kept;
         if (run && j < m_el) {
             kept[n_kept] = j;
+            start_base[n_kept] = pts[j];
             len_base[n_kept] = pts[j + 1] - pts[j];
             n_kept++;
         }
@@ -590,6 +593,132 @@ out:
     free(pts);
     free(scratch);
     return status;
+}
+
+/* The py kernel's gather: the flow of every window arc (cap[e ^ 1] for
+ * forward e) that carries some, grouped by kept interval into offsets
+ * (n_iv + 1 entries), jobs and amounts (sized for every window arc).
+ * Within an interval by decreasing amount, then rank.  Returns the number
+ * of pieces, or REPRO_NOMEM. */
+typedef struct {
+    int64_t amount;
+    int32_t rank, idx;
+} repro_piece;
+
+static int repro_piece_order(const void *a, const void *b)
+{
+    const repro_piece *x = (const repro_piece *)a, *y = (const repro_piece *)b;
+    if (x->amount != y->amount)
+        return x->amount > y->amount ? -1 : 1;
+    return (x->rank > y->rank) - (x->rank < y->rank);
+}
+
+API int32_t repro_gather(
+    int32_t n_jobs, int32_t n_iv, const int32_t *k0, const int32_t *k1,
+    const int32_t *src, const int32_t *rank, const int64_t *cap,
+    int32_t *offsets, int32_t *jobs, int64_t *amounts)
+{
+    repro_piece *pieces;
+    int32_t idx, k, i, total;
+    memset(offsets, 0, ((size_t)n_iv + 1) * sizeof(int32_t));
+    for (idx = 0; idx < n_jobs; idx++) {
+        int64_t e = (int64_t)src[idx] + 3;  /* first window arc's reverse */
+        for (k = k0[idx]; k < k1[idx]; k++, e += 2)
+            if (cap[e])
+                offsets[k + 1]++;
+    }
+    for (k = 0; k < n_iv; k++)
+        offsets[k + 1] += offsets[k];
+    total = offsets[n_iv];
+    pieces = (repro_piece *)malloc(((size_t)total + 1) * sizeof(repro_piece));
+    if (!pieces)
+        return REPRO_NOMEM;
+    /* Fill with offsets[k] as interval k's cursor, then shift back. */
+    for (idx = 0; idx < n_jobs; idx++) {
+        int64_t e = (int64_t)src[idx] + 3;
+        for (k = k0[idx]; k < k1[idx]; k++, e += 2)
+            if (cap[e]) {
+                repro_piece *q = &pieces[offsets[k]++];
+                q->amount = cap[e];
+                q->rank = rank[idx];
+                q->idx = idx;
+            }
+    }
+    for (k = n_iv; k > 0; k--)
+        offsets[k] = offsets[k - 1];
+    offsets[0] = 0;
+    for (k = 0; k < n_iv; k++)
+        if (offsets[k + 1] - offsets[k] > 1)
+            qsort(pieces + offsets[k], (size_t)(offsets[k + 1] - offsets[k]),
+                  sizeof(repro_piece), repro_piece_order);
+    for (i = 0; i < total; i++) {
+        jobs[i] = pieces[i].idx;
+        amounts[i] = pieces[i].amount;
+    }
+    free(pieces);
+    return total;
+}
+
+#define REPRO_EMPTY (-4)  /* repro_wrap: an interval of length <= 0 */
+#define REPRO_LONG (-5)   /* repro_wrap: a piece longer than its interval */
+#define REPRO_FULL (-6)   /* repro_wrap: pieces past m machines */
+
+/* The py kernel's wrap: McNaughton's wrap-around rule on every kept
+ * interval with pieces.  Interval k spans [start_base[k] * f,
+ * (start_base[k] + len_base[k]) * f) in ticks; its pieces
+ * jobs/amounts[offsets[k] : offsets[k + 1]] are laid out in order and
+ * wrapped onto at most m machines.  out receives (job, machine, start,
+ * end) quadruples (the caller sizes it for two per piece); *at the number
+ * of values written or, on an error, the offending piece.  Returns 0,
+ * REPRO_BIGINT (a tick bound past int64), REPRO_EMPTY, REPRO_LONG or
+ * REPRO_FULL. */
+API int32_t repro_wrap(
+    int32_t n_iv, int64_t m, int64_t f, const int32_t *offsets,
+    const int32_t *jobs, const int64_t *amounts, const int64_t *start_base,
+    const int64_t *len_base, int64_t *out, int64_t *at)
+{
+    int64_t w = 0;
+    int32_t k, i;
+    for (k = 0; k < n_iv; k++) {
+        int64_t start, length, end, cursor, machine = 0;
+        if (offsets[k] == offsets[k + 1])
+            continue;
+        if (__builtin_mul_overflow(start_base[k], f, &start)
+            || __builtin_mul_overflow(len_base[k], f, &length)
+            || __builtin_add_overflow(start, length, &end))
+            return REPRO_BIGINT;
+        if (length <= 0) {
+            *at = offsets[k];
+            return REPRO_EMPTY;
+        }
+        cursor = start;
+        for (i = offsets[k]; i < offsets[k + 1]; i++) {
+            int64_t remaining = amounts[i];
+            if (remaining <= 0)
+                continue;
+            *at = i;
+            if (remaining > length)
+                return REPRO_LONG;
+            while (remaining > 0) {
+                int64_t take = end - cursor < remaining ? end - cursor : remaining;
+                if (machine >= m)
+                    return REPRO_FULL;
+                out[w] = jobs[i];
+                out[w + 1] = machine;
+                out[w + 2] = cursor;
+                out[w + 3] = cursor + take;
+                w += 4;
+                cursor += take;
+                remaining -= take;
+                if (cursor == end) {
+                    machine += 1;
+                    cursor = start;
+                }
+            }
+        }
+    }
+    *at = w;
+    return 0;
 }
 """
 

@@ -8,6 +8,10 @@ kernel name into a kernel).  This module is the reference the C source in
 :mod:`~repro.offline.kernel.codegen` mirrors step for step; it is what the
 ``dinic`` backend runs, and what hosts without a compiler run.
 
+Its ``wrap_interval`` is McNaughton's wrap-around loop on one interval,
+which :func:`repro.offline.flow.mcnaughton` runs on Fractions too; the
+``wrap`` entry point runs it on every kept interval's integer ticks.
+
 Buffers are the compiled kernel's: ``cap`` is the live ``array('q')``
 capacity buffer (the reverse edge of ``e`` is ``e ^ 1``, forward ids are
 even).  The topology ``(to, head, elist)`` and the per-interval
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, compress
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 #: The name :func:`repro.offline.kernel.get` knows this kernel by.
 name = "py"
@@ -345,8 +349,10 @@ def sweep(r: Sequence[int], p: Sequence[int], d: Sequence[int]) -> tuple:
     Plain ints throughout: sorted unique event points, live and
     zero-laxity counts by prefix sums, the kept intervals (those with a
     live job), each job's kept window and source arc, and the EDF order.
-    Returns ``(kept, len_base, k0, k1, src, edf, elementary_count,
-    n_edges, max_live, zero_laxity_max, total_demand_base, span_base)``.
+    Returns ``(kept, start_base, len_base, k0, k1, src, edf,
+    elementary_count, n_edges, max_live, zero_laxity_max,
+    total_demand_base, span_base)``; ``start_base`` (each kept interval's
+    start) is a list of Python ints where a start passes int64.
     """
     n = len(r)
     points = sorted({*r, *d})
@@ -380,10 +386,120 @@ def sweep(r: Sequence[int], p: Sequence[int], d: Sequence[int]) -> tuple:
     # Jobs come in release order, so k0 never decreases with the index and
     # a stable sort on k1 alone yields the (k1, k0, idx) order.
     edf = sorted(range(n), key=k1s.__getitem__)
+    starts = [points[k] for k in kept]
+    try:
+        start_base = array("q", starts)
+    except OverflowError:
+        start_base = starts
     return (
         array("i", kept),
+        start_base,
         array("q", [points[k + 1] - points[k] for k in kept]),
         array("i", k0s), array("i", k1s), array("i", srcs), array("i", edf),
         m_el, acc // 2, max(live), max(accumulate(zero)), sum(p),
         points[-1] - points[0],
     )
+
+
+def gather(
+    n_jobs: int, n_iv: int, k0: Sequence[int], k1: Sequence[int],
+    src: Sequence[int], rank: Sequence[int], cap: array,
+) -> Tuple[List[int], List[int], List[int]]:
+    """A flow's positive window arcs, grouped by kept interval.
+
+    Returns ``(offsets, jobs, amounts)``: interval ``k``'s pieces are
+    ``jobs[offsets[k] : offsets[k + 1]]`` (job indices) with their flow
+    ``amounts``, by decreasing amount, then by ``rank`` (per job index: its
+    id's rank among the instance's ids), so the order is the one the
+    wrap-around needs and does not depend on the ids' size or type.
+    """
+    groups: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_iv)]
+    for idx in range(n_jobs):
+        e = src[idx] + 3  # the first window arc's reverse: its flow
+        r = rank[idx]
+        for k in range(k0[idx], k1[idx]):
+            amount = cap[e]
+            if amount:
+                groups[k].append((-amount, r, idx))
+            e += 2
+    offsets = [0] * (n_iv + 1)
+    jobs: List[int] = []
+    amounts: List[int] = []
+    for k, group in enumerate(groups):
+        if group:
+            group.sort()
+            for amount, _, idx in group:
+                jobs.append(idx)
+                amounts.append(-amount)
+        offsets[k + 1] = len(jobs)
+    return offsets, jobs, amounts
+
+
+#: A point in time: integer ticks or an exact Fraction.
+_Time = TypeVar("_Time")
+
+
+def wrap_interval(
+    pieces: Iterable[Tuple[int, _Time]], start: _Time, end: _Time, m: int,
+    ids: Optional[Sequence] = None,
+) -> List[Tuple[int, int, _Time, _Time]]:
+    """McNaughton's wrap-around loop on one interval: ``(job, machine, a,
+    b)`` pieces from ``(job, machine time)`` ones.
+
+    It only adds, subtracts and compares times, so it runs on integer
+    ticks and on Fractions alike.  An error names the job as ``ids[job]``
+    when ``ids`` is given.
+    """
+    length = end - start
+    if length <= 0:
+        raise ValueError("empty elementary interval")
+    out: List[Tuple[int, int, _Time, _Time]] = []
+    machine = 0
+    cursor = start
+    for job, amount in pieces:
+        if amount <= 0:
+            continue
+        if amount > length:
+            raise ValueError(
+                f"piece of job {job if ids is None else ids[job]} "
+                "exceeds interval length"
+            )
+        remaining = amount
+        while remaining > 0:
+            if machine >= m:
+                raise ValueError("pieces exceed machine capacity")
+            take = min(end - cursor, remaining)
+            out.append((job, machine, cursor, cursor + take))
+            cursor += take
+            remaining -= take
+            if cursor == end:
+                machine += 1
+                cursor = start
+    return out
+
+
+def wrap(
+    m: int, offsets: Sequence[int], jobs: Sequence[int],
+    amounts: Sequence[int], start_base: Sequence[int],
+    len_base: Sequence[int], f: int, ids: Sequence,
+) -> List[int]:
+    """McNaughton's wrap-around rule on every kept interval with pieces.
+
+    Interval ``k`` spans ``[start_base[k]·f, (start_base[k] +
+    len_base[k])·f)`` in ticks, and its pieces (:func:`gather`'s order)
+    are wrapped onto at most ``m`` machines by :func:`wrap_interval`.
+    Returns one flat list of ``(job, machine, start, end)`` quadruples,
+    job indices and Python ints, so a tick past int64 is exact; an error
+    names the job by its id in ``ids``.
+    """
+    out: List[int] = []
+    for k in range(len(offsets) - 1):
+        a, b = offsets[k], offsets[k + 1]
+        if a == b:
+            continue
+        start = start_base[k] * f
+        for piece in wrap_interval(
+            zip(jobs[a:b], amounts[a:b]), start, start + len_base[k] * f, m, ids
+        ):
+            out += piece
+    return out

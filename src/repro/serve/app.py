@@ -26,7 +26,10 @@ Request lifecycle (the hardening ladder, in order):
 
 Responses never include warmth-dependent fields (``cache_stats``): a
 response must be byte-identical whether the tenant cache was cold or hot,
-which is what the concurrent-determinism test pins.
+which is what the concurrent-determinism test pins.  Every body is
+``json.dumps(jsonable(payload), sort_keys=True)`` byte for byte; a feasible
+certificate's segment list is written as text from its schedule's runs
+(:func:`encode_body`).
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..model.io import InstanceFormatError, instance_from_dict
+from ..model.io import InstanceFormatError, instance_from_dict, segments_json
+from ..model.schedule import Schedule
 from ..obs.prom import render_prometheus
 from ..obs.sinks import Registry, jsonable
 from ..offline.flow import BACKENDS
@@ -105,12 +109,51 @@ class Response:
     headers: Dict[str, str] = field(default_factory=dict)
 
 
+class _Segments:
+    """A feasible certificate's segment list in a payload: :func:`encode_body`
+    writes it from the schedule's runs (:func:`~repro.model.io.segments_json`)."""
+
+    __slots__ = ("schedule",)
+
+    def __init__(self, schedule: Schedule) -> None:
+        self.schedule = schedule
+
+
+_NO_SEGMENTS = Schedule([])
+
+
+def _certificate_body(cert) -> Dict[str, Any]:
+    """A certificate's served payload: its ``to_dict()`` without the
+    warmth-dependent ``cache_stats``, a feasible certificate's segment list
+    left for :func:`encode_body` to write from the runs."""
+    if cert.kind == "infeasible":
+        return replace(cert, cache_stats=None).to_dict()
+    body = replace(cert, schedule=_NO_SEGMENTS, cache_stats=None).to_dict()
+    body["schedule"]["segments"] = _Segments(cert.schedule)
+    return body
+
+
+def _json(value: Any) -> str:
+    """``json.dumps(jsonable(value), sort_keys=True)``, with each
+    :class:`_Segments` written as its text: a dict that holds a dict or a
+    ``_Segments`` is written key by key, in sorted key order with the
+    separators ``json.dumps`` uses."""
+    if type(value) is _Segments:
+        return segments_json(value.schedule)
+    if type(value) is dict:
+        items = {str(k): v for k, v in value.items()}
+        if any(type(v) is dict or type(v) is _Segments for v in items.values()):
+            return "{" + ", ".join(
+                f"{json.dumps(k)}: {_json(items[k])}" for k in sorted(items)
+            ) + "}"
+    return json.dumps(jsonable(value), sort_keys=True)
+
+
 def encode_body(response: Response) -> Tuple[bytes, str]:
     """``(body bytes, content type)`` — shared by daemon and testclient."""
     if isinstance(response.payload, str):
         return response.payload.encode("utf-8"), "text/plain; charset=utf-8"
-    body = json.dumps(jsonable(response.payload), sort_keys=True)
-    return body.encode("utf-8"), "application/json"
+    return _json(response.payload).encode("utf-8"), "application/json"
 
 
 def _match(pattern: str, path: str) -> Optional[Dict[str, str]]:
@@ -315,9 +358,7 @@ class ServeApp:
                 cert = certify(warm, m, speed, backend=backend)
             except OverflowError:
                 raise _past_int64() from None
-        payload = cert.to_dict()
-        payload.pop("cache_stats", None)  # warmth-dependent: never in responses
-        return Response(200, payload)
+        return Response(200, _certificate_body(cert))
 
     def _do_optimum(self, body: Dict[str, Any]) -> Response:
         from ..verify import Unsatisfiable, certified_optimum
@@ -330,23 +371,18 @@ class ServeApp:
             except OverflowError:
                 raise _past_int64() from None
             except Unsatisfiable as exc:
-                witness = exc.certificate.to_dict()
-                witness.pop("cache_stats", None)
                 return Response(
                     200,
-                    {"satisfiable": False, "infeasible": witness},
+                    {"satisfiable": False,
+                     "infeasible": _certificate_body(exc.certificate)},
                 )
-        feasible = co.feasible.to_dict()
-        feasible.pop("cache_stats", None)
         payload: Dict[str, Any] = {
             "satisfiable": True,
             "optimum": co.machines,
-            "feasible": feasible,
+            "feasible": _certificate_body(co.feasible),
         }
         if co.infeasible is not None:
-            infeasible = co.infeasible.to_dict()
-            infeasible.pop("cache_stats", None)
-            payload["infeasible"] = infeasible
+            payload["infeasible"] = _certificate_body(co.infeasible)
         return Response(200, payload)
 
     # -- sweep endpoints -------------------------------------------------------

@@ -98,18 +98,18 @@ def certify(
         else:
             cache = cache_for(instance)
             network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
-            # Work maps and cut indices refer to the interval list the
-            # network was built over (sparsified).
-            intervals = cache.network_intervals
             if network.feasible:
                 schedule = schedule_from_work(
-                    network.work_by_job(), intervals, m,
+                    network.work_by_job(), cache.tables, m,
                     _tick_base(cache.scale_for(speed), speed),
                 )
                 cert = FeasibleCertificate(
                     m, speed, schedule, cache_stats=cache.stats.snapshot()
                 )
             else:
+                # Cut indices refer to the interval list the network was
+                # built over (sparsified).
+                intervals = cache.network_intervals
                 job_ids, iv_idx = network.min_cut()
                 cert = InfeasibleCertificate(
                     m,

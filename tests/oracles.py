@@ -6,9 +6,9 @@ neither is on any runtime path:
 * the generic ``networkx`` max-flow formulation of Horn's network, built
   over *every* elementary interval between the instance's sorted
   release/deadline points (the unsparsified network, so each cross-check
-  also tests the kernels' sparsification) at the kernels' integer scale,
-  with a min-cut witness extractor and an optimum that bisects over its
-  verdicts;
+  also tests the kernels' sparsification) at its own integer scale (never
+  the library's int64 tables, so it answers past int64 too), with a
+  min-cut witness extractor and an optimum that bisects over its verdicts;
 * the float-based HiGHS LP relaxation (``scipy.optimize.linprog``) over
   ``x[j,k]``, the machine time job ``j`` gets in elementary interval ``k``:
   ``Σ_k x[j,k] = p_j``, ``0 ≤ x[j,k] ≤ |E_k|``, ``Σ_j x[j,k] ≤ m·|E_k|``,
@@ -24,17 +24,21 @@ feasibility cache's base scale, interval lists and integer network tables
 (``tests/test_tables.py``).  The served certify's integer paths are held
 to their former bodies (``tests/test_integer_paths.py``):
 :func:`reference_tick_schedule_from_work` (extraction with its own run
-merge), :func:`reference_job_fields` (the ``Fraction`` job validation) and
-:func:`reference_jsonable` (the ``isinstance``-chain encoder).
+merge, over :func:`reference_wrap`), :func:`reference_job_fields` (the
+``Fraction`` job validation), :func:`reference_jsonable` (the
+``isinstance``-chain encoder), :func:`reference_schedule_to_dict` (the
+per-segment schedule encoding) and :func:`reference_encode` (the generic
+served-body encoder).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -43,10 +47,9 @@ from scipy.optimize import linprog
 from repro.model.instance import Instance
 from repro.model.intervals import IntervalUnion, Numeric, to_fraction
 from repro.model.schedule import FeasibilityReport, Schedule, Segment
+from repro.obs.sinks import jsonable
+from repro.offline.dinic import FlowPieces, id_rank
 from repro.offline.feascache import cache_for
-from repro.offline.flow import _to_ticks, _wrap, schedule_from_work
-from repro.offline.optimum import window_concurrency
-from repro.offline.workload import scaled_lower_bound
 from repro.verify import (
     Certificate,
     CertifiedOptimum,
@@ -68,11 +71,18 @@ def elementary_intervals(instance: Instance) -> List[Tuple[Fraction, Fraction]]:
     return list(zip(points, points[1:]))
 
 
+def reference_scale(instance: Instance, speed: Fraction) -> int:
+    """``lcm(base, q)·q`` for ``speed = p/q``: every ``p_j`` and
+    ``(b − a)·speed`` is an integer multiple of ``1/scale``."""
+    q = speed.denominator
+    return math.lcm(reference_base_scale(instance), q) * q
+
+
 def _network(
     instance: Instance, m: int, speed: Fraction
 ) -> Tuple[nx.DiGraph, List[Tuple[Fraction, Fraction]], int]:
     intervals = elementary_intervals(instance)
-    scale = cache_for(instance).scale_for(speed)
+    scale = reference_scale(instance, speed)
     graph = nx.DiGraph()
     for k, (a, b) in enumerate(intervals):
         cap = int((b - a) * speed * scale)
@@ -149,8 +159,8 @@ def networkx_min_cut(
 
 
 def migratory_optimum(instance: Instance, speed: Numeric = 1) -> int:
-    """The optimum by bisection over networkx verdicts, in the library's
-    search range; :class:`ValueError` when no machine count works."""
+    """The optimum by bisection over networkx verdicts, bracketed from 1 by
+    doubling; :class:`ValueError` when no machine count works."""
     if len(instance) == 0:
         return 0
     speed = to_fraction(speed)
@@ -160,8 +170,7 @@ def migratory_optimum(instance: Instance, speed: Numeric = 1) -> int:
     def feasible(m: int) -> bool:
         return max_flow_assignment(instance, m, speed)[0]
 
-    lo = max(1, scaled_lower_bound(instance, speed))
-    hi = max(lo, window_concurrency(instance))
+    lo = hi = 1
     while not feasible(hi):
         lo, hi = hi + 1, hi * 2
     while lo < hi:
@@ -188,9 +197,9 @@ def certify(instance: Instance, m: int, speed: Numeric = 1) -> Certificate:
         return FeasibleCertificate(m, speed, Schedule([]))
     feasible, raw, intervals, ticks = _flow(instance, m, speed)
     if feasible:
-        return FeasibleCertificate(
-            m, speed, schedule_from_work(raw, intervals, m, ticks)
-        )
+        return FeasibleCertificate(m, speed, Schedule(
+            reference_tick_schedule_from_work(raw, intervals, m, ticks)
+        ))
     job_ids, iv_idx = networkx_min_cut(instance, m, speed)
     return InfeasibleCertificate(
         m, speed, tuple(job_ids),
@@ -494,7 +503,7 @@ def reference_build_tables(
     t.topology = None
     if n == 0:
         t.intervals = []
-        t.len_base = _EMPTY_Q
+        t.start_base = t.len_base = _EMPTY_Q
         t.demand_base = _EMPTY_Q
         t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
         t.n_nodes, t.n_edges = 2, 0
@@ -537,6 +546,7 @@ def reference_build_tables(
             zl[i1] -= 1
 
     kept: List[Tuple[Fraction, Fraction]] = []
+    start_base: List[int] = []
     len_base: List[int] = []
     newindex = array("i", bytes(4 * m_el)) if m_el else _EMPTY_I
     dropped = 0
@@ -557,6 +567,7 @@ def reference_build_tables(
         # and each extra tuple is one more object for the cyclic GC to
         # traverse (about 10^5 of them at n = 10^5).
         kept.append(elementary[k])
+        start_base.append(pts_int[k])
         len_base.append(len_el[k])
 
     k0s = array("i", bytes(4 * n))
@@ -574,6 +585,10 @@ def reference_build_tables(
         acc += 2 * (1 + k1 - k0)  # source arc + window arcs, paired ids
 
     t.intervals = kept
+    try:
+        t.start_base = array("q", start_base)
+    except OverflowError:  # a start past int64 stays a Python int
+        t.start_base = start_base
     t.len_base = array("q", len_base)
     t.demand_base = demand_base
     t.k0, t.k1, t.src = k0s, k1s, srcs
@@ -610,6 +625,96 @@ def reference_tables(instance: Instance) -> SimpleNamespace:
 # -- former bodies of the served certify's integer paths --------------------
 
 
+def work_map(pieces) -> Dict[Any, Dict[int, int]]:
+    """A flow's :class:`~repro.offline.dinic.FlowPieces` in the former
+    ``work_by_job`` shape: ``work[job_id][k]``, the raw flow per kept
+    interval, with a (possibly empty) row for every job."""
+    ids = pieces.ids
+    work: Dict[Any, Dict[int, int]] = {job_id: {} for job_id in ids}
+    offsets = pieces.offsets
+    for k in range(len(offsets) - 1):
+        for i in range(offsets[k], offsets[k + 1]):
+            work[ids[pieces.jobs[i]]][k] = pieces.amounts[i]
+    return work
+
+
+def flow_pieces(work: Dict[Any, Dict[int, int]], n_iv: int, kern) -> FlowPieces:
+    """What ``kern.gather`` reads off a network whose window arcs carry
+    ``work`` (:func:`work_map`'s inverse): job index ``idx`` is the
+    ``idx``-th key of ``work``, its window the kept intervals from its
+    first to its last key, in the network's edge layout."""
+    ids = list(work)
+    k0 = array("i", [min(row, default=0) for row in work.values()])
+    k1 = array("i", [max(row, default=-1) + 1 for row in work.values()])
+    src = array("i")
+    acc = 2 * n_iv  # sink arcs first, then each job's source and window arcs
+    for a, b in zip(k0, k1):
+        src.append(acc)
+        acc += 2 * (1 + b - a)
+    cap = array("q", bytes(8 * acc))
+    for idx, row in enumerate(work.values()):
+        for k, amount in row.items():
+            cap[src[idx] + 3 + 2 * (k - k0[idx])] = amount  # the arc's flow
+    offsets, jobs, amounts = kern.gather(
+        len(ids), n_iv, k0, k1, src, id_rank(ids), cap
+    )
+    return FlowPieces(offsets, jobs, amounts, ids, kern)
+
+
+def tick_bounds(intervals: Sequence[Tuple[Fraction, Fraction]]) -> SimpleNamespace:
+    """Kept ``(a, b)`` pairs as the integer bounds extraction reads from the
+    tables: ``start_base`` and ``len_base`` over ``base_scale``."""
+    base = math.lcm(*(x.denominator for pair in intervals for x in pair))
+    return SimpleNamespace(
+        base_scale=base,
+        start_base=array("q", [int(a * base) for a, _ in intervals]),
+        len_base=array("q", [int((b - a) * base) for a, b in intervals]),
+    )
+
+
+def reference_wrap(
+    pieces: Iterable[Tuple[int, Any]], start: Any, end: Any, m: int
+) -> List[Tuple[int, int, Any, Any]]:
+    """The former ``flow._wrap``, verbatim.
+
+    McNaughton's wrap-around loop: ``(job_id, machine, a, b)`` pieces.
+
+    It only adds, subtracts and compares times, so it runs on integer
+    ticks and on Fractions alike.
+    """
+    length = end - start
+    if length <= 0:
+        raise ValueError("empty elementary interval")
+    out: List[Tuple[int, int, Any, Any]] = []
+    machine = 0
+    cursor = start
+    for job_id, amount in pieces:
+        if amount <= 0:
+            continue
+        if amount > length:
+            raise ValueError(f"piece of job {job_id} exceeds interval length")
+        remaining = amount
+        while remaining > 0:
+            if machine >= m:
+                raise ValueError("pieces exceed machine capacity")
+            take = min(end - cursor, remaining)
+            out.append((job_id, machine, cursor, cursor + take))
+            cursor += take
+            remaining -= take
+            if cursor == end:
+                machine += 1
+                cursor = start
+    return out
+
+
+def _to_ticks(x: Fraction, ticks: int) -> int:
+    """The former ``flow._to_ticks``, verbatim."""
+    value, rest = divmod(x.numerator * ticks, x.denominator)
+    if rest:
+        raise ValueError(f"time {x} is not a multiple of 1/{ticks}")
+    return value
+
+
 def reference_tick_schedule_from_work(
     work: Dict[int, Dict[int, int]],
     intervals: Sequence[Tuple[Fraction, Fraction]],
@@ -639,7 +744,7 @@ def reference_tick_schedule_from_work(
         pieces = per_interval[k]
         pieces.sort(key=lambda item: (-item[1], item[0]))
         a, b = bounds[k]
-        for job_id, machine, start, end in _wrap(pieces, a, b, m):
+        for job_id, machine, start, end in reference_wrap(pieces, a, b, m):
             runs[(job_id, machine, end)] = runs.pop((job_id, machine, start), start)
     fractions: Dict[int, Fraction] = {}
 
@@ -689,3 +794,35 @@ def reference_jsonable(value):
     if isinstance(value, (list, tuple, set, frozenset)):
         return [reference_jsonable(v) for v in value]
     return str(value)
+
+
+def reference_schedule_to_dict(segments: Iterable[Segment]) -> Dict[str, Any]:
+    """The former ``schedule_to_dict``, verbatim: one entry per segment.
+
+    Lossless dictionary form of a schedule.
+    """
+    def enc(x: Fraction):
+        num, den = x.numerator, x.denominator
+        if den == 1:
+            return num
+        return f"{num}/{den}"
+
+    return {
+        "format": 1,
+        "kind": "schedule",
+        "segments": [
+            {
+                "job": s.job_id,
+                "machine": s.machine,
+                "start": enc(s.start),
+                "end": enc(s.end),
+            }
+            for s in segments
+        ],
+    }
+
+
+def reference_encode(payload: Any) -> str:
+    """The former served-body encoder, verbatim: the generic dump of the
+    payload's JSON form."""
+    return json.dumps(jsonable(payload), sort_keys=True)

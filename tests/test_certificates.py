@@ -13,6 +13,8 @@ For random instances (both flow backends, several speeds):
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import ceil
 
@@ -122,6 +124,27 @@ class TestRoundTrip:
             assert clone.machines == cert.machines
             assert clone.speed == cert.speed
             assert check_certificate(inst, clone).ok
+
+
+class TestCopies:
+    """Certificates cross process boundaries (a sweep task may return one)
+    and get deep-copied: a schedule survives both with its runs."""
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda cert: pickle.loads(pickle.dumps(cert)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_feasible_certificate_survives(self, copy_of):
+        inst = Instance([Job(0, 2, 3, id=i) for i in range(3)])
+        for cert in (certify(inst, 2), FeasibleCertificate(
+            2, Fraction(1), Schedule([Segment(0, 0, 0, Fraction(1, 2))])
+        )):
+            clone = copy_of(cert)
+            assert clone.schedule is not cert.schedule
+            assert clone.schedule.segments == cert.schedule.segments
+            assert clone.schedule.verify(inst, machines=2) == (
+                cert.schedule.verify(inst, machines=2)
+            )
+            assert clone.to_dict() == cert.to_dict()
 
 
 class TestCheckersRejectCorruption:

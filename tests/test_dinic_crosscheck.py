@@ -19,11 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adversary.migration_gap import MigrationGapAdversary
 from repro.generators import agreeable_instance, laminar_instance
 from repro.model import Instance, Job
 from repro.offline import kernel as _kernel
 from repro.offline.flow import max_flow_assignment, migratory_feasible
 from repro.offline.optimum import migratory_optimum
+from repro.online import FirstFitEDF
 from repro.verify import check_certificate
 
 from tests import oracles
@@ -187,6 +189,23 @@ class TestOptimumAgrees:
         assert migratory_optimum(inst, speed, backend="dinic_c") == (
             migratory_optimum(inst, speed, backend="dinic")
         )
+
+
+class TestOracleScale:
+    def test_oracle_answers_past_int64(self):
+        """The oracle keeps its own exact scale, so it answers where the
+        library's int64 tables cannot: the depth-6 Lemma 2 adversary
+        (n = 63, an 87-bit base scale) has OPT 2, with a checked witness,
+        and the instance's feasibility cache stays unbuilt."""
+        instance = MigrationGapAdversary(FirstFitEDF(), machines=9).run(6).instance
+        assert oracles.reference_base_scale(instance).bit_length() == 87
+        verdicts = [oracles.max_flow_assignment(instance, m)[0] for m in (1, 2, 3, 4)]
+        assert verdicts == [False, True, True, True]
+        assert oracles.migratory_optimum(instance) == 2
+        cert = oracles.certify(instance, 2)
+        assert cert.kind == "feasible"
+        assert check_certificate(instance, cert).ok
+        assert instance._feas_cache is None
 
 
 @pytest.mark.skipif(not _kernel.available(), reason="no compiled kernel")

@@ -9,7 +9,10 @@ module pins each path to its reference with hypothesis:
   (touching, duplicate, unsorted and multi-machine pieces, composite tick
   bases), and shares one ``Fraction`` per distinct tick;
 * ``schedule_from_work`` equals the former integer extraction with its own
-  run merge;
+  run merge, through both kernels' ``gather`` and ``wrap`` twins, which
+  write the same ints (ids out of paper order, past int64, tick factors);
+* ``schedule_to_dict``, ``segments_json`` and the served body equal the
+  per-segment encoding and the generic dump of the same payload;
 * ``Job`` accepts and rejects exactly as the ``Fraction`` validation did,
   with the same message;
 * ``jsonable`` returns what the ``isinstance`` chain returned;
@@ -20,6 +23,7 @@ module pins each path to its reference with hypothesis:
 from __future__ import annotations
 
 import enum
+import json
 from fractions import Fraction
 from typing import Any, List
 
@@ -29,9 +33,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import Job, Schedule, Segment
-from repro.model.io import InstanceFormatError, instance_from_dict
+from repro.model.intervals import IntervalUnion
+from repro.model.io import (
+    InstanceFormatError,
+    instance_from_dict,
+    schedule_to_dict,
+    segments_json,
+)
 from repro.obs.sinks import jsonable
+from repro.offline import kernel
 from repro.offline.flow import schedule_from_work
+from repro.serve.app import Response, _certificate_body, encode_body
+from repro.verify import FeasibleCertificate, InfeasibleCertificate
 
 from tests import oracles
 
@@ -146,23 +159,33 @@ class TestFromTicks:
 # -- extraction against the former integer body --------------------------------
 
 
+#: Job ids as callers pick them: out of paper order, negative, past int64.
+IDS = (-7, 0, 2, 3, 10**20)
+
+#: The kernels whose ``gather`` and ``wrap`` twins run here.
+KERNELS = ("py", "c") if kernel.available() else ("py",)
+
+
 @st.composite
 def flows(draw):
-    """A work map over consecutive on-grid intervals; a piece may overrun
-    its interval or a machine budget, so the wrap errors are compared too."""
-    ticks = draw(st.sampled_from([1, 2, 3, 6]))
+    """A work map over consecutive on-grid intervals (a grid of ``1/grid``,
+    machine time in ticks of ``1/(grid·f)``); a piece may overrun its
+    interval or a machine budget, so the wrap errors are compared too."""
+    grid = draw(st.sampled_from([1, 2, 3, 6]))
+    f = draw(st.sampled_from([1, 2, 3]))
     m = draw(st.integers(1, 3))
     bounds = [draw(st.integers(0, 4))]
     for _ in range(draw(st.integers(1, 5))):
         bounds.append(bounds[-1] + draw(st.integers(1, 4)))
     intervals = [
-        (Fraction(a, ticks), Fraction(b, ticks)) for a, b in zip(bounds, bounds[1:])
+        (Fraction(a, grid), Fraction(b, grid)) for a, b in zip(bounds, bounds[1:])
     ]
     overrun = draw(st.booleans())
     work: dict = {}
     for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        length, room = b - a, m * (b - a)
-        for job_id in draw(st.permutations(range(5))):
+        length = (b - a) * f
+        room = m * length
+        for job_id in draw(st.permutations(IDS)):
             cap = length + overrun if overrun else min(length, room)
             if cap <= 0 or draw(st.booleans()):
                 continue
@@ -170,21 +193,79 @@ def flows(draw):
             room -= amount
             work.setdefault(job_id, {})[k] = amount
     order = draw(st.permutations(list(work)))
-    return {job_id: work[job_id] for job_id in order}, intervals, m, ticks
+    return {job_id: work[job_id] for job_id in order}, intervals, m, grid * f
 
 
 class TestScheduleFromWork:
     @settings(max_examples=150, deadline=None)
     @given(flows())
     def test_matches_former_integer_body(self, flow):
+        """Both kernels' ``gather`` and ``wrap`` write the same ints, and
+        the schedule they extract is the reference's, errors included."""
         work, intervals, m, ticks = flow
-        got = _outcome(lambda: schedule_from_work(work, intervals, m, ticks).segments)
+        bounds = oracles.tick_bounds(intervals)
         reference = _outcome(
             lambda: oracles.reference_tick_schedule_from_work(work, intervals, m, ticks)
         )
-        assert got == reference
-        if got and isinstance(got[0], Segment):
-            assert _shares_ticks(got)
+        gathered, wrapped = [], []
+        for name in KERNELS:
+            pieces = oracles.flow_pieces(work, len(intervals), kernel.get(name))
+            gathered.append([list(part) for part in pieces[:3]])
+            got = _outcome(
+                lambda: schedule_from_work(pieces, bounds, m, ticks).segments
+            )
+            assert got == reference
+            if got and isinstance(got[0], Segment):
+                assert _shares_ticks(got)
+            wrapped.append(_outcome(lambda: list(pieces.kernel.wrap(
+                m, *pieces[:3], bounds.start_base, bounds.len_base,
+                ticks // bounds.base_scale, pieces.ids,
+            ))))
+        assert gathered.count(gathered[0]) == len(gathered)
+        assert wrapped.count(wrapped[0]) == len(wrapped)
+
+
+# -- the served encoding against the generic one -------------------------------
+
+
+class TestServedEncoding:
+    """``schedule_to_dict`` and the served body write the runs as the
+    per-segment encoder and the generic dump wrote the segments."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tick_pieces(), BASES, st.sampled_from([0, -20, 2**70]), st.permutations(IDS))
+    def test_runs_encode_like_segments(self, pieces, base, shift, ids):
+        pieces = [(ids[job], machine, start + shift, end + shift)
+                  for job, machine, start, end in pieces]
+        schedule = Schedule.from_ticks(pieces, base)
+        reference = oracles.reference_schedule_to_dict(schedule.segments)
+        assert schedule_to_dict(schedule) == reference
+        assert segments_json(schedule) == json.dumps(
+            reference["segments"], sort_keys=True
+        )
+        cert = FeasibleCertificate(2, Fraction(3, 2), schedule)
+        for payload, served in (
+            (cert.to_dict(), _certificate_body(cert)),
+            ({"satisfiable": True, "optimum": 2, "feasible": cert.to_dict()},
+             {"satisfiable": True, "optimum": 2, "feasible": _certificate_body(cert)}),
+        ):
+            assert encode_body(Response(200, served))[0] == (
+                oracles.reference_encode(payload).encode()
+            )
+
+    def test_other_payloads_encode_generically(self):
+        cert = InfeasibleCertificate(
+            1, Fraction(1), (3, 1), IntervalUnion.from_pairs([(0, Fraction(1, 2))])
+        )
+        for payload in (
+            {"error": {"code": "bad_request", "message": "ünïcode"}},
+            {"b": [{"z": 1, "a": Fraction(1, 3)}], "a": {2: None, 1: (True, 0.5)}},
+            {"infeasible": _certificate_body(cert), "satisfiable": False},
+            [], {},
+        ):
+            assert encode_body(Response(200, payload))[0] == (
+                oracles.reference_encode(payload).encode()
+            )
 
 
 # -- Job validation against the Fraction body ----------------------------------

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.model import Instance, Job, Schedule, Segment
 from repro.model.io import load, schedule_to_dict
+from repro.offline import kernel
 from repro.offline.feascache import cache_for
 from repro.offline.flow import (
     _DINIC_KERNELS,
@@ -59,7 +60,7 @@ def _reference_work(instance: Instance, m: int, speed: Fraction, backend: str):
     assert ticks.denominator == 1
     work = {
         job_id: {k: Fraction(amount, ticks) for k, amount in row.items()}
-        for job_id, row in network.work_by_job().items()
+        for job_id, row in oracles.work_map(network.work_by_job()).items()
     }
     return work, cache.network_intervals
 
@@ -260,13 +261,22 @@ class TestWrapLoop:
             mcnaughton([(0, 1)], start, end, 1)
 
 
+def _extract(work, intervals, m: int, ticks: int) -> Schedule:
+    """``schedule_from_work`` of a work map over Fraction intervals, as the
+    ``py`` kernel gathers it."""
+    return schedule_from_work(
+        oracles.flow_pieces(work, len(intervals), kernel.py),
+        oracles.tick_bounds(intervals), m, ticks,
+    )
+
+
 class TestScheduleFromWork:
     def test_back_to_back_runs_merge_across_intervals(self):
         # job 0 fills machine 0 over three adjacent intervals; job 1 wraps
         intervals = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)),
                      (Fraction(2), Fraction(3))]
         work = {0: {0: 2, 1: 2, 2: 2}, 1: {1: 1}, 2: {1: 1}}
-        sched = schedule_from_work(work, intervals, 2, 2)
+        sched = _extract(work, intervals, 2, 2)
         fractional = {
             j: {k: Fraction(t, 2) for k, t in row.items()} for j, row in work.items()
         }
@@ -278,13 +288,26 @@ class TestScheduleFromWork:
     def test_intervals_in_any_key_order(self):
         intervals = [(Fraction(2), Fraction(3)), (Fraction(0), Fraction(2))]
         work = {5: {0: 1, 1: 2}}
-        assert schedule_from_work(work, intervals, 1, 1).segments == (
+        assert _extract(work, intervals, 1, 1).segments == (
             Segment(5, 0, 0, 3),
         )
 
     def test_off_grid_interval_rejected(self):
-        with pytest.raises(ValueError, match="not a multiple of 1/2"):
-            schedule_from_work({0: {0: 1}}, [(Fraction(1, 3), Fraction(1))], 1, 2)
+        with pytest.raises(ValueError, match="time 1/3 is not a multiple of 1/2"):
+            _extract({0: {0: 1}}, [(Fraction(1, 3), Fraction(1))], 1, 2)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_ticks_past_int64_wrap_on_python_ints(self, backend):
+        """Every capacity fits int64 but the ticks (6·2⁶²) do not: the
+        wrap runs on Python ints and the certificate is exact."""
+        h = 2**62
+        inst = Instance([Job(h, 1, h + 2, id=0), Job(h + 1, 1, h + 3, id=1)])
+        cert = certify(inst, 2, Fraction(3, 2), backend=backend)
+        assert cert.kind == "feasible"
+        assert cert.schedule.segments == (
+            Segment(0, 0, h, h + Fraction(2, 3)),
+            Segment(1, 0, h + 1, h + 1 + Fraction(2, 3)),
+        )
 
     def test_entry_points_on_trivial_inputs(self):
         inst = Instance([_job(0, 2, 2, 0), _job(0, 2, 2, 1)])

@@ -20,8 +20,8 @@ Four angles on ``repro.offline.kernel``:
   to ``dinic_c`` everywhere else, these are what keep mutants of the
   python kernel (its drain included) and of the C dispatch dead.
 * **The int64 edge** (``TestInt64Edge``) — where a capacity passes int64
-  both kernels raise ``OverflowError`` and leave the same buffer behind;
-  none wraps into a different answer.
+  both kernels raise ``OverflowError``, and the probe leaves nothing
+  behind; none wraps into a different answer.
 """
 
 from __future__ import annotations
@@ -152,6 +152,13 @@ def probe_trail(instance: Instance, speed: Fraction, kern: str, probes) -> list:
     return trail
 
 
+def pieces(work) -> list:
+    """A flow's :class:`~repro.offline.dinic.FlowPieces` as plain lists
+    (``offsets``, ``jobs``, ``amounts``, ``ids``), whichever kernel
+    gathered them."""
+    return [list(part) for part in work[:4]]
+
+
 def cert_dict(cert) -> dict:
     """A certificate's payload without the solver-effort bookkeeping.
 
@@ -206,7 +213,7 @@ class TestBuildCache:
         # The object lives under a prefix of the source hash, so editing
         # the generated C (or bumping ABI_VERSION) can never collide with
         # this directory.
-        assert ABI_VERSION == 2
+        assert ABI_VERSION == 3
         assert os.path.dirname(info["path"]).endswith(info["key"][:24])
 
 
@@ -417,12 +424,12 @@ class TestKillSet:
         for m in (1, 2, 3):
             net_py = cache.solved_network(m, 1, "py")
             feas_py, snap_py = net_py.feasible, net_py.snapshot()
-            work_py = net_py.work_by_job() if feas_py else None
+            work_py = pieces(net_py.work_by_job()) if feas_py else None
             net_c = cache.solved_network(m, 1, "c")
             assert net_c.feasible == feas_py
             assert net_c.snapshot() == snap_py
             if feas_py:
-                assert net_c.work_by_job() == work_py
+                assert pieces(net_c.work_by_job()) == work_py
 
     def test_observed_solve_matches_plain(self):
         """With a sink listening, solves reach the same flows, and the
@@ -473,19 +480,30 @@ class TestInt64Edge:
                 migratory_feasible(large_denominators(), m, speed, backend=backend)
 
     def test_failed_growth_leaves_the_same_buffer(self):
-        """The sink growth stops at the interval where the Python store
-        raises: earlier intervals grown, the rest untouched."""
-        caps = {}
-        for kern in ("py", "c"):
-            cache = cache_for(large_denominators())
+        """A probe whose sink growth raises part way leaves nothing behind:
+        the next probe on the same cache answers, and leaves the buffer, as
+        on a fresh cache, on both kernels (a half-grown buffer once read
+        ``True`` at m = 1 here)."""
+        def instance():
+            q0, q1, q2 = _PRIMES
+            return Instance([
+                Job(0, 1, 1, id=0), Job(0, 1, 1, id=1), Job(1, 1, 4, id=2),
+                Job(Fraction(1, q0), Fraction(1, q1), 4 - Fraction(1, q2), id=3),
+            ])
+
+        for kern, backend in (("py", "dinic"), ("c", "dinic_c")):
+            cache = cache_for(instance())
             with pytest.raises(OverflowError):
-                cache.solved_network(40, Fraction(1), kern)
-            network = cache._state_for(Fraction(1), kern).network
-            assert network.machines == 0
-            caps[kern] = network.cap.tobytes()
-        assert caps["py"] == caps["c"]
-        sinks = array("q", caps["c"])[0:6:2]
-        assert sinks[0] > 0 and sinks[-1] == 0
+                cache.solved_network(4, Fraction(1), kern)
+            fresh = cache_for(instance()).solved_network(1, Fraction(1), kern)
+            again = cache.solved_network(1, Fraction(1), kern)
+            assert not fresh.feasible
+            assert again.feasible == fresh.feasible, kern
+            assert again.cap.tobytes() == fresh.cap.tobytes(), kern
+            raised = instance()
+            with pytest.raises(OverflowError):
+                migratory_feasible(raised, 4, backend=backend)
+            assert migratory_feasible(raised, 1, backend=backend) is False
 
     def test_total_demand_past_int64_raises_on_both(self):
         """Every capacity fits int64 but the total demand (3·2⁶² units)

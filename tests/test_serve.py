@@ -35,10 +35,14 @@ from fractions import Fraction
 
 import pytest
 
-from repro.model import Instance, Job
+from repro.generators import uniform_random_instance
+from repro.model import Instance, Job, Segment
+from repro.model import schedule as schedule_module
 from repro.model.io import instance_to_dict
 from repro.obs.sinks import Registry, jsonable
+from repro.offline.feascache import NetworkTables
 from repro.offline.flow import BACKENDS
+from repro.offline.optimum import migratory_optimum
 from repro.runner import Journal, canonical_report_view, run_sweep
 from repro.serve import (
     BadRequest,
@@ -53,6 +57,9 @@ from repro.serve import (
 )
 from repro.serve.app import ROUTES
 from repro.serve.queue import DRAINING, SERVING, STOPPED
+from repro.verify import certify
+
+from tests import oracles
 
 #: 3 jobs, p=2, window [0,3): migratory OPT 2 — feasible at m=2, not m=1.
 MCNAUGHTON = Instance([Job(0, 2, 3, id=i) for i in range(3)])
@@ -275,6 +282,27 @@ class TestHardening:
         assert error["code"] == "bad_request"
         assert "int64 limit 2**63 - 1" in error["message"]
 
+    def test_raised_probe_leaves_the_tenant_answering(self):
+        """A probe that raises past int64 leaves no half-grown network in
+        the tenant's cache: the next request answers as a fresh daemon
+        would (the infeasible certificate at m = 1), not with a 500."""
+        q0, q1, q2 = PRIMES_1E6[:3]
+        instance = Instance([
+            Job(0, 1, 1, id=0), Job(0, 1, 1, id=1), Job(1, 1, 4, id=2),
+            Job(Fraction(1, q0), Fraction(1, q1), 4 - Fraction(1, q2), id=3),
+        ])
+        client = TestClient(make_app())
+        resp = client.post("/v1/certify", json=payload_for(instance, m=4))
+        assert resp.status == 400
+        assert "int64 limit 2**63 - 1" in resp.json()["error"]["message"]
+        resp = client.post("/v1/certify", json=payload_for(instance, m=1))
+        fresh = TestClient(make_app()).post(
+            "/v1/certify", json=payload_for(instance, m=1)
+        )
+        assert resp.status == fresh.status == 200
+        assert resp.json()["kind"] == "infeasible"
+        assert resp.body == fresh.body
+
     def test_oversized_body_is_413(self):
         client = TestClient(make_app(max_body=256))
         resp = client.post("/v1/certify", data=b"x" * 257)
@@ -343,6 +371,36 @@ class TestComputeEndpoints:
         assert opt1.body == opt2.body
         for cert in ("feasible", "infeasible"):
             assert "cache_stats" not in opt1.json()[cert]
+
+
+    def test_feasible_certify_builds_no_segment_or_interval_list(
+        self, monkeypatch
+    ):
+        """A served feasible certificate stays on integer ticks from the
+        flow to the body: no ``Segment`` and no ``Fraction`` interval list
+        is built, and the body is the reference encoding of the
+        certificate."""
+        built = []
+        monkeypatch.setattr(schedule_module, "_segment", lambda *a: built.append(a))
+        monkeypatch.setattr(
+            Segment, "__post_init__", lambda self: built.append(self)
+        )
+        monkeypatch.setattr(
+            NetworkTables, "_pairs", lambda self: built.append(self)
+        )
+        instance = uniform_random_instance(60, horizon=120, seed=4)
+        m = migratory_optimum(instance)
+        resp = TestClient(make_app()).post(
+            "/v1/certify", json=payload_for(instance, m=m)
+        )
+        assert resp.status == 200 and resp.json()["kind"] == "feasible"
+        assert built == []
+        monkeypatch.undo()
+        # A cold certify at m, as the request ran (the search warmed this
+        # instance's network through other flows).
+        payload = certify(Instance(list(instance)), m).to_dict()
+        payload.pop("cache_stats")
+        assert resp.body == oracles.reference_encode(payload).encode()
 
 
 class TestDeadline:

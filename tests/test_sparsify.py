@@ -112,7 +112,7 @@ def _cold_flow(instance, m, speed, kernel_name, full):
     ticks = scale * speed
     work = {
         job_id: {intervals[k]: amount / ticks for k, amount in row.items()}
-        for job_id, row in network.work_by_job().items()
+        for job_id, row in oracles.work_map(network.work_by_job()).items()
     }
     cut = None
     if not network.feasible:

@@ -3,11 +3,12 @@
 
 Applies small, deterministic AST mutations (operator swaps, comparison
 negations, min/max swaps) to the solver modules under ``src/repro/offline/``
-(including the integer table scan and sweep of ``feascache.py``)
-— plus the schedule checker (``model/schedule.py::verify``), the
-schedule normalization, the served certify's decode and encode
-(``model/job.py``, ``model/io.py``, ``obs/sinks.py::jsonable``) and the
-certificate checkers (``verify/checkers.py``), the
+(including the integer table scan and sweep of ``feascache.py`` and the
+``py`` kernel's extraction twins) — plus the schedule checker
+(``model/schedule.py::verify``), the schedule normalization and its lazy
+segments, the served certify's decode and encode (``model/job.py``,
+``model/io.py``, ``obs/sinks.py::jsonable``, the served body writer of
+``serve/app.py``) and the certificate checkers (``verify/checkers.py``), the
 sweep-sharding partition (``runner/plan.py::shard``), the
 multi-journal merge (``runner/merge.py::merge_journals``), and the obs v2
 histogram core (``obs/hist.py`` bucket/merge/quantile logic) — and re-runs
@@ -47,14 +48,13 @@ REPO = Path(__file__).resolve().parent.parent
 TARGETS: Dict[str, Optional[Set[str]]] = {
     "src/repro/offline/dinic.py": None,
     # The ``py`` kernel: the blocking-flow loop, the greedy pass, the
-    # topology build, the capacity fill, grow and drain, and the table
-    # sweep (which ``auto`` no longer runs where the compiled kernel
-    # builds, so tests/test_tables.py forces it).
+    # topology build, the capacity fill, grow and drain, the table sweep
+    # and extraction's gather and wrap (which ``auto`` no longer runs where
+    # the compiled kernel builds, so tests/test_tables.py forces the sweep
+    # and tests/test_integer_paths.py runs both extraction twins).
     "src/repro/offline/kernel/py.py": None,
     "src/repro/offline/flow.py": {
         "_tick_base",
-        "_wrap",
-        "_to_ticks",
         "mcnaughton",
         "schedule_from_work",
         "max_flow_assignment",
@@ -72,20 +72,27 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # and the stand-alone build).
     "src/repro/offline/feascache.py": {"_scan", "_build_tables", "_pairs"},
     # The checker every feasible certificate is re-verified by: the
-    # one-pass integer ``Schedule.verify`` (plus the normalization whose
-    # start order it relies on) and the certificate checkers.  The kill-set
+    # one-pass integer ``Schedule.verify`` on the runs (plus the
+    # normalization whose start order it relies on, and the lazy segments
+    # built from the runs) and the certificate checkers.  The kill-set
     # pins it to its Fraction reference (tests/test_integer_time.py) and
     # to systematic schedule corruptions (tests/test_checker_mutations.py).
     "src/repro/model/schedule.py": {
         "verify", "_merge_adjacent", "_ticks", "from_ticks", "_normalize",
+        "segments",
     },
     # The served certify's integer paths, from the JSON fields to the JSON
     # body: the job validation on numerators and denominators, the decode
-    # (field types, duplicate ids, one Fraction per distinct raw value) and
-    # the exact-type-first encoder.  tests/test_integer_paths.py holds each
-    # to its former body (tests/oracles.py), tests/test_io.py to its errors.
+    # (field types, duplicate ids, one Fraction per distinct raw value),
+    # the exact-type-first encoder, the schedule encodings written from the
+    # runs and the served body writer.  tests/test_integer_paths.py holds
+    # each to its former body (tests/oracles.py), tests/test_io.py to its
+    # errors, tests/test_serve_golden.py to the recorded bodies.
     "src/repro/model/job.py": {"__post_init__"},
-    "src/repro/model/io.py": {"instance_from_dict", "_dec_field", "_enc"},
+    "src/repro/model/io.py": {
+        "instance_from_dict", "_dec_field", "_enc", "_tick_values",
+        "schedule_to_dict", "segments_json",
+    },
     "src/repro/obs/sinks.py": {"jsonable"},
     "src/repro/verify/checkers.py": None,
     # Sharded sweeps (ISSUE 7): a mutated partition (split group, skewed
@@ -122,7 +129,9 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # accepts submits while draining, or resurrects a stopped queue,
     # breaks the crash-only acknowledgement rule).  tests/test_serve.py's
     # routing/backpressure/drain classes are the kill-set.
-    "src/repro/serve/app.py": {"dispatch", "_match", "handle"},
+    "src/repro/serve/app.py": {
+        "dispatch", "_match", "handle", "_certificate_body", "_json",
+    },
     "src/repro/serve/queue.py": {
         "submit",
         "_outcome",
@@ -149,6 +158,7 @@ DEFAULT_TESTS = [
     "tests/test_kernel.py::TestBuildCache",
     "tests/test_kernel.py::TestFallbackLadder",
     "tests/test_serve.py::TestRouting",
+    "tests/test_serve.py::TestComputeEndpoints",
     "tests/test_serve.py::TestBackpressure",
     "tests/test_serve.py::TestSweepEndpoints",
     "tests/test_serve.py::TestDrainStateMachine",
@@ -179,12 +189,6 @@ NO_EQ_SWAP_FUNCS = {"max_flow"}
 IDENTITY_SWAP_FUNCS = {
     "__post_init__", "from_ticks", "instance_from_dict", "_dec_field", "jsonable",
 }
-
-#: Functions where ``^``/``|`` swaps are excluded: ``work_by_job`` reads
-#: ``cap[e ^ 1]`` only on *forward* (even) edge ids, where ``e ^ 1 == e | 1``
-#: — a textbook equivalent mutant.
-NO_XOR_SWAP_FUNCS = {"work_by_job"}
-
 
 class Site:
     """One mutable AST location inside an allowlisted function."""
@@ -218,14 +222,7 @@ def iter_sites(path: str, tree: ast.Module, allow: Optional[Set[str]]) -> Iterat
         if allow is not None and func.name not in allow:
             continue
         for node in ast.walk(func):
-            if (
-                isinstance(node, ast.BinOp)
-                and type(node.op) in BINOP_SWAP
-                and not (
-                    func.name in NO_XOR_SWAP_FUNCS
-                    and isinstance(node.op, ast.BitXor)
-                )
-            ):
+            if isinstance(node, ast.BinOp) and type(node.op) in BINOP_SWAP:
                 yield Site(path, func.name, node.lineno, node.col_offset,
                            "binop", type(node.op).__name__)
             elif (
