@@ -1,7 +1,7 @@
 """E-SCALE — substrate throughput (true timing benchmarks).
 
 These are the only benchmarks here meant primarily as *performance* tests:
-the engine, the flow solver, and the vectorized profiler at growing sizes.
+the engine, the flow solver, and the exact profile at growing sizes.
 They keep the simulation substrate honest — the theorem experiments assume
 the harness can afford exact arithmetic at laptop scale.
 """
@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.analysis.profile import approx_lower_bound
+from repro.analysis.profile import MandatoryProfile
 from repro.analysis.report import print_table
 from repro.generators import uniform_random_instance
 from repro.model import Instance
@@ -128,10 +128,13 @@ def test_flow_optimum_kernels_n1000(benchmark, backend):
 
 
 @pytest.mark.parametrize("n", [2000, 10000])
-def test_vectorized_profile_scaling(benchmark, n):
-    inst = uniform_random_instance(n, horizon=n, seed=n)
-    bound = benchmark(lambda: approx_lower_bound(inst))
-    assert bound >= 1
+def test_exact_profile_scaling(benchmark, n):
+    """Densities, OPT and its min-cut witness, cold cache per round."""
+    jobs = list(uniform_random_instance(n, horizon=n, seed=n))
+    profile = benchmark.pedantic(
+        MandatoryProfile.of, setup=lambda: ((Instance(jobs),), {}), rounds=5
+    )
+    assert profile.bound >= 1
 
 
 @pytest.mark.parametrize("k", [9, 10, 11])

@@ -2,7 +2,7 @@
 
 from .competitive import RatioProfile, profile_matrix, ratio_profile
 from .gantt import render_gantt, render_witness
-from .profile import approx_lower_bound, grid_winner, load_profile, window_density_grid
+from .profile import MandatoryProfile
 from .metrics import ScheduleStats, evaluate_schedule, theorem2_bound, theorem13_bound
 from .report import format_table, print_table
 from .search import BadInstance, SearchReport, find_bad_instance
@@ -14,10 +14,7 @@ __all__ = [
     "RatioProfile",
     "profile_matrix",
     "ratio_profile",
-    "approx_lower_bound",
-    "grid_winner",
-    "load_profile",
-    "window_density_grid",
+    "MandatoryProfile",
     "render_gantt",
     "render_witness",
     "ScheduleStats",

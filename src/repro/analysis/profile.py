@@ -1,119 +1,105 @@
-"""Vectorized workload profiling for large instances.
+"""The exact mandatory-load profile of an instance (Theorem 1).
 
-The exact Theorem 1 machinery in :mod:`repro.offline.workload` enumerates
-candidate interval pairs — ``O(P²·n)`` with exact rationals, fine for the
-experiment sizes but not for profiling thousands of jobs.  This module
-provides numpy float versions:
+Inside an interval union ``I`` a job must run at least
+``C(j, I) = max(0, |I ∩ I(j)| − ℓ_j)``, and Theorem 1 reads the optimum off
+these contributions: ``OPT = max_I ⌈C(S, I)/|I|⌉``.  :class:`MandatoryProfile`
+takes both from the feasibility core:
 
-* :func:`load_profile` — instantaneous *mandatory density* samples (a valid
-  lower-bound sampler for the machine count),
-* :func:`window_density_grid` — ``C(S,[a,b))/(b−a)`` on an (a, width) grid,
-* :func:`approx_lower_bound` — ``ceil`` of the grid maximum (with a safety
-  margin against float round-off: the result is cross-checked against the
-  exact contribution of the winning window before being returned).
-
-These are analysis conveniences; every theorem experiment uses the exact
-solvers.
+* the *density* ``C(S, E_k)/|E_k|`` of every kept elementary interval
+  ``E_k`` of the feasibility network, the least average number of busy
+  machines any feasible schedule shows inside ``E_k``, summed on the
+  integer tables (dropped intervals have no live job: density 0);
+* the bound ``OPT``, proved by the min cut at ``OPT − 1``: the densest
+  union, returned by :func:`~repro.verify.certify` as an infeasible
+  certificate already re-checked by the independent checker, whose
+  :meth:`~repro.verify.InfeasibleCertificate.required_machines` is the
+  reported bound.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Any, Dict, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from ..model.instance import Instance
-from ..model.intervals import IntervalUnion
-from ..offline.workload import machines_bound
+from ..offline.feascache import NetworkTables, cache_for
+from ..offline.optimum import migratory_optimum
+from ..verify import InfeasibleCertificate, certify
+
+_BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
-def _arrays(instance: Instance) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r = np.array([float(j.release) for j in instance])
-    d = np.array([float(j.deadline) for j in instance])
-    lax = np.array([float(j.laxity) for j in instance])
-    return r, d, lax
+def _interval_loads(tables: NetworkTables) -> List[int]:
+    """``C(S, E_k) · base_scale`` for every kept interval ``E_k``, in order.
 
-
-def load_profile(instance: Instance, samples: int = 512) -> Tuple[np.ndarray, np.ndarray]:
-    """``(times, density)`` of the sliding mandatory load.
-
-    For each sample time ``t`` with window ``w`` = span/samples, the value is
-    ``C(S, [t, t+w)) / w`` — the minimum average machine usage any feasible
-    schedule shows in that window.
+    A job is live in every kept interval of its window ``[k0, k1)`` (none
+    inside a window is dropped), so ``|E_k ∩ I(j)| = |E_k|`` there and 0
+    elsewhere, and each ``E_k`` longer than ``ℓ_j`` gets ``|E_k| − ℓ_j``.
     """
-    if len(instance) == 0:
-        return np.zeros(0), np.zeros(0)
-    r, d, lax = _arrays(instance)
-    lo, hi = r.min(), d.max()
-    width = (hi - lo) / samples
-    starts = lo + width * np.arange(samples)
-    # overlap of [a, a+w) with each [r_j, d_j): broadcast to (samples, n)
-    a = starts[:, None]
-    overlap = np.minimum(a + width, d[None, :]) - np.maximum(a, r[None, :])
-    contrib = np.clip(overlap - lax[None, :], 0.0, None)
-    contrib[overlap <= 0] = 0.0
-    return starts, contrib.sum(axis=1) / width
+    start, length = tables.start_base, tables.len_base
+    loads = [0] * len(length)
+    for k0, k1, demand in zip(tables.k0, tables.k1, tables.demand_base):
+        laxity = start[k1 - 1] + length[k1 - 1] - start[k0] - demand
+        for k in range(k0, k1):
+            if length[k] > laxity:
+                loads[k] += length[k] - laxity
+    return loads
 
 
-def window_density_grid(
-    instance: Instance, starts: int = 64, widths: int = 32
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(start_grid, width_grid, density)`` over an (a, w) grid.
+@dataclass(frozen=True)
+class MandatoryProfile:
+    """Per-interval mandatory densities, their peak, and the bound OPT."""
 
-    ``density[i, k] = C(S, [a_i, a_i + w_k)) / w_k``.
-    """
-    if len(instance) == 0:
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
-    r, d, lax = _arrays(instance)
-    lo, hi = r.min(), d.max()
-    span = hi - lo
-    start_grid = lo + span * np.arange(starts) / starts
-    width_grid = span * (1 + np.arange(widths)) / widths
-    a = start_grid[:, None, None]
-    w = width_grid[None, :, None]
-    overlap = np.minimum(a + w, d[None, None, :]) - np.maximum(a, r[None, None, :])
-    contrib = np.clip(overlap - lax[None, None, :], 0.0, None)
-    contrib[overlap <= 0] = 0.0
-    density = contrib.sum(axis=2) / width_grid[None, :]
-    return start_grid, width_grid, density
+    tables: NetworkTables
+    #: per kept interval ``E_k``: ``C(S, E_k) · base_scale``
+    loads: List[int]
+    #: the largest density (0 without jobs)
+    peak: Fraction
+    #: OPT, as the witness proves it (0 without jobs)
+    bound: int
+    #: the checked min cut at ``bound − 1`` (``None`` without jobs)
+    witness: Optional[InfeasibleCertificate]
 
+    @classmethod
+    def of(cls, instance: Instance) -> "MandatoryProfile":
+        """The profile of ``instance`` (``OverflowError`` where its flow
+        passes int64, as every flow command raises)."""
+        tables = cache_for(instance).tables
+        loads = _interval_loads(tables)
+        length = tables.len_base
+        top = 0
+        for k in range(1, len(loads)):
+            if loads[k] * length[top] > loads[top] * length[k]:
+                top = k
+        peak = Fraction(loads[top], length[top]) if loads else Fraction(0)
+        m = migratory_optimum(instance)
+        witness = certify(instance, m - 1) if m else None
+        bound = witness.required_machines(instance) if witness else 0
+        return cls(tables, loads, peak, bound, witness)
 
-def grid_winner(instance: Instance, starts: int = 64, widths: int = 32) -> Dict[str, Any]:
-    """The densest grid window with its exact certified bound.
+    def density(self, k: int) -> Fraction:
+        """``C(S, E_k)/|E_k|`` of kept interval ``k``."""
+        return Fraction(self.loads[k], self.tables.len_base[k])
 
-    Returns a dict with keys ``bound`` (the exact ``ceil(C/|I|)`` of the
-    winning window), ``window`` (``(a, b)`` as :class:`~fractions.Fraction`
-    pair, or ``None`` for the empty instance), ``grid_density`` (the float
-    grid estimate at the winner), and ``grid`` (the grid resolution) — the
-    joinable record emitted by ``repro profile --json`` so trace files and
-    profiles can be correlated offline.
-    """
-    if len(instance) == 0:
-        return {
-            "bound": 0,
-            "window": None,
-            "grid_density": 0.0,
-            "grid": {"starts": starts, "widths": widths},
-        }
-    start_grid, width_grid, density = window_density_grid(instance, starts, widths)
-    i, k = np.unravel_index(np.argmax(density), density.shape)
-    a = Fraction(start_grid[i]).limit_denominator(10**9)
-    b = a + Fraction(width_grid[k]).limit_denominator(10**9)
-    return {
-        "bound": machines_bound(instance, IntervalUnion.single(a, b)),
-        "window": (a, b),
-        "grid_density": float(density[i, k]),
-        "grid": {"starts": starts, "widths": widths},
-    }
+    def sparkline(self, width: int) -> str:
+        """The densities in ``width`` columns of equal time, scaled to the peak.
 
-
-def approx_lower_bound(instance: Instance, starts: int = 64, widths: int = 32) -> int:
-    """A fast, *certified* lower bound on the migratory optimum.
-
-    The float grid locates the densest window; the bound returned is the
-    exact ``ceil(C/|I|)`` of that window (re-evaluated with rationals), so
-    float round-off can cost tightness but never soundness.
-    """
-    return grid_winner(instance, starts, widths)["bound"]
+        A column shows the densest kept interval it overlaps; one that
+        overlaps none (an idle stretch) reads blank.
+        """
+        if not self.peak:
+            return _BLOCKS[0] * width
+        pn, pd = self.peak.numerator, self.peak.denominator
+        start, length = self.tables.start_base, self.tables.len_base
+        lo = start[0]
+        span = start[-1] + length[-1] - lo
+        levels = [0] * width
+        for a, size, load in zip(start, length, self.loads):
+            # Column c covers [lo + c·span/width, lo + (c + 1)·span/width).
+            first = (a - lo) * width // span
+            last = ((a + size - lo) * width - 1) // span
+            level = (len(_BLOCKS) - 1) * load * pd // (size * pn)
+            for c in range(first, last + 1):
+                levels[c] = max(levels[c], level)
+        return "".join(_BLOCKS[level] for level in levels)

@@ -8,36 +8,46 @@ practice.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+import random
+from math import floor
+from statistics import fmean
+from typing import Callable, Iterable, Sequence, Tuple
 
-import numpy as np
+
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-quantile of sorted data, interpolated linearly between the
+    closest ranks (numpy's default method)."""
+    h = (len(ordered) - 1) * q
+    i = floor(h)
+    upper = ordered[min(i + 1, len(ordered) - 1)]
+    return ordered[i] + (h - i) * (upper - ordered[i])
 
 
 def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
+    values: Iterable[float],
+    statistic: Callable[[Sequence[float]], float] = fmean,
     confidence: float = 0.95,
     n_resamples: int = 2000,
     seed: int = 0,
 ) -> Tuple[float, float, float]:
     """``(point, lo, hi)`` percentile-bootstrap CI of ``statistic``."""
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
+    data = [float(v) for v in values]
+    if not data:
         raise ValueError("no samples")
-    rng = np.random.default_rng(seed)
     point = float(statistic(data))
-    if data.size == 1:
+    if len(data) == 1:
         return point, point, point
-    idx = rng.integers(0, data.size, size=(n_resamples, data.size))
-    stats = np.array([statistic(data[row]) for row in idx])
+    rng = random.Random(seed)
+    stats = sorted(
+        statistic(rng.choices(data, k=len(data))) for _ in range(n_resamples)
+    )
     alpha = (1 - confidence) / 2
-    lo, hi = np.quantile(stats, [alpha, 1 - alpha])
-    return point, float(lo), float(hi)
+    return point, _quantile(stats, alpha), _quantile(stats, 1 - alpha)
 
 
-def mean_ci(values: Sequence[float], **kwargs) -> Tuple[float, float, float]:
-    return bootstrap_ci(values, np.mean, **kwargs)
+def mean_ci(values: Iterable[float], **kwargs) -> Tuple[float, float, float]:
+    return bootstrap_ci(values, fmean, **kwargs)
 
 
-def max_ci(values: Sequence[float], **kwargs) -> Tuple[float, float, float]:
-    return bootstrap_ci(values, np.max, **kwargs)
+def max_ci(values: Iterable[float], **kwargs) -> Tuple[float, float, float]:
+    return bootstrap_ci(values, max, **kwargs)

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import obs
 from .analysis.gantt import render_gantt, render_witness
-from .analysis.profile import grid_winner, load_profile
+from .analysis.profile import MandatoryProfile
 from .analysis.svg import save_svg
 from .core.adversary.agreeable_lb import AgreeableAdversary
 from .core.adversary.migration_gap import MigrationGapAdversary
@@ -54,7 +54,7 @@ from .generators import (
 )
 from .model import Instance, Schedule
 from .model.io import InstanceFormatError, load, save
-from .offline.flow import BACKENDS, DEFAULT_BACKEND, resolve_backend
+from .offline.flow import BACKENDS, DEFAULT_BACKEND, PAST_INT64, resolve_backend
 from .offline.nonmigratory import nonmigratory_optimum_bounds
 from .offline.optimum import migratory_optimum
 from .verify import (
@@ -190,12 +190,11 @@ def cmd_svg(args) -> int:
 def cmd_profile(args) -> int:
     import json as _json
 
-    from .offline.feascache import cache_for
-
     instance = _load_instance(args.instance)
+    profile = MandatoryProfile.of(instance)
     network = None
     if args.network:
-        tables = cache_for(instance).tables
+        tables = profile.tables
         # A dropped interval is one node and one sink arc: no job arc
         # reaches it, so the unsparsified sizes follow from the tables.
         dropped = tables.dropped
@@ -208,30 +207,28 @@ def cmd_profile(args) -> int:
             "edges_before": tables.n_edges + dropped,
             "edges_after": tables.n_edges,
         }
-    times, density = load_profile(instance, samples=args.samples)
-    winner = grid_winner(instance)
-    bound = winner["bound"]
-    peak = max(density) if len(density) else 0.0
+    witness = profile.witness
     if args.json:
-        window = winner["window"]
         payload = {
             "instance": args.instance,
             "n": len(instance),
-            "samples": args.samples,
-            "peak_density": float(peak),
-            "lower_bound": bound,
-            "grid_winner": {
-                "start": str(window[0]) if window else None,
-                "end": str(window[1]) if window else None,
-                "grid_density": winner["grid_density"],
-                **winner["grid"],
+            "peak_density": str(profile.peak),
+            "lower_bound": profile.bound,
+            "witness": None if witness is None else {
+                "jobs": list(witness.jobs),
+                "region": [[str(c.start), str(c.end)] for c in witness.region],
             },
             **({"network": network} if network else {}),
         }
         print(_json.dumps(payload, indent=2))
         return 0
-    print(f"n = {len(instance)}, mandatory-load peak = {peak:.2f}, "
-          f"certified lower bound on m = {bound}")
+    print(f"n = {len(instance)}, mandatory-load peak = {float(profile.peak):.2f}, "
+          f"certified lower bound on m = {profile.bound}")
+    if witness is not None:
+        print(f"witness: C(S, I) = {witness.contribution(instance)} > "
+              f"{witness.capacity} = {witness.machines}·|I| for "
+              f"{len(set(witness.jobs))} jobs S and {len(witness.region)} "
+              f"interval(s) I, |I| = {witness.region.length}")
     if network:
         print("feasibility network (event-interval sparsification):")
         print(f"  intervals: {network['intervals_elementary']} elementary → "
@@ -239,13 +236,8 @@ def cmd_profile(args) -> int:
               f"({network['intervals_dropped']} dropped)")
         print(f"  nodes:     {network['nodes_before']} → {network['nodes_after']}")
         print(f"  edges:     {network['edges_before']} → {network['edges_after']}")
-    # ASCII sparkline of the load profile
-    blocks = " ▁▂▃▄▅▆▇█"
-    if peak > 0:
-        line = "".join(
-            blocks[min(8, int(d / peak * 8))] for d in density[:: max(1, len(density) // args.width)]
-        )
-        print(line)
+    if profile.peak:
+        print(profile.sparkline(args.width))
     return 0
 
 
@@ -818,10 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report feasibility-network size before/after "
                         "event-interval sparsification")
     p.add_argument("instance")
-    p.add_argument("--samples", type=int, default=256)
     p.add_argument("--width", type=int, default=80)
     p.add_argument("--json", action="store_true",
-                   help="emit the profile (incl. the grid-winner window) as JSON")
+                   help="emit the profile (incl. the bound's witness) as JSON")
     p.set_defaults(func=cmd_profile)
 
     p = add_parser("realtime", help="provision machines for a task set JSON")
@@ -990,14 +981,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
-    if not trace_path:
-        return args.func(args)
-    sink = obs.attach(obs.JsonlSink(trace_path))
+    sink = obs.attach(obs.JsonlSink(trace_path)) if trace_path else None
     try:
         return args.func(args)
+    except OverflowError:
+        raise SystemExit(PAST_INT64) from None
     finally:
-        obs.detach(sink)
-        sink.close()
+        if sink is not None:
+            obs.detach(sink)
+            sink.close()
 
 
 if __name__ == "__main__":

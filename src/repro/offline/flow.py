@@ -66,6 +66,14 @@ BACKENDS = ("dinic", "dinic_c")
 #: (``dinic_c`` → ``dinic``); see :func:`resolve_backend`.
 DEFAULT_BACKEND = "auto"
 
+#: The one answer to an instance the int64 kernels cannot hold exactly:
+#: fixed, not the ``OverflowError``'s own text, so it does not depend on
+#: which kernel or step met the limit first (serve's 400, the CLI's exit).
+PAST_INT64 = (
+    "instance too large for exact flow arithmetic: a scaled time, "
+    "capacity or total demand passes the int64 limit 2**63 - 1"
+)
+
 #: Backends and the kernel (:func:`repro.offline.kernel.get`) each one runs.
 _DINIC_KERNELS = {"dinic": "py", "dinic_c": "c"}
 

@@ -24,12 +24,21 @@ Request lifecycle (the hardening ladder, in order):
    per-route/status counter in the service registry that ``/metrics``
    renders (Prometheus text exposition).
 
-Responses never include warmth-dependent fields (``cache_stats``): a
-response must be byte-identical whether the tenant cache was cold or hot,
-which is what the concurrent-determinism test pins.  Every body is
-``json.dumps(jsonable(payload), sort_keys=True)`` byte for byte; a feasible
-certificate's segment list is written as text from its schedule's runs
-(:func:`encode_body`).
+Responses never include warmth-dependent fields (``cache_stats``).  A
+verdict, an optimum's value and an infeasible certificate are the same
+whether the tenant cache was cold or hot, byte for byte: the min cut is
+the set the source reaches in the residual network, the same for every
+maximum flow.
+A feasible certificate's schedule is extracted from the maximum flow the
+tenant's network holds at ``m``, which earlier requests on that tenant
+shape (an optimum search reaches ``m`` through other probes), so it may
+differ from a fresh tenant's: the same ``kind`` and ``machines``, another
+schedule that passes the same check.  Repeating a request on one tenant
+returns the same body.  ``tests/test_serve.py`` pins all three.
+
+Every body is ``json.dumps(jsonable(payload), sort_keys=True)`` byte for
+byte; a feasible certificate's segment list is written as text from its
+schedule's runs (:func:`encode_body`).
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from ..model.io import InstanceFormatError, instance_from_dict, segments_json
 from ..model.schedule import Schedule
 from ..obs.prom import render_prometheus
 from ..obs.sinks import Registry, jsonable
-from ..offline.flow import BACKENDS
+from ..offline.flow import BACKENDS, PAST_INT64
 from .cache import TenantCachePool
 from .errors import (
     ApiError,
@@ -76,18 +85,6 @@ ROUTES: Tuple[Tuple[str, str, str], ...] = (
 _TENANT_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
 )
-
-
-def _past_int64() -> BadRequest:
-    """The 400 for an instance the flow kernels cannot hold exactly.
-
-    The message is fixed, not the ``OverflowError``'s own, so a body does
-    not depend on which kernel or step met the limit first.
-    """
-    return BadRequest(
-        "instance too large for exact flow arithmetic: a scaled time, "
-        "capacity or total demand passes the int64 limit 2**63 - 1"
-    )
 
 
 @dataclass
@@ -357,7 +354,7 @@ class ServeApp:
             try:
                 cert = certify(warm, m, speed, backend=backend)
             except OverflowError:
-                raise _past_int64() from None
+                raise BadRequest(PAST_INT64) from None
         return Response(200, _certificate_body(cert))
 
     def _do_optimum(self, body: Dict[str, Any]) -> Response:
@@ -369,7 +366,7 @@ class ServeApp:
             try:
                 co = certified_optimum(warm, speed, backend=backend)
             except OverflowError:
-                raise _past_int64() from None
+                raise BadRequest(PAST_INT64) from None
             except Unsatisfiable as exc:
                 return Response(
                     200,

@@ -28,7 +28,9 @@ merge, over :func:`reference_wrap`), :func:`reference_job_fields` (the
 ``Fraction`` job validation), :func:`reference_jsonable` (the
 ``isinstance``-chain encoder), :func:`reference_schedule_to_dict` (the
 per-segment schedule encoding) and :func:`reference_encode` (the generic
-served-body encoder).
+served-body encoder).  :func:`reference_grid_winner` is the float window
+grid ``repro profile`` once bounded the optimum with; the exact profile's
+bound is held to be at least its bound (``tests/test_profile.py``).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from repro.model.schedule import FeasibilityReport, Schedule, Segment
 from repro.obs.sinks import jsonable
 from repro.offline.dinic import FlowPieces, id_rank
 from repro.offline.feascache import cache_for
+from repro.offline.workload import machines_bound
 from repro.verify import (
     Certificate,
     CertifiedOptimum,
@@ -826,3 +829,55 @@ def reference_encode(payload: Any) -> str:
     """The former served-body encoder, verbatim: the generic dump of the
     payload's JSON form."""
     return json.dumps(jsonable(payload), sort_keys=True)
+
+
+def _window_density_grid(
+    instance: Instance, starts: int = 64, widths: int = 32
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The former ``window_density_grid``, verbatim:
+    ``(start_grid, width_grid, density)`` over an (a, w) grid.
+
+    ``density[i, k] = C(S, [a_i, a_i + w_k)) / w_k``.
+    """
+    if len(instance) == 0:
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
+    r = np.array([float(j.release) for j in instance])
+    d = np.array([float(j.deadline) for j in instance])
+    lax = np.array([float(j.laxity) for j in instance])
+    lo, hi = r.min(), d.max()
+    span = hi - lo
+    start_grid = lo + span * np.arange(starts) / starts
+    width_grid = span * (1 + np.arange(widths)) / widths
+    a = start_grid[:, None, None]
+    w = width_grid[None, :, None]
+    overlap = np.minimum(a + w, d[None, None, :]) - np.maximum(a, r[None, None, :])
+    contrib = np.clip(overlap - lax[None, None, :], 0.0, None)
+    contrib[overlap <= 0] = 0.0
+    density = contrib.sum(axis=2) / width_grid[None, :]
+    return start_grid, width_grid, density
+
+
+def reference_grid_winner(
+    instance: Instance, starts: int = 64, widths: int = 32
+) -> Dict[str, Any]:
+    """The former ``grid_winner``, verbatim: the densest window of a float
+    (start, width) grid, with the exact ``ceil(C/|I|)`` of that window as
+    its ``bound`` (a lower bound on OPT that a single window need not
+    make tight)."""
+    if len(instance) == 0:
+        return {
+            "bound": 0,
+            "window": None,
+            "grid_density": 0.0,
+            "grid": {"starts": starts, "widths": widths},
+        }
+    start_grid, width_grid, density = _window_density_grid(instance, starts, widths)
+    i, k = np.unravel_index(np.argmax(density), density.shape)
+    a = Fraction(start_grid[i]).limit_denominator(10**9)
+    b = a + Fraction(width_grid[k]).limit_denominator(10**9)
+    return {
+        "bound": machines_bound(instance, IntervalUnion.single(a, b)),
+        "window": (a, b),
+        "grid_density": float(density[i, k]),
+        "grid": {"starts": starts, "widths": widths},
+    }

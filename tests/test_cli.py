@@ -1,12 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from repro.cli import main
-from repro.model.io import load
-from repro.model import Instance, Schedule
+from repro.core.adversary.migration_gap import MigrationGapAdversary
+from repro.model.io import load, save
+from repro.model import Instance, Job, Schedule
+from repro.offline.flow import PAST_INT64
+from repro.offline.optimum import migratory_optimum
+from repro.online.nonmigratory import FirstFitEDF
+from repro.verify import certificate_from_dict, check_certificate
 
 
 @pytest.fixture
@@ -123,9 +129,10 @@ class TestNewCommands:
         assert out_path.read_text().startswith("<svg")
 
     def test_profile_command(self, loose_file, capsys):
-        assert main(["profile", loose_file, "--samples", "64"]) == 0
+        assert main(["profile", loose_file]) == 0
         out = capsys.readouterr().out
         assert "lower bound on m" in out
+        assert "witness: C(S, I) = " in out
 
     def test_realtime_command(self, tmp_path, capsys):
         spec = tmp_path / "ts.json"
@@ -176,15 +183,22 @@ class TestObservability:
         assert main(["classify", loose_file, "--trace", str(trace)]) == 0
         assert not obs.enabled()
 
-    def test_profile_json_grid_winner(self, loose_file, capsys):
+    def test_profile_json_witness(self, loose_file, capsys):
         assert main(["profile", loose_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["lower_bound"] >= 1
-        winner = payload["grid_winner"]
-        assert winner["grid_density"] > 0
-        assert winner["start"] is not None and winner["end"] is not None
-        assert winner["starts"] > 0 and winner["widths"] > 0
-        assert "network" not in payload  # only reported with --network
+        assert set(payload) == {
+            "instance", "n", "peak_density", "lower_bound", "witness",
+        }  # "network" only with --network
+        instance = load(loose_file)
+        assert payload["lower_bound"] == migratory_optimum(instance)
+        assert Fraction(payload["peak_density"]) > 0
+        witness = payload["witness"]
+        assert set(witness) == {"jobs", "region"}
+        cert = certificate_from_dict({
+            "kind": "infeasible", "machines": payload["lower_bound"] - 1,
+            "speed": "1", **witness,
+        })
+        assert check_certificate(instance, cert).ok
 
     def test_profile_network_mode(self, loose_file, capsys):
         assert main(["profile", loose_file, "--network"]) == 0
@@ -314,7 +328,31 @@ class TestObsV2:
         assert "2/2" in err
 
 
+def past_int64_instance(name):
+    """An instance whose flow passes int64: total demand 2**63 + 2**62
+    with H = 2**61, or the depth-6 Lemma 2 adversary (an 87-bit scale)."""
+    if name == "total-demand":
+        h = 2**61
+        return Instance([
+            Job(0, 2 * h, 2 * h, id=0), Job(0, h, h, id=1),
+            Job(h, h, 2 * h, id=2), Job(0, 2 * h, 2 * h, id=3),
+        ])
+    return MigrationGapAdversary(FirstFitEDF(), machines=9).run(6).instance
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["opt", "profile"])
+    @pytest.mark.parametrize("name", ["total-demand", "depth-6-adversary"])
+    def test_past_int64_exits_with_the_served_message(
+        self, tmp_path, command, name, capsys
+    ):
+        path = tmp_path / "big.json"
+        save(past_int64_instance(name), str(path))
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, str(path)])
+        assert str(exc_info.value) == PAST_INT64
+        assert "certified lower bound" not in capsys.readouterr().out
+
     def test_missing_file(self, tmp_path):
         with pytest.raises((SystemExit, FileNotFoundError)):
             main(["classify", str(tmp_path / "nope.json")])

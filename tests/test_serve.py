@@ -12,7 +12,9 @@ Covers:
   bodies — each a typed 4xx, nothing half-processed,
 * certify/optimum correctness against the library (sandwich certificates,
   ``Unsatisfiable`` → a 200 with the infeasibility witness),
-* cold-vs-warm byte-identity (no ``cache_stats`` ever leaks),
+* cold vs warm: no ``cache_stats`` ever leaks, a repeated request and
+  an infeasible certificate are byte-identical, a feasible one after an
+  optimum search keeps its kind and machine count and passes the checker,
 * per-request deadlines → fast 503 + ``Retry-After``,
 * backpressure: bounded queue → 429, ``/readyz`` flips while ``/healthz``
   stays 200, draining → 503,
@@ -57,7 +59,7 @@ from repro.serve import (
 )
 from repro.serve.app import ROUTES
 from repro.serve.queue import DRAINING, SERVING, STOPPED
-from repro.verify import certify
+from repro.verify import certificate_from_dict, certify, check_certificate
 
 from tests import oracles
 
@@ -372,6 +374,31 @@ class TestComputeEndpoints:
         for cert in ("feasible", "infeasible"):
             assert "cache_stats" not in opt1.json()[cert]
 
+    def test_certify_after_optimum_against_a_fresh_tenant(self):
+        """After ``/v1/optimum`` on a tenant, an infeasible certify body is
+        byte-identical to a fresh tenant's (the min cut is the same for
+        every maximum flow); a feasible one may carry another schedule of
+        the search's flow, so it is held to the same kind and machine
+        count and to the checker."""
+        for seed in range(3):
+            instance = uniform_random_instance(60, horizon=120, seed=seed)
+            m = migratory_optimum(instance)
+            warm = TestClient(make_app())
+            assert warm.post("/v1/optimum", json=payload_for(instance)).status == 200
+            for probe in range(max(0, m - 2), m + 2):
+                body = payload_for(instance, m=probe)
+                hot = warm.post("/v1/certify", json=body)
+                cold = TestClient(make_app()).post("/v1/certify", json=body)
+                assert hot.status == cold.status == 200
+                if probe < m:
+                    assert hot.json()["kind"] == "infeasible"
+                    assert hot.body == cold.body
+                    continue
+                got, fresh = hot.json(), cold.json()
+                assert (got["kind"], got["machines"]) == ("feasible", probe)
+                assert (fresh["kind"], fresh["machines"]) == ("feasible", probe)
+                cert = certificate_from_dict(got)
+                assert check_certificate(instance, cert).ok
 
     def test_feasible_certify_builds_no_segment_or_interval_list(
         self, monkeypatch

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.analysis.stats import bootstrap_ci, max_ci, mean_ci
+from repro.analysis.stats import _quantile, bootstrap_ci, max_ci, mean_ci
 
 
 class TestBootstrap:
@@ -41,3 +42,13 @@ class TestBootstrap:
         _, lo90, hi90 = mean_ci(data, confidence=0.90, seed=6)
         _, lo99, hi99 = mean_ci(data, confidence=0.99, seed=6)
         assert (hi99 - lo99) >= (hi90 - lo90)
+
+
+class TestQuantile:
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+    )
+    def test_numpy_linear_interpolation(self, values, q):
+        expected = float(np.quantile(values, q))
+        assert _quantile(sorted(values), q) == pytest.approx(expected, abs=1e-6)

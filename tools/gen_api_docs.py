@@ -89,8 +89,9 @@ CLI_SECTION = [
     "| `repro trace diff BEFORE.jsonl AFTER.jsonl` | Per-span-path"
     " self/cumulative/count deltas between two traces, biggest movers"
     " first. |",
-    "| `repro profile INSTANCE.json --json` | Machine-readable load profile:"
-    " peak density, certified lower bound, and the winning grid window. |",
+    "| `repro profile INSTANCE.json --json` | Machine-readable mandatory-load"
+    " profile: the exact peak interval density (`\"n/d\"`), the bound OPT,"
+    " and its witness (the min cut at OPT − 1: job ids and region pairs). |",
     "| `repro sweep ratio\\|differential\\|corpus [--workers K]"
     " [--journal OUT.jsonl] [--resume] [--retries K] [--item-timeout SEC]"
     " [--chaos SPEC]` | Parallel sweep with crash-only durability: journal"
