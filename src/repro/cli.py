@@ -55,6 +55,7 @@ from .generators import (
 from .model import Instance, Schedule
 from .model.io import InstanceFormatError, load, save
 from .offline.flow import BACKENDS, DEFAULT_BACKEND, PAST_INT64, resolve_backend
+from .offline.kernel import KernelUnavailable
 from .offline.nonmigratory import nonmigratory_optimum_bounds
 from .offline.optimum import migratory_optimum
 from .verify import (
@@ -986,6 +987,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except OverflowError:
         raise SystemExit(PAST_INT64) from None
+    except KernelUnavailable as exc:
+        raise SystemExit(str(exc)) from None
     finally:
         if sink is not None:
             obs.detach(sink)

@@ -10,10 +10,11 @@ and snapshots are single ``memcpy``s:
   edge of edge ``e`` is ``e ^ 1``), and per-node edge lists are a classic
   head/edge-list CSR pair (``head`` offsets into ``elist``).
 * The network is the ``source → job → interval → sink`` network
-  specialized to the job/interval bipartite structure.  Edge ids are
-  *arithmetic*: sink arc of interval ``k`` is ``2k``, and each job's
-  source arc and window arcs occupy one contiguous block of even ids, so
-  the solver needs no per-job edge lists at all.  Each ``solve`` starts
+  specialized to the job/interval bipartite structure, built from the
+  per-instance integer tables (:mod:`repro.offline.feascache`) alone.
+  Edge ids are *arithmetic*: sink arc of interval ``k`` is ``2k``, and
+  each job's source arc and window arcs occupy one contiguous block of
+  even ids, so the solver needs no per-job edge lists at all.  Each ``solve`` starts
   with a greedy pass over that layout which is exactly a blocking flow on
   the depth-3 level graph (every augmenting path in the first Dinic phase
   is ``s → job → interval → t``); Dinic then only reroutes the remainder.
@@ -99,35 +100,11 @@ def id_rank(ids: Sequence[Any]) -> array:
     return rank
 
 
-def _csr(n: int, to: List[int]) -> Tuple[List[int], List[int]]:
-    """``(head, elist)`` of a paired edge list by a counting sort.
-
-    Edge ``e`` runs from ``to[e ^ 1]`` to ``to[e]``; ``elist[head[u] :
-    head[u + 1]]`` are node ``u``'s incident edge ids in ascending order.
-    Only the stand-alone reference build uses it: the tables build writes
-    the same arrays analytically (the kernels' ``build_topology``).
-    """
-    m = len(to)
-    counts = [0] * (n + 1)
-    for e in range(m):
-        counts[to[e ^ 1] + 1] += 1
-    for u in range(n):
-        counts[u + 1] += counts[u]
-    head = counts
-    fill = head[:n]
-    elist = [0] * m
-    for e in range(m):
-        u = to[e ^ 1]
-        elist[fill[u]] = e
-        fill[u] += 1
-    return head, elist
-
-
 class FeasibilityNetwork:
     """Horn's feasibility network with in-place machine-count scaling.
 
-    Nodes: ``0`` source, ``1`` sink, then one per job, then one per
-    interval (the *sparsified* interval list when fed by the cache).
+    Nodes: ``0`` source, ``1`` sink, then one per job, then one per kept
+    (*sparsified*) interval of the tables.
     Built once per ``(instance, speed)`` with the sink arcs at ``m = 0``;
     :meth:`set_machines` grows them to ``m · |E_k|``.
 
@@ -147,16 +124,12 @@ class FeasibilityNetwork:
     (:func:`repro.offline.kernel.get` of ``kernel``), ``"py"`` or ``"c"``,
     which share one interface and write the same bytes.
 
-    ``instance`` is an instance or its job tuple (the cache passes the
-    tuple); ``scale`` comes from the caller.  With ``tables`` (the per-instance
-    cache's :class:`~repro.offline.feascache.NetworkTables`, passed with
-    its ``intervals`` view) the build reads only integer tables and counts,
-    never an interval's pairs, and keeps them as ``tables`` for
-    extraction's id ranks.  Without, the stand-alone reference build
-    works from ``intervals`` and the jobs' ``Fraction`` data, resolving
-    job → interval ranges through O(1) dict lookups on the interval
-    endpoints (every job's release starts, and deadline ends, an
-    interval).
+    ``jobs`` is the instance's job tuple (or the instance) and ``tables``
+    its :class:`~repro.offline.feascache.NetworkTables`, the one source of
+    the build: it reads only integer tables and counts, never an
+    interval's pairs, reuses (or fills) ``tables.topology`` for the
+    kernel, and keeps ``tables`` for extraction's id ranks.  ``scale``
+    comes from the caller (``FeasibilityCache.scale_for``).
 
     Every flow sum either kernel keeps (greedy, Dinic, drain, the reverse
     arcs) is at most the total demand, so a total demand past int64 raises
@@ -188,92 +161,38 @@ class FeasibilityNetwork:
     )
 
     def __init__(
-        self,
-        instance,
-        speed: Fraction,
-        intervals: Sequence[Tuple[Fraction, Fraction]],
-        scale: int,
-        kernel: str = "py",
-        tables=None,
+        self, jobs, speed: Fraction, scale: int, kernel: str, tables
     ) -> None:
-        n = len(instance)
-        n_iv = len(intervals)
+        n = len(jobs)
+        n_iv = len(tables.len_base)
         n_nodes = 2 + n + n_iv
         # An explicit kernel="c" request raises KernelUnavailable here (the
         # "auto" backend checks availability before ever asking for "c").
         kern = _kernel.get(kernel)
-        if tables is not None:
-            # Integer path: the cache's table scan did all the per-job work.
-            # ``speed·scale`` is an integer multiple of ``base_scale`` by
-            # the scale_for contract, so every capacity is two int
-            # multiplications away.
-            sp = speed * scale
-            base = tables.base_scale
-            if sp.denominator != 1 or sp.numerator % base:
-                raise ValueError(
-                    "scale incompatible with tables; use cache.scale_for(speed)"
-                )
-            lenfac = sp.numerator // base       # len_base → interval capacity
-            demfac = scale // base              # demand_base → demand
-            k0s, k1s, srcs = tables.k0, tables.k1, tables.src
-            edf = tables.edf
-            total = tables.total_demand_base * demfac
-            iv_caps = kern.scale_caps(tables.len_base, lenfac)
-            topology = tables.topology.get(kern.name)
-            if topology is None:
-                topology = tables.topology[kern.name] = kern.build_topology(
-                    n, n_iv, k0s, k1s, srcs, 2 * tables.n_edges, n_nodes
-                )
-            to, head, elist = topology
-            cap = array("q", bytes(8 * len(to)))
-            kern.fill_caps(
-                n, k0s, k1s, srcs, tables.demand_base, demfac, iv_caps, cap
+        # The cache's table scan did all the per-job work.  ``speed·scale``
+        # is an integer multiple of ``base_scale`` by the scale_for
+        # contract, so every capacity is two int multiplications away.
+        sp = speed * scale
+        base = tables.base_scale
+        if sp.denominator != 1 or sp.numerator % base:
+            raise ValueError(
+                "scale incompatible with tables; use cache.scale_for(speed)"
             )
-        else:
-            # Stand-alone reference build: a generic paired edge list (the
-            # forward edge at an even id e, its reverse at e ^ 1) and a
-            # counting sort, independent of the kernels' analytic topology.
-            # One exact multiplication per interval; job→interval arcs reuse
-            # it (a job cannot self-parallelize, so its per-interval cap
-            # equals the interval's unit capacity).
-            sp = speed * scale
-            iv_caps = [int((b - a) * sp) for a, b in intervals]
-            to: List[int] = []
-            caps: List[int] = []
-            for k in range(n_iv):
-                to += (self.SINK, 2 + n + k)  # sink arc of interval k == 2k
-                caps += (0, 0)
-            # Every job's release starts an interval and every deadline ends
-            # one (dropping empty intervals cannot erase a boundary inside a
-            # live window), so ranges are O(1) dict lookups.
-            start_at = {a: k for k, (a, _) in enumerate(intervals)}
-            end_at = {b: k for k, (_, b) in enumerate(intervals)}
-            k0s = array("i", bytes(4 * n))
-            k1s = array("i", bytes(4 * n))
-            srcs = array("i", bytes(4 * n))
-            total = 0
-            for idx, job in enumerate(instance):
-                demand = int(job.processing * scale)
-                total += demand
-                k0 = start_at[job.release]
-                k1 = end_at[job.deadline] + 1
-                k0s[idx] = k0
-                k1s[idx] = k1
-                srcs[idx] = len(to)
-                jn = 2 + idx
-                to += (jn, self.SOURCE)
-                caps += (demand, 0)
-                for k in range(k0, k1):
-                    to += (2 + n + k, jn)
-                    caps += (iv_caps[k], 0)
-            edf = array("i", sorted(range(n), key=lambda i: (k1s[i], k0s[i], i)))
-            head, elist = _csr(n_nodes, to)
-            cap = array("q", caps)
-            if kern.name == "c":
-                # The compiled kernel reads int32 topology and int64
-                # per-interval capacities.
-                to, head, elist = array("i", to), array("i", head), array("i", elist)
-                iv_caps = array("q", iv_caps)
+        lenfac = sp.numerator // base       # len_base → interval capacity
+        demfac = scale // base              # demand_base → demand
+        k0s, k1s, srcs = tables.k0, tables.k1, tables.src
+        total = tables.total_demand_base * demfac
+        iv_caps = kern.scale_caps(tables.len_base, lenfac)
+        topology = tables.topology.get(kern.name)
+        if topology is None:
+            topology = tables.topology[kern.name] = kern.build_topology(
+                n, n_iv, k0s, k1s, srcs, 2 * tables.n_edges, n_nodes
+            )
+        to, head, elist = topology
+        cap = array("q", bytes(8 * len(to)))
+        kern.fill_caps(
+            n, k0s, k1s, srcs, tables.demand_base, demfac, iv_caps, cap
+        )
         if total >= _INT64_LIMIT:
             raise OverflowError(
                 f"total demand {total} does not fit int64: the flow sums "
@@ -282,13 +201,13 @@ class FeasibilityNetwork:
         self.kernel = kern
         self.to, self.head, self.elist, self.cap = to, head, elist, cap
         self.iv_caps = iv_caps
-        self.job_ids = [job.id for job in instance]
+        self.job_ids = [job.id for job in jobs]
         self.tables = tables
         self.total_demand = total
         self.machines = 0
         self.flow = 0
         self._k0, self._k1, self._src = k0s, k1s, srcs
-        self._edf = edf
+        self._edf = tables.edf
         self._cap_mv = memoryview(cap)
         self.n_nodes = n_nodes
         self.n_edges = len(to) // 2
@@ -436,10 +355,8 @@ class FeasibilityNetwork:
         see :func:`repro.offline.flow.schedule_from_work`).
         """
         ids = self.job_ids
-        tables = self.tables
-        rank = id_rank(ids) if tables is None else tables.id_rank()
         offsets, jobs, amounts = self.kernel.gather(
-            len(ids), len(self.iv_caps), self._k0, self._k1, self._src, rank,
-            self.cap,
+            len(ids), len(self.iv_caps), self._k0, self._k1, self._src,
+            self.tables.id_rank(), self.cap,
         )
         return FlowPieces(offsets, jobs, amounts, ids, self.kernel)

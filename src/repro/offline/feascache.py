@@ -17,13 +17,12 @@ itself (instances are immutable, so nothing can invalidate the memo):
   sparsified event intervals, per-job interval ranges, base-scaled lengths
   and demands, the EDF probe order, window concurrency and span, and —
   after the first build — each kernel's shared CSR topology, so a second
-  speed costs one capacity array instead of a graph construction,
-* ``intervals`` / ``network_intervals`` — the elementary and the kept
-  ``(a, b)`` ``Fraction`` pairs, built from the jobs' own ``Fraction``
-  objects only when an infeasible certificate or the workload
-  characterization asks (one tuple per kept interval, shared by both);
-  extraction reads the kept intervals' integer bounds (``start_base``,
-  ``len_base``) instead,
+  speed costs one capacity array instead of a graph construction.  They
+  are the core's one interval representation: extraction reads the kept
+  intervals' integer bounds (``start_base``, ``len_base``), and
+  ``tables.intervals`` builds a kept interval's ``(a, b)`` ``Fraction``
+  pair from them only when a reader (an infeasible certificate's min-cut
+  region) indexes it,
 * per-``(speed, kernel)`` :class:`~repro.offline.dinic.FeasibilityNetwork`
   solvers with snapshot/restore, so a binary search's non-monotone probe
   sequence costs one network build plus warm-started residual pushes
@@ -44,18 +43,20 @@ the live set there, so adjacent intervals never share a live set.  The
 reduction is surfaced through the ``network.intervals_*`` obs counters and
 ``repro profile --network``; ``tests/test_sparsify.py`` checks it against
 two references built over every elementary interval: the networkx oracle
-and the stand-alone :class:`~repro.offline.dinic.FeasibilityNetwork` build.
+and ``tests/oracles.py::reference_network``, the same kernels on a network
+built from the jobs' ``Fraction`` data.
 
 A search, the bounds (``window_concurrency``, ``scaled_lower_bound``) and
 the network sizes (``len(tables.intervals)``, ``repro profile --network``)
-read only the integer tables, so a cold ``migratory_optimum`` builds no
-``Fraction`` interval list.  Besides the build itself, that spares the
-cyclic garbage collector: at n = 10⁵ the ~126k tuples of an elementary
-list push its pending count past a quarter of the objects the instance
+read only the integer tables, and an infeasible certificate builds only
+its cut's pairs, so the instance keeps no ``Fraction`` interval list: at
+n = 10⁵ the ~126k tuples of such a list would push the cyclic garbage
+collector's pending count past a quarter of the objects the instance
 keeps alive, which triggers a full (generation-2) collection.
-``tests/test_tables.py`` checks the tables field by field against the
-``Fraction`` sweep kept as ``tests/oracles.py::reference_tables``, through
-both kernels' sweeps, and pins the laziness.
+``tests/test_tables.py`` checks the tables and the view field by field
+against the ``Fraction`` sweep kept as
+``tests/oracles.py::reference_tables``, through both kernels' sweeps, and
+pins which pairs each reader builds.
 
 ``stats`` counts probes/hits so tests can pin the ``O(log(hi − lo))``
 probe-complexity contract and the cross-caller cache behaviour.
@@ -69,7 +70,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..model.instance import Instance
 from ..model.job import Job
@@ -121,18 +122,14 @@ class NetworkTables:
     builds on that kernel (other speeds) reuse them and only allocate a
     capacity array.
 
-    The ``Fraction`` interval lists are lazy: :meth:`kept_intervals` and
-    :meth:`elementary_intervals` build them from the jobs' own ``Fraction``
-    objects on first use (infeasible certificates, the workload
-    characterization), and share one tuple per kept interval.
-    :attr:`intervals` is a view of the kept list whose ``len`` builds
-    nothing.  Extraction reads the integer bounds (``start_base``,
-    ``len_base``) and :meth:`id_rank` instead.
+    :attr:`intervals` is the one view of the kept intervals as ``(a, b)``
+    ``Fraction`` pairs (:class:`KeptIntervals`): it builds a pair only when
+    indexed and keeps none.  Extraction reads the integer bounds
+    (``start_base``, ``len_base``) and :meth:`id_rank` instead.
     """
 
     __slots__ = (
-        "jobs",            # the instance's job tuple (the lazy lists' source)
-        "kept",            # per kept interval: its elementary index
+        "jobs",            # the instance's job tuple (id_rank's source)
         "start_base",      # per kept interval: a · base_scale, int
         "len_base",        # per kept interval: (b − a) · base_scale, int
         "demand_base",     # per job: p_j · base_scale, int
@@ -147,8 +144,6 @@ class NetworkTables:
         "span_base",       # (last event − first event) · base_scale
         "base_scale",
         "topology",        # kernel name → its (to, head, elist)
-        "_elementary",     # None | the elementary (a, b) Fraction pairs
-        "_kept_pairs",     # None | the kept (a, b) Fraction pairs
         "_rank",           # None | per job: its id's rank (id_rank)
     )
 
@@ -164,48 +159,19 @@ class NetworkTables:
         """The kept ``(a, b)`` pairs the network is built over (a view)."""
         return KeptIntervals(self)
 
-    def kept_intervals(self) -> List[Tuple[Fraction, Fraction]]:
-        """The kept ``(a, b)`` Fraction pairs, built on first use."""
-        if self._kept_pairs is None:
-            pairs = self._elementary
-            if pairs is None:
-                pairs = self._pairs()
-            self._kept_pairs = [pairs[k] for k in self.kept]
-        return self._kept_pairs
-
-    def elementary_intervals(self) -> List[Tuple[Fraction, Fraction]]:
-        """Every elementary ``(a, b)`` Fraction pair, built on first use."""
-        if self._elementary is None:
-            pairs = self._pairs()
-            if self._kept_pairs is not None:
-                # One tuple per kept interval, whichever list came first.
-                for k, pair in zip(self.kept, self._kept_pairs):
-                    pairs[k] = pair
-            self._elementary = pairs
-        return self._elementary
-
-    def _pairs(self) -> List[Tuple[Fraction, Fraction]]:
-        """Fresh elementary pairs over the jobs' own release/deadline objects.
-
-        A job's window starts at the left end of its first kept interval
-        and ends at the right end of its last, and every event point is
-        some job's release or deadline, so the walk fills every point.
-        """
-        points: List[Optional[Fraction]] = [None] * (self.elementary_count + 1)
-        kept = self.kept
-        for job, k0, k1 in zip(self.jobs, self.k0, self.k1):
-            points[kept[k0]] = job.release
-            points[kept[k1 - 1] + 1] = job.deadline
-        return list(zip(points, points[1:]))
-
 
 class KeptIntervals(Sequence):
     """``NetworkTables.intervals``: the kept pairs as a read-only sequence.
 
-    ``len`` reads the integer tables, so sizing a network, the
-    ``network.intervals_kept`` gauge and ``repro profile --network`` never
-    build a ``Fraction``; indexing or iterating builds the kept list once
-    (:meth:`NetworkTables.kept_intervals`).
+    ``len`` reads ``len_base``, so sizing a network, the
+    ``network.intervals_kept`` gauge and ``repro profile --network`` build
+    no ``Fraction``.  ``view[k]`` builds that one pair from
+    ``start_base[k]``, ``len_base[k]`` and ``base_scale`` and caches
+    nothing, so an infeasible certificate's min-cut region costs its own
+    pairs and the instance keeps none.  Every bound is exact, since
+    ``start_base`` is the event point times ``base_scale``; Python ints
+    keep it so where ``start_base`` passes int64.  Negative indices index
+    as a list's do, and past the end raises ``IndexError``.
     """
 
     __slots__ = ("_tables",)
@@ -216,11 +182,11 @@ class KeptIntervals(Sequence):
     def __len__(self) -> int:
         return len(self._tables.len_base)
 
-    def __getitem__(self, k):
-        return self._tables.kept_intervals()[k]
-
-    def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
-        return iter(self._tables.kept_intervals())
+    def __getitem__(self, k: int) -> Tuple[Fraction, Fraction]:
+        t = self._tables
+        start = t.start_base[k]
+        return (Fraction(start, t.base_scale),
+                Fraction(start + t.len_base[k], t.base_scale))
 
 
 def _scan(jobs: Sequence[Job]) -> Tuple[int, List[int], List[int], List[int]]:
@@ -267,10 +233,10 @@ def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
     t = NetworkTables()
     t.jobs = jobs
     t.topology = {}
-    t._elementary = t._kept_pairs = t._rank = None
+    t._rank = None
     t.base_scale, rel, dem, dl = _scan(jobs)
     if not rel:
-        t.kept = t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
+        t.k0 = t.k1 = t.src = t.edf = _EMPTY_I
         t.start_base = t.len_base = t.demand_base = _EMPTY_Q
         t.n_nodes, t.n_edges = 2, 0
         t.elementary_count = t.dropped = 0
@@ -289,12 +255,12 @@ def _build_tables(jobs: Sequence[Job]) -> NetworkTables:
     if swept is None:
         swept = _kernel.py.sweep(rel, dem, dl)
         p = array("q", dem)
-    (t.kept, t.start_base, t.len_base, t.k0, t.k1, t.src, t.edf,
+    (t.start_base, t.len_base, t.k0, t.k1, t.src, t.edf,
      t.elementary_count, t.n_edges, t.max_live, t.zero_laxity_max,
      t.total_demand_base, t.span_base) = swept
     t.demand_base = p
-    t.n_nodes = 2 + len(rel) + len(t.kept)
-    t.dropped = t.elementary_count - len(t.kept)
+    t.n_nodes = 2 + len(rel) + len(t.len_base)
+    t.dropped = t.elementary_count - len(t.len_base)
     return t
 
 
@@ -333,22 +299,6 @@ class FeasibilityCache:
         if self._tables is None:
             self._tables = _build_tables(self.jobs)
         return self._tables
-
-    @property
-    def intervals(self) -> List[Tuple[Fraction, Fraction]]:
-        """Elementary intervals between consecutive release/deadline events.
-
-        Always the *unsparsified* event structure — the stable coordinate
-        system of the workload characterization.  The (possibly smaller)
-        interval list actually fed to the network is
-        :attr:`network_intervals`.  Built on first access.
-        """
-        return self.tables.elementary_intervals()
-
-    @property
-    def network_intervals(self) -> List[Tuple[Fraction, Fraction]]:
-        """The interval list the networks are built over (sparsified)."""
-        return self.tables.kept_intervals()
 
     @property
     def base_scale(self) -> int:
@@ -393,8 +343,7 @@ class FeasibilityCache:
         if state is None:
             tables = self.tables
             network = FeasibilityNetwork(
-                self.jobs, speed, tables.intervals, self.scale_for(speed),
-                kernel=kernel, tables=tables,
+                self.jobs, speed, self.scale_for(speed), kernel, tables
             )
             state = _SpeedState(network)
             self._speed_states[key] = state

@@ -21,9 +21,9 @@ points), so the schedule is normalized on ints and builds its ``Segment``
 objects only when asked for them.
 
 Both backends run the flat-buffer network of :mod:`repro.offline.dinic`,
-fed by the per-instance memo in :mod:`repro.offline.feascache` (event
-intervals, scales, and verdicts are computed once per instance;
-feasibility probes warm-start each other).  They differ only in the kernel
+fed by the per-instance memo in :mod:`repro.offline.feascache` (the
+integer interval tables, scales, and verdicts are computed once per
+instance; feasibility probes warm-start each other).  They differ only in the kernel
 the network calls — two implementations of one interface (the default
 ``"auto"`` resolves to the fastest one available — see
 :func:`resolve_backend`):
@@ -44,7 +44,10 @@ an LP relaxation) live with the tests that cross-check against them.
 
 Both kernels consume the *sparsified* event intervals (zero-demand
 elementary intervals dropped before the network is built — see
-:mod:`repro.offline.feascache`).
+:mod:`repro.offline.feascache`), as integer bounds over the instance's
+base scale; a kept interval becomes an ``(a, b)`` ``Fraction`` pair only
+where a result hands it out (:func:`max_flow_assignment`'s list, an
+infeasible certificate's region).
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def max_flow_assignment(
     amount of *machine time* job ``job_id`` spends in interval ``k`` of the
     returned interval list in a maximum flow (work equals machine time
     times speed).  The interval list is the sparsified event structure the
-    network was built over.
+    network was built over, built from the integer tables
+    (``cache.tables.intervals``).
     """
     backend = resolve_backend(backend)
     if len(instance) == 0:
@@ -155,7 +159,7 @@ def max_flow_assignment(
     for k in range(len(offsets) - 1):
         for i in range(offsets[k], offsets[k + 1]):
             work[ids[jobs[i]]][k] = Fraction(amounts[i], ticks)
-    return network.feasible, work, cache.network_intervals
+    return network.feasible, work, list(cache.tables.intervals)
 
 
 def migratory_feasible(

@@ -1,8 +1,10 @@
 """The Dinic kernels: one interface, a Python and a compiled implementation.
 
-A kernel is an object with the ten entry points the feasibility network
-and extraction call (``max_flow``, ``greedy_blocking``, ``build_topology``,
-``scale_caps``, ``fill_caps``, ``grow_sinks``, ``drain``, ``sweep``,
+A kernel is an object with the ten entry points the feasibility network,
+the table build and extraction call (``max_flow``, ``greedy_blocking``,
+``build_topology``, ``scale_caps``, ``fill_caps``, ``grow_sinks``,
+``drain``, ``sweep`` — which writes the kept intervals as integer starts
+and lengths, the only interval form the feasibility core keeps —
 ``gather``, ``wrap``) and a ``name``: the
 :mod:`~repro.offline.kernel.py` module (``"py"``) or the
 compiled :class:`~repro.offline.kernel.abi.DinicCKernel` (``"c"``), which
@@ -16,8 +18,8 @@ Public surface:
   (compiled on first use, then dlopen'ed from the content-addressed cache);
   raises :class:`KernelUnavailable` when it cannot be provided.
 * :func:`available` — ``True`` iff :func:`load` would succeed (memoized,
-  including the negative answer).  ``backend="auto"`` resolves to
-  ``dinic_c`` exactly when it holds.
+  including the negative answer, which it reads without raising).
+  ``backend="auto"`` resolves to ``dinic_c`` exactly when it holds.
 * :func:`build_info` — how the kernel was provided (cache hit, compiler,
   object path, content key), surfaced by ``repro stats``.
 * :func:`reset` — drop the memoized state (tests flip the env knobs).
@@ -61,41 +63,48 @@ __all__ = [
 
 _kernel: Optional[DinicCKernel] = None
 _build: Optional[BuildResult] = None
-_error: Optional[KernelUnavailable] = None
+_error: Optional[str] = None
 
 
 def load() -> DinicCKernel:
     """The process-wide compiled kernel (built/loaded on first call).
 
-    The outcome is memoized either way: a failed load raises the *same*
-    :class:`KernelUnavailable` on every later call without re-probing the
-    filesystem (call :func:`reset` after changing the env knobs).
+    The outcome is memoized either way: a failed load raises a
+    :class:`KernelUnavailable` with the same message on every later call
+    without re-probing the filesystem (call :func:`reset` after changing
+    the env knobs).  The memo keeps the message, not the exception: a
+    raised exception carries the frames it passes through, so a memoized
+    one would keep its last caller's objects alive.
     """
     global _kernel, _build, _error
     if _kernel is not None:
         return _kernel
     if _error is not None:
-        raise _error
+        raise KernelUnavailable(_error)
     try:
         result = ensure_built()
         kernel = DinicCKernel(str(result.path))
     except KernelUnavailable as exc:
-        _error = exc
+        _error = str(exc)
         raise
     except OSError as exc:  # corrupt cached object: treat as unavailable
-        _error = KernelUnavailable(f"cached kernel failed to load: {exc}")
-        raise _error from exc
+        _error = f"cached kernel failed to load: {exc}"
+        raise KernelUnavailable(_error) from exc
     _kernel, _build = kernel, result
     return kernel
 
 
 def available() -> bool:
-    """Whether the compiled kernel can be used in this process."""
-    try:
-        load()
-    except KernelUnavailable:
-        return False
-    return True
+    """Whether the compiled kernel can be used in this process.
+
+    Every ``"auto"`` request asks, so a memoized answer raises nothing.
+    """
+    if _kernel is None and _error is None:
+        try:
+            load()
+        except KernelUnavailable:
+            pass
+    return _kernel is not None
 
 
 def get(name: str):
@@ -127,7 +136,7 @@ def build_info() -> Dict[str, Any]:
             key=_build.key,
         )
     elif _error is not None:
-        info["error"] = str(_error)
+        info["error"] = _error
     return info
 
 

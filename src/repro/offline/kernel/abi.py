@@ -125,7 +125,7 @@ class DinicCKernel:
         f = lib.repro_sweep
         f.restype = _I32
         f.argtypes = (_I32, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                      _PTR, _PTR, _PTR)
+                      _PTR, _PTR)
         self._sweep = f
         f = lib.repro_gather
         f.restype = _I32
@@ -245,7 +245,7 @@ class DinicCKernel:
 
         ``r``, ``p``, ``d``: the base-scaled releases (in order),
         processing times and deadlines of ``n >= 1`` jobs.  Returns
-        ``(kept, start_base, len_base, k0, k1, src, edf, elementary_count,
+        ``(start_base, len_base, k0, k1, src, edf, elementary_count,
         n_edges, max_live, zero_laxity_max, total_demand_base,
         span_base)``, or ``None`` when the span or the total demand passes
         int64.  An edge id past int32 raises ``OverflowError``, as
@@ -256,13 +256,12 @@ class DinicCKernel:
         if len(p) != n or len(d) != n:
             raise ValueError("dinic_c: sweep: r, p and d differ in length")
         points = 2 * n  # n jobs make at most 2n event points
-        kept = array("i", bytes(4 * points))
         start_base = array("q", bytes(8 * points))
         len_base = array("q", bytes(8 * points))
         k0, k1, src, edf = (array("i", bytes(4 * n)) for _ in range(4))
         counts = array("q", bytes(8 * 7))
         status = self._sweep(
-            n, _addr(r), _addr(p), _addr(d), _addr(kept), _addr(start_base),
+            n, _addr(r), _addr(p), _addr(d), _addr(start_base),
             _addr(len_base), _addr(k0), _addr(k1), _addr(src), _addr(edf),
             _addr(counts),
         )
@@ -274,8 +273,8 @@ class DinicCKernel:
             raise OverflowError("dinic_c: sweep: an edge id does not fit int32")
         _check(status, "sweep")
         n_kept, m_el, n_edges, max_live, zero_max, total, span = counts
-        del kept[n_kept:], start_base[n_kept:], len_base[n_kept:]
-        return (kept, start_base, len_base, k0, k1, src, edf, m_el, n_edges,
+        del start_base[n_kept:], len_base[n_kept:]
+        return (start_base, len_base, k0, k1, src, edf, m_el, n_edges,
                 max_live, zero_max, total, span)
 
     def gather(

@@ -21,9 +21,8 @@ the blocking-flow loop (``max_flow``), the greedy pass
 (``greedy_blocking``), the topology build (``build_topology``), the
 capacity scale/fill/grow helpers (``scale_caps``, ``fill_caps``,
 ``grow_sinks``), the drain of a downward probe (``repro_drain``, the twin
-of ``drain``), the table sweep (``repro_sweep``, the twin of ``sweep``,
-which also writes each kept interval's base-scaled start) and
-extraction's two steps (``repro_gather``, the twin of ``gather``, and
+of ``drain``), the table sweep (``repro_sweep``, the twin of ``sweep``)
+and extraction's two steps (``repro_gather``, the twin of ``gather``, and
 ``repro_wrap``, the twin of ``wrap``).  They are mirrored just as
 closely, so tables, drained buffers and extracted pieces are
 byte-identical too; where a tick bound passes int64, ``repro_wrap``
@@ -52,7 +51,7 @@ import hashlib
 
 #: Bump when the exported symbols or their signatures change; part of the
 #: build-cache key, so old shared objects are never dlopen'ed into a new ABI.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 C_SOURCE = r"""
 /* Flat-CSR blocking-flow Dinic core for the feasibility network.
@@ -449,9 +448,9 @@ API int64_t repro_drain(
 /* The integer table sweep of the py kernel's sweep, step for step.
  *
  * In: n >= 1 jobs in release order; r, p, d their base-scaled release,
- * processing time and deadline.  Out: kept, start_base and len_base for
- * the K kept intervals (the caller sizes each for 2n), k0, k1, src and
- * edf per job, and counts = {K, elementary count, n_edges, max_live,
+ * processing time and deadline.  Out: start_base and len_base for the
+ * K kept intervals (the caller sizes each for 2n), k0, k1, src and edf
+ * per job, and counts = {K, elementary count, n_edges, max_live,
  * zero_laxity_max, total demand, span}.
  *
  * The releases are sorted already, so only the deadlines are sorted: a
@@ -465,8 +464,8 @@ API int64_t repro_drain(
  * REPRO_UNSORTED or REPRO_NOMEM. */
 API int32_t repro_sweep(
     int32_t n, const int64_t *r, const int64_t *p, const int64_t *d,
-    int32_t *kept, int64_t *start_base, int64_t *len_base, int32_t *k0,
-    int32_t *k1, int32_t *src, int32_t *edf, int64_t *counts)
+    int64_t *start_base, int64_t *len_base, int32_t *k0, int32_t *k1,
+    int32_t *src, int32_t *edf, int64_t *counts)
 {
     int64_t *pts = (int64_t *)malloc(2 * (size_t)n * sizeof(int64_t));
     int32_t *scratch = (int32_t *)malloc(7 * (size_t)n * sizeof(int32_t));
@@ -565,7 +564,6 @@ API int32_t repro_sweep(
             zmax = zrun;
         live[j] = n_kept;
         if (run && j < m_el) {
-            kept[n_kept] = j;
             start_base[n_kept] = pts[j];
             len_base[n_kept] = pts[j + 1] - pts[j];
             n_kept++;

@@ -348,9 +348,9 @@ def sweep(r: Sequence[int], p: Sequence[int], d: Sequence[int]) -> tuple:
 
     Plain ints throughout: sorted unique event points, live and
     zero-laxity counts by prefix sums, the kept intervals (those with a
-    live job), each job's kept window and source arc, and the EDF order.
-    Returns ``(kept, start_base, len_base, k0, k1, src, edf,
-    elementary_count, n_edges, max_live, zero_laxity_max,
+    live job) as their starts and lengths, each job's kept window and
+    source arc, and the EDF order.  Returns ``(start_base, len_base, k0,
+    k1, src, edf, elementary_count, n_edges, max_live, zero_laxity_max,
     total_demand_base, span_base)``; ``start_base`` (each kept interval's
     start) is a list of Python ints where a start passes int64.
     """
@@ -392,7 +392,6 @@ def sweep(r: Sequence[int], p: Sequence[int], d: Sequence[int]) -> tuple:
     except OverflowError:
         start_base = starts
     return (
-        array("i", kept),
         start_base,
         array("q", [points[k + 1] - points[k] for k in kept]),
         array("i", k0s), array("i", k1s), array("i", srcs), array("i", edf),

@@ -12,9 +12,10 @@ Request lifecycle (the hardening ladder, in order):
 2. **size** — body larger than ``max_body`` → 413 before any parsing,
 3. **parse** — invalid JSON, wrong shapes, malformed instances (via
    :class:`~repro.model.io.InstanceFormatError`) → typed 400 naming the
-   offending field; nothing is half-processed (an instance too large for
-   the flow kernels' exact int64 arithmetic is a typed 400 as well, raised
-   once the computation meets the limit),
+   offending field, and so is a known backend this host cannot run (it
+   names the backends the host runs); nothing is half-processed (an
+   instance too large for the flow kernels' exact int64 arithmetic is a
+   typed 400 as well, raised once the computation meets the limit),
 4. **deadline** — compute endpoints run on a bounded thread pool with
    ``future.result(timeout=…)``; an overrun returns 503 +
    ``Retry-After`` *within the deadline* instead of hanging the client
@@ -55,7 +56,7 @@ from ..model.io import InstanceFormatError, instance_from_dict, segments_json
 from ..model.schedule import Schedule
 from ..obs.prom import render_prometheus
 from ..obs.sinks import Registry, jsonable
-from ..offline.flow import BACKENDS, PAST_INT64
+from ..offline.flow import BACKENDS, PAST_INT64, available_backends
 from .cache import TenantCachePool
 from .errors import (
     ApiError,
@@ -337,6 +338,12 @@ class ServeApp:
         if backend not in allowed:
             raise BadRequest(
                 f"unknown backend {backend!r}; expected one of {allowed}"
+            )
+        runs = available_backends() + ("auto",)
+        if backend not in runs:
+            raise BadRequest(
+                f"backend {backend!r} cannot run on this host; "
+                f"expected one of {runs}"
             )
         return tenant, instance, speed, backend
 

@@ -61,7 +61,8 @@ class FeasibleCertificate:
     speed: Fraction
     schedule: Schedule
     #: Snapshot of the producing cache's counters at certification time
-    #: (dinic backend only) — the canonical carrier for solver-effort stats.
+    #: (``None`` where no network answered: no jobs) — the canonical
+    #: carrier for solver-effort stats.
     cache_stats: Optional[CacheStats] = field(
         default=None, compare=False, repr=False
     )
@@ -97,7 +98,8 @@ class InfeasibleCertificate:
     speed: Fraction
     jobs: Tuple[int, ...]  # S — job ids contributing mandatory work
     region: IntervalUnion  # I — finite union of intervals
-    #: Snapshot of the producing cache's counters (dinic backend only).
+    #: Snapshot of the producing cache's counters (``None`` where no
+    #: network answered: ``m = 0`` or the ``|I| = 0`` witness).
     cache_stats: Optional[CacheStats] = field(
         default=None, compare=False, repr=False
     )
@@ -198,8 +200,8 @@ class CertifiedOptimum:
     machines: int
     feasible: FeasibleCertificate
     infeasible: Optional[InfeasibleCertificate]
-    #: Snapshot of the cache counters after both sandwich probes (dinic
-    #: backend only) — total solver effort spent establishing the optimum.
+    #: Snapshot of the cache counters after both sandwich probes (``None``
+    #: without jobs) — total solver effort spent establishing the optimum.
     cache_stats: Optional[CacheStats] = field(
         default=None, compare=False, repr=False
     )

@@ -107,9 +107,9 @@ def certify(
                     m, speed, schedule, cache_stats=cache.stats.snapshot()
                 )
             else:
-                # Cut indices refer to the interval list the network was
-                # built over (sparsified).
-                intervals = cache.network_intervals
+                # Cut indices refer to the kept intervals the network was
+                # built over; the view builds only the cut's pairs.
+                intervals = cache.tables.intervals
                 job_ids, iv_idx = network.min_cut()
                 cert = InfeasibleCertificate(
                     m,

@@ -21,8 +21,12 @@ extraction and checker are differential-tested against
 :func:`reference_verify`, each the library's former ``Fraction`` body;
 and :func:`reference_tables`, the former ``Fraction`` sweep behind the
 feasibility cache's base scale, interval lists and integer network tables
-(``tests/test_tables.py``).  The served certify's integer paths are held
-to their former bodies (``tests/test_integer_paths.py``):
+(``tests/test_tables.py``).  :func:`reference_network` is the former
+stand-alone network build over any ``Fraction`` interval list, on its own
+topology sort (:func:`reference_csr`), which ``tests/test_sparsify.py``
+runs over every elementary interval and ``tests/test_kernel.py`` holds
+byte for byte to the tables build.  The served certify's integer paths
+are held to their former bodies (``tests/test_integer_paths.py``):
 :func:`reference_tick_schedule_from_work` (extraction with its own run
 merge, over :func:`reference_wrap`), :func:`reference_job_fields` (the
 ``Fraction`` job validation), :func:`reference_jsonable` (the
@@ -50,8 +54,8 @@ from repro.model.instance import Instance
 from repro.model.intervals import IntervalUnion, Numeric, to_fraction
 from repro.model.schedule import FeasibilityReport, Schedule, Segment
 from repro.obs.sinks import jsonable
-from repro.offline.dinic import FlowPieces, id_rank
-from repro.offline.feascache import cache_for
+from repro.offline.dinic import FeasibilityNetwork, FlowPieces, id_rank
+from repro.offline.feascache import NetworkTables
 from repro.offline.workload import machines_bound
 from repro.verify import (
     Certificate,
@@ -234,7 +238,7 @@ def lp_feasible(
     if m <= 0:
         return False
     speed = float(to_fraction(speed))
-    intervals = cache_for(instance).intervals
+    intervals = elementary_intervals(instance)
     jobs = list(instance)
     # one variable per admissible (job, interval) pair
     pairs = [(j, k) for j, job in enumerate(jobs)
@@ -623,6 +627,96 @@ def reference_tables(instance: Instance) -> SimpleNamespace:
     )
     t.total_work = Fraction(t.total_demand_base, base_scale)
     return t
+
+
+def reference_csr(n: int, to: List[int]) -> Tuple[List[int], List[int]]:
+    """The former ``repro.offline.dinic._csr``, verbatim.
+
+    ``(head, elist)`` of a paired edge list by a counting sort.
+
+    Edge ``e`` runs from ``to[e ^ 1]`` to ``to[e]``; ``elist[head[u] :
+    head[u + 1]]`` are node ``u``'s incident edge ids in ascending order.
+    Only :func:`reference_network` uses it: the tables build writes the
+    same arrays analytically (the kernels' ``build_topology``).
+    """
+    m = len(to)
+    counts = [0] * (n + 1)
+    for e in range(m):
+        counts[to[e ^ 1] + 1] += 1
+    for u in range(n):
+        counts[u + 1] += counts[u]
+    head = counts
+    fill = head[:n]
+    elist = [0] * m
+    for e in range(m):
+        u = to[e ^ 1]
+        elist[fill[u]] = e
+        fill[u] += 1
+    return head, elist
+
+
+def reference_network(
+    instance: Instance,
+    speed: Fraction,
+    intervals: Sequence[Tuple[Fraction, Fraction]],
+    scale: int,
+    kernel: str = "py",
+) -> FeasibilityNetwork:
+    """The former stand-alone :class:`FeasibilityNetwork` build, over any
+    interval list (every elementary interval, say).
+
+    Job windows come from O(1) dict lookups on the interval endpoints
+    (every job's release starts an interval and every deadline ends one),
+    lengths and demands are exact products of the ``Fraction`` data, and
+    the topology is a generic paired edge list (the forward edge at an
+    even id ``e``, its reverse at ``e ^ 1``) sorted by
+    :func:`reference_csr`, independent of the kernels' analytic
+    ``build_topology``.  These are the tables the network is built from;
+    its cold capacity buffer is then written from the ``Fraction`` data,
+    as the former body wrote it, so it does not depend on the kernels'
+    ``scale_caps`` and ``fill_caps`` either.  ``scale`` must be the
+    library's (``cache.scale_for(speed)``).
+    """
+    n, n_iv = len(instance), len(intervals)
+    sp = speed * scale
+    iv_caps = [int((b - a) * sp) for a, b in intervals]
+    to: List[int] = []
+    caps: List[int] = []
+    for k in range(n_iv):
+        to += (FeasibilityNetwork.SINK, 2 + n + k)  # sink arc of interval k == 2k
+        caps += (0, 0)
+    start_at = {a: k for k, (a, _) in enumerate(intervals)}
+    end_at = {b: k for k, (_, b) in enumerate(intervals)}
+    k0s = array("i", bytes(4 * n))
+    k1s = array("i", bytes(4 * n))
+    srcs = array("i", bytes(4 * n))
+    for idx, job in enumerate(instance):
+        k0 = start_at[job.release]
+        k1 = end_at[job.deadline] + 1
+        k0s[idx], k1s[idx], srcs[idx] = k0, k1, len(to)
+        jn = 2 + idx
+        to += (jn, FeasibilityNetwork.SOURCE)
+        caps += (int(job.processing * scale), 0)
+        for k in range(k0, k1):
+            to += (2 + n + k, jn)
+            caps += (iv_caps[k], 0)
+    head, elist = reference_csr(2 + n + n_iv, to)
+    if kernel == "c":  # the compiled kernel reads int32 topology
+        to, head, elist = array("i", to), array("i", head), array("i", elist)
+    base = math.lcm(*(x.denominator for pair in intervals for x in pair),
+                    *(job.processing.denominator for job in instance))
+    t = NetworkTables()
+    t.jobs, t._rank = tuple(instance), None
+    t.base_scale = base
+    t.len_base = array("q", [int((b - a) * base) for a, b in intervals])
+    t.demand_base = array("q", [int(job.processing * base) for job in instance])
+    t.total_demand_base = sum(t.demand_base)
+    t.k0, t.k1, t.src = k0s, k1s, srcs
+    t.edf = array("i", sorted(range(n), key=lambda i: (k1s[i], k0s[i], i)))
+    t.topology = {kernel: (to, head, elist)}
+    network = FeasibilityNetwork(t.jobs, speed, scale, kernel, t)
+    network.cap[:] = array("q", caps)
+    return network
 
 
 # -- former bodies of the served certify's integer paths --------------------

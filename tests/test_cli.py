@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,16 @@ from repro.cli import main
 from repro.core.adversary.migration_gap import MigrationGapAdversary
 from repro.model.io import load, save
 from repro.model import Instance, Job, Schedule
+from repro.offline import kernel
 from repro.offline.flow import PAST_INT64
+from repro.offline.kernel import KernelUnavailable
 from repro.offline.optimum import migratory_optimum
 from repro.online.nonmigratory import FirstFitEDF
 from repro.verify import certificate_from_dict, check_certificate
+
+MCNAUGHTON3 = os.path.join(
+    os.path.dirname(__file__), "data", "corpus", "mcnaughton3.json"
+)
 
 
 @pytest.fixture
@@ -352,6 +359,23 @@ class TestErrorPaths:
             main([command, str(path)])
         assert str(exc_info.value) == PAST_INT64
         assert "certified lower bound" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["opt", "verify", "stats"])
+    def test_unavailable_backend_exits_with_the_kernel_message(
+        self, command, monkeypatch
+    ):
+        monkeypatch.setenv(kernel.DISABLE_ENV, "off")
+        kernel.reset()
+        try:
+            with pytest.raises(SystemExit) as exc_info:
+                main([command, MCNAUGHTON3, "--backend", "dinic_c"])
+            message = str(exc_info.value)
+            with pytest.raises(KernelUnavailable) as expected:
+                kernel.load()
+            assert message == str(expected.value)
+            assert kernel.DISABLE_ENV in message
+        finally:
+            kernel.reset()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises((SystemExit, FileNotFoundError)):

@@ -92,12 +92,15 @@ class TestVerdictCache:
 
 class TestMemoizedStructure:
     def test_intervals_computed_once(self):
+        """The tables are built once; their view holds the event pairs some
+        job window covers."""
         inst = uniform_random_instance(25, horizon=50, seed=5)
         cache = cache_for(inst)
-        assert cache.intervals is cache.intervals
+        assert cache.tables is cache.tables
         points = sorted({j.release for j in inst} | {j.deadline for j in inst})
-        assert cache.intervals == [
-            (a, b) for a, b in zip(points, points[1:]) if b > a
+        assert list(cache.tables.intervals) == [
+            (a, b) for a, b in zip(points, points[1:])
+            if any(j.release <= a and b <= j.deadline for j in inst)
         ]
 
     def test_scale_matches_direct_computation(self):

@@ -62,7 +62,7 @@ def _reference_work(instance: Instance, m: int, speed: Fraction, backend: str):
         job_id: {k: Fraction(amount, ticks) for k, amount in row.items()}
         for job_id, row in oracles.work_map(network.work_by_job()).items()
     }
-    return work, cache.network_intervals
+    return work, list(cache.tables.intervals)
 
 
 def _assert_certificate_matches_reference(

@@ -43,7 +43,7 @@ from repro.generators import uniform_random_instance
 from repro.model import Instance, Job
 from repro.model.io import load
 from repro.offline import kernel
-from repro.offline.dinic import FeasibilityNetwork, _csr
+from repro.offline.dinic import FeasibilityNetwork
 from repro.offline.feascache import cache_for
 from repro.offline.flow import (
     available_backends,
@@ -56,6 +56,7 @@ from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound
 from repro.verify import Unsatisfiable, certified_optimum, certify
 
+from tests import oracles
 from tests.strategies import instances_st
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "corpus")
@@ -113,7 +114,7 @@ def random_csr(rng: random.Random, n: int, arcs: int):
         if u != v:
             to += (v, u)
             caps += (rng.randrange(0, 9), 0)
-    head, elist = _csr(n, to)
+    head, elist = oracles.reference_csr(n, to)
     return [n, to, head, elist, array("q", caps)]
 
 
@@ -213,7 +214,7 @@ class TestBuildCache:
         # The object lives under a prefix of the source hash, so editing
         # the generated C (or bumping ABI_VERSION) can never collide with
         # this directory.
-        assert ABI_VERSION == 3
+        assert ABI_VERSION == 4
         assert os.path.dirname(info["path"]).endswith(info["key"][:24])
 
 
@@ -347,12 +348,15 @@ class TestKillSet:
         assert cert_dict(co_py.feasible) == cert_dict(co_c.feasible)
 
     def test_standalone_build_matches_tables_build(self):
-        """The no-tables constructor builds the *same network*, byte for byte.
+        """The reference build (``oracles.reference_network``) and the
+        tables build make the *same network*, byte for byte.
 
         Production always goes through the cache's integer tables; the
-        standalone path is the reference construction, so any drift between
-        the two (topology, capacities, or post-solve residual) is a bug in
-        one of them — for the python and the compiled build alike.
+        reference builds from the ``Fraction`` data, with its own topology
+        sort and a cold capacity buffer written without the kernels'
+        ``scale_caps`` and ``fill_caps``, so any drift between the two
+        (topology, capacities, or post-solve residual) is a bug in one of
+        them — for the python and the compiled build alike.
         """
         inst = Instance(
             [Job(0, 3, 5, id=0), Job(1, 2, 4, id=1), Job(2, 4, 9, id=2),
@@ -362,13 +366,10 @@ class TestKillSet:
         tables = cache.tables
         scale = cache.scale_for(Fraction(1))
         for kern in ("py", "c"):
-            standalone = FeasibilityNetwork(
-                inst, Fraction(1), tables.intervals, scale, kernel=kern
+            standalone = oracles.reference_network(
+                inst, Fraction(1), list(tables.intervals), scale, kern
             )
-            cached = FeasibilityNetwork(
-                inst, Fraction(1), tables.intervals, scale, kernel=kern,
-                tables=tables,
-            )
+            cached = FeasibilityNetwork(inst, Fraction(1), scale, kern, tables)
             for part in ("to", "head", "elist"):
                 assert list(getattr(standalone, part)) == list(
                     getattr(cached, part)

@@ -37,7 +37,7 @@ def assert_densities_exact(instance):
     """Every kept interval's density is Theorem 1's ``C(S, E_k)/|E_k|``,
     and the peak is their maximum."""
     profile = MandatoryProfile.of(instance)
-    pairs = profile.tables.kept_intervals()
+    pairs = list(profile.tables.intervals)
     assert len(profile.loads) == len(pairs)
     for k, (a, b) in enumerate(pairs):
         assert profile.density(k) == density(instance, IntervalUnion.single(a, b))
@@ -81,7 +81,7 @@ class TestLoadProfile:
         profile = MandatoryProfile.of(inst)
         # [8, 107) has no live job: dropped from the network, blank in the
         # sparkline (one column per time unit).
-        assert profile.tables.kept_intervals() == [(7, 8), (107, 108)]
+        assert list(profile.tables.intervals) == [(7, 8), (107, 108)]
         assert profile.sparkline(101) == "█" + " " * 99 + "█"
 
     @given(instances_st(max_size=6))

@@ -42,7 +42,8 @@ from repro.model import Instance, Job, Segment
 from repro.model import schedule as schedule_module
 from repro.model.io import instance_to_dict
 from repro.obs.sinks import Registry, jsonable
-from repro.offline.feascache import NetworkTables
+from repro.offline import kernel
+from repro.offline.feascache import KeptIntervals
 from repro.offline.flow import BACKENDS
 from repro.offline.optimum import migratory_optimum
 from repro.runner import Journal, canonical_report_view, run_sweep
@@ -244,6 +245,27 @@ class TestHardening:
                 "request.instance: jobs[1]: "
             )
 
+    @pytest.mark.parametrize("path", ["/v1/certify", "/v1/optimum"])
+    def test_unavailable_backend_is_400(self, path, monkeypatch):
+        """A known backend this host cannot run is a typed 400 naming the
+        backends it runs, not a 500 from the kernel's load."""
+        monkeypatch.setenv(kernel.DISABLE_ENV, "off")
+        kernel.reset()
+        try:
+            client = TestClient(make_app())
+            resp = client.post(
+                path, json=payload_for(MCNAUGHTON, m=2, backend="dinic_c")
+            )
+            assert resp.status == 400
+            error = resp.json()["error"]
+            assert error["code"] == "bad_request"
+            assert "'dinic_c'" in error["message"]
+            assert str(("dinic", "auto")) in error["message"]
+            body = payload_for(MCNAUGHTON, m=2, backend="dinic")
+            assert client.post(path, json=body).status == 200
+        finally:
+            kernel.reset()
+
     def test_float_decodes_like_the_model(self):
         """``0.1`` is the instant ``Job(0.1, …)`` is, 1/10: the body equals
         the one for ``"1/10"``, not one on a 2⁵⁵ base scale."""
@@ -404,7 +426,7 @@ class TestComputeEndpoints:
         self, monkeypatch
     ):
         """A served feasible certificate stays on integer ticks from the
-        flow to the body: no ``Segment`` and no ``Fraction`` interval list
+        flow to the body: no ``Segment`` and no ``Fraction`` interval pair
         is built, and the body is the reference encoding of the
         certificate."""
         built = []
@@ -413,7 +435,7 @@ class TestComputeEndpoints:
             Segment, "__post_init__", lambda self: built.append(self)
         )
         monkeypatch.setattr(
-            NetworkTables, "_pairs", lambda self: built.append(self)
+            KeptIntervals, "__getitem__", lambda self, k: built.append(k)
         )
         instance = uniform_random_instance(60, horizon=120, seed=4)
         m = migratory_optimum(instance)

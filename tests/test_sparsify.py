@@ -9,12 +9,13 @@ only interval structure the library builds.  Two references built over
   formulation: it finds the same optimum as every kernel, every
   certificate of either side passes the solver-independent checker, and
   none touches a dropped interval;
-* the stand-alone :class:`~repro.offline.dinic.FeasibilityNetwork` build,
-  the same kernels on the unsparsified network: a dropped interval carries
-  no arc a maximum flow could use and the greedy blocking order is
-  invariant under the (monotone) reindexing, so cold solves give the same
-  verdicts, work maps and residual-reachability min cuts on both
-  structures, for every kernel.
+* ``oracles.reference_network``, the former stand-alone network build
+  from the jobs' ``Fraction`` data, which runs the same kernels on the
+  unsparsified network: a dropped interval carries no arc a maximum flow
+  could use and the greedy blocking order is invariant under the
+  (monotone) reindexing, so cold solves give the same verdicts, work maps
+  and residual-reachability min cuts on both structures, for every
+  kernel.
 
 Nothing merges: a hypothesis property pins the fact that makes merging
 impossible (adjacent elementary intervals never share a live-job set).
@@ -86,10 +87,9 @@ def _assert_agrees_across_structures(instance, speed, backend):
     other = "auto" if backend == "networkx" else "networkx"
     machines, certs = _certified(instance, speed, backend)
     assert machines == _certified(instance, speed, other)[0]
-    cache = cache_for(instance)
-    kept = set(cache.network_intervals)
+    kept = set(cache_for(instance).tables.intervals)
     dropped = IntervalUnion.from_pairs(
-        iv for iv in cache.intervals if iv not in kept
+        iv for iv in oracles.elementary_intervals(instance) if iv not in kept
     )
     for cert in certs:
         assert check_certificate(instance, cert).ok
@@ -98,15 +98,20 @@ def _assert_agrees_across_structures(instance, speed, backend):
 
 def _cold_flow(instance, m, speed, kernel_name, full):
     """One cold solve at ``m`` over the kept intervals (the tables build) or
-    over every elementary interval (the stand-alone build), keyed by
-    interval so the two structures compare directly."""
+    over every elementary interval (``oracles.reference_network``), keyed
+    by interval so the two structures compare directly."""
     cache = cache_for(instance)
-    tables = None if full else cache.tables
-    intervals = cache.intervals if full else tables.intervals
     scale = cache.scale_for(speed)
-    network = FeasibilityNetwork(
-        instance, speed, intervals, scale, kernel=kernel_name, tables=tables
-    )
+    if full:
+        intervals = oracles.elementary_intervals(instance)
+        network = oracles.reference_network(
+            instance, speed, intervals, scale, kernel_name
+        )
+    else:
+        intervals = list(cache.tables.intervals)
+        network = FeasibilityNetwork(
+            instance, speed, scale, kernel_name, cache.tables
+        )
     network.set_machines(m)
     network.solve()
     ticks = scale * speed
@@ -156,8 +161,9 @@ class TestSparsificationEngages:
         tables = cache.tables
         assert tables.dropped >= 1  # the idle gap between the bursts
         assert len(tables.intervals) == tables.elementary_count - tables.dropped
-        assert cache.intervals == oracles.elementary_intervals(instance)
-        assert tables.elementary_count == len(cache.intervals)
+        assert tables.elementary_count == len(
+            oracles.elementary_intervals(instance)
+        )
 
     def test_interval_lengths_are_preserved(self):
         instance = load(os.path.join(CORPUS_DIR, "two_bursts.json"))
@@ -185,15 +191,15 @@ class TestSparsificationEngages:
             assert cache.total_work == instance.total_work
 
     def test_tables_count_the_network(self):
-        """The tables' sizes are those of the stand-alone build over the
-        kept intervals (``repro profile --network`` reports them)."""
+        """The tables' sizes are those of the reference build over the kept
+        intervals (``repro profile --network`` reports them)."""
         for case in CASES:
             instance = load(os.path.join(CORPUS_DIR, case["file"]))
             cache = cache_for(instance)
             tables = cache.tables
             speed = Fraction(case["speed"])
-            network = FeasibilityNetwork(
-                instance, speed, tables.intervals, cache.scale_for(speed)
+            network = oracles.reference_network(
+                instance, speed, list(tables.intervals), cache.scale_for(speed)
             )
             assert (tables.n_nodes, tables.n_edges) == (
                 network.n_nodes, network.n_edges
@@ -246,7 +252,7 @@ class TestRandomInstances:
         # Every kept interval matches its elementary length; total length
         # dropped is exactly the elementary span minus the kept span.
         kept_len = sum(b - a for a, b in tables.intervals)
-        full_len = sum(b - a for a, b in cache.intervals)
+        full_len = sum(b - a for a, b in oracles.elementary_intervals(instance))
         assert kept_len <= full_len
         if tables.dropped:
             assert kept_len < full_len
@@ -261,7 +267,7 @@ class TestRandomInstances:
         def live(a, b):
             return {job.id for job in instance if job.release <= a and b <= job.deadline}
 
-        intervals = cache_for(instance).intervals
+        intervals = oracles.elementary_intervals(instance)
         for (a, b), (_, c) in zip(intervals, intervals[1:]):
             assert b in events
             assert live(a, b) != live(b, c)

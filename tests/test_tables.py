@@ -1,28 +1,31 @@
 """The integer table scan against the former ``Fraction`` sweep.
 
 The feasibility cache builds its network tables with one integer scan of
-the jobs (``feascache._build_tables``) and builds the ``Fraction`` interval
-lists only on demand.  The sweep after the scan runs in the compiled kernel
-(``repro_sweep``) where it is available and the values fit int64, else in
-Python (``kernel.py.sweep``).  The ``Fraction`` sweep they replaced lives
-on as ``tests/oracles.py::reference_tables``; this module pins both sweeps
-to it and pins the laziness:
+the jobs (``feascache._build_tables``), and ``tables.intervals`` builds a
+kept interval's ``Fraction`` pair from them only when indexed.  The sweep
+after the scan runs in the compiled kernel (``repro_sweep``) where it is
+available and the values fit int64, else in Python (``kernel.py.sweep``).
+The ``Fraction`` sweep they replaced lives on as
+``tests/oracles.py::reference_tables``; this module pins both sweeps to it
+and pins which pairs each reader builds:
 
-* every table field, both interval lists, ``base_scale``, ``span_length``
-  and ``total_work`` equal the reference's, through either sweep, on the
-  golden corpus, on generated instances and on hypothesis instances built
-  to hit every sweep case (mixed denominators, a large common offset,
-  identical, touching and nested windows, zero-laxity jobs and idle gaps);
+* every table field, the kept pairs of ``tables.intervals``,
+  ``base_scale``, ``span_length`` and ``total_work`` equal the
+  reference's, through either sweep, on the golden corpus, on generated
+  instances and on hypothesis instances built to hit every sweep case
+  (mixed denominators, a large common offset, identical, touching and
+  nested windows, zero-laxity jobs and idle gaps);
 * the compiled sweep builds the corpus and generated tables, and
   ``kernel.py.sweep`` those whose values pass int64;
-* the search, the bounds and ``len(tables.intervals)`` build no
-  ``Fraction`` interval list, ``certify`` builds only the kept one, and the
-  two lists share one tuple per kept interval whichever is built first.
+* the search, the bounds, ``len(tables.intervals)`` and a feasible
+  ``certify`` read no pair, an infeasible ``certify`` reads exactly its
+  min cut's pairs, and it leaves no object behind on the instance.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 from fractions import Fraction
@@ -34,9 +37,11 @@ from hypothesis import strategies as st
 
 from repro.generators import laminar_instance, uniform_random_instance
 from repro.model import Instance, Job
+from repro.model.intervals import IntervalUnion
 from repro.model.io import load
 from repro.offline import kernel
-from repro.offline.feascache import cache_for
+from repro.offline.feascache import KeptIntervals, cache_for
+from repro.offline.flow import _DINIC_KERNELS, resolve_backend
 from repro.offline.optimum import migratory_optimum, window_concurrency
 from repro.offline.workload import scaled_lower_bound
 from repro.verify import certify
@@ -58,9 +63,18 @@ FIELDS = (
 )
 
 
-def _built(tables):
-    """Which Fraction interval lists exist: ``(elementary, kept)``."""
-    return tables._elementary is not None, tables._kept_pairs is not None
+@contextlib.contextmanager
+def pairs_read():
+    """The kept indices every ``tables.intervals[k]`` reads, in order."""
+    read = []
+    real = KeptIntervals.__getitem__
+
+    def spy(self, k):
+        read.append(k)
+        return real(self, k)
+
+    with mock.patch.object(KeptIntervals, "__getitem__", spy):
+        yield read
 
 
 def cold_cache(instance: Instance, compiled: bool):
@@ -91,14 +105,13 @@ def assert_tables_match(instance: Instance, fits_int64: bool = True) -> None:
     ref = oracles.reference_tables(instance)
     legs = (False, True) if kernel.available() else (False,)
     for compiled in legs:
-        for kept_first in (True, False):
-            cache, python_swept = cold_cache(instance, compiled)
-            if len(instance):  # an empty instance runs neither sweep
-                assert python_swept is not (compiled and fits_int64)
-            assert_cache_matches(cache, ref, kept_first)
+        cache, python_swept = cold_cache(instance, compiled)
+        if len(instance):  # an empty instance runs neither sweep
+            assert python_swept is not (compiled and fits_int64)
+        assert_cache_matches(cache, ref)
 
 
-def assert_cache_matches(cache, ref, kept_first: bool) -> None:
+def assert_cache_matches(cache, ref) -> None:
     tables = cache.tables
     for name in FIELDS:
         got, want = getattr(tables, name), getattr(ref, name)
@@ -111,13 +124,11 @@ def assert_cache_matches(cache, ref, kept_first: bool) -> None:
     assert cache.total_work == ref.total_work
     assert cache.window_concurrency == ref.max_live
     assert cache.zero_laxity_concurrency == ref.zero_laxity_max
-    if kept_first:
-        kept, elementary = cache.network_intervals, cache.intervals
-    else:
-        elementary, kept = cache.intervals, cache.network_intervals
-    assert kept == ref.intervals
-    assert elementary == ref.elementary
     assert list(tables.intervals) == ref.intervals
+    if ref.intervals:  # a list's negative index, and its end
+        assert tables.intervals[-1] == ref.intervals[-1]
+        with pytest.raises(IndexError):
+            tables.intervals[len(ref.intervals)]
 
 
 @st.composite
@@ -203,41 +214,50 @@ class TestLaziness:
     @pytest.mark.parametrize("case", [c for c in CASES if not c.get("unsat")],
                              ids=lambda c: f"{c['file']}@s={c['speed']}")
     def test_search_and_bounds_build_no_interval_list(self, case):
+        """The search, the bounds, the network size and a feasible
+        certificate (extracted from the integer bounds) read no pair."""
         instance = load(os.path.join(CORPUS_DIR, case["file"]))
         speed = Fraction(case["speed"])
-        assert migratory_optimum(instance, speed) == case["optimum"]
-        window_concurrency(instance)
-        scaled_lower_bound(instance, speed)
-        tables = cache_for(instance).tables
-        assert len(tables.intervals) == tables.elementary_count - tables.dropped
-        assert _built(tables) == (False, False)
+        with pairs_read() as read:
+            assert migratory_optimum(instance, speed) == case["optimum"]
+            window_concurrency(instance)
+            scaled_lower_bound(instance, speed)
+            tables = cache_for(instance).tables
+            assert len(tables.intervals) == (
+                tables.elementary_count - tables.dropped
+            )
+            assert certify(instance, case["optimum"], speed).kind == "feasible"
+        assert read == []
 
     @pytest.mark.parametrize("name", FILES)
     def test_certify_builds_only_the_kept_list(self, name):
+        """An infeasible certificate's min-cut region reads exactly the
+        cut's kept pairs, once each, in order (at m − 1 = 0 the witness is
+        the whole instance, which reads none)."""
         instance = load(os.path.join(CORPUS_DIR, name))
         m = migratory_optimum(instance)
-        tables = cache_for(instance).tables
-        # A feasible certificate extracts from the integer bounds; only an
-        # infeasible one's min-cut region reads the kept Fraction pairs (at
-        # m − 1 = 0 the witness is the whole instance, which reads none).
-        assert certify(instance, m).kind == "feasible"
-        assert _built(tables) == (False, False)
-        assert certify(instance, m - 1).kind == "infeasible"
-        assert _built(tables) == (False, m > 1)
+        with pairs_read() as read:
+            cert = certify(instance, m - 1)
+        assert cert.kind == "infeasible"
+        if m == 1:
+            assert read == []
+            return
+        network = cache_for(instance).solved_network(
+            m - 1, Fraction(1), _DINIC_KERNELS[resolve_backend()]
+        )
+        _, cut = network.min_cut()
+        assert read == cut != []
+        ref = oracles.reference_tables(instance).intervals
+        assert cert.region == IntervalUnion.from_pairs(ref[k] for k in cut)
 
-    @pytest.mark.parametrize("kept_first", [True, False])
-    @pytest.mark.parametrize("name", FILES)
-    def test_kept_pairs_are_elementary_tuples(self, name, kept_first):
-        cache = cache_for(load(os.path.join(CORPUS_DIR, name)))
-        tables = cache.tables
-        if kept_first:
-            kept, elementary = cache.network_intervals, cache.intervals
-        else:
-            elementary, kept = cache.intervals, cache.network_intervals
-        assert _built(tables) == (True, True)
-        assert len(kept) == len(tables.kept)
-        for k, pair in zip(tables.kept, kept):
-            assert pair is elementary[k]
-        # Built once: later reads return the same lists.
-        assert cache.intervals is elementary
-        assert cache.network_intervals is kept
+    def test_infeasible_certify_keeps_no_objects(self):
+        """A dropped infeasible certificate leaves no tracked object on the
+        warm instance: its pairs go with it."""
+        certify(Instance([Job(0, 2, 2, id=0), Job(0, 2, 2, id=1)]), 1)  # warm-up
+        instance = uniform_random_instance(2000, horizon=4000, seed=3)
+        m = migratory_optimum(instance)
+        gc.collect()
+        before = len(gc.get_objects())
+        assert certify(instance, m - 1).kind == "infeasible"
+        gc.collect()
+        assert len(gc.get_objects()) <= before

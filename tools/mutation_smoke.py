@@ -3,8 +3,8 @@
 
 Applies small, deterministic AST mutations (operator swaps, comparison
 negations, min/max swaps) to the solver modules under ``src/repro/offline/``
-(including the integer table scan and sweep of ``feascache.py`` and the
-``py`` kernel's extraction twins) — plus the schedule checker
+(including the integer table scan and sweep of ``feascache.py``, the pair
+builder of its interval view and the ``py`` kernel's extraction twins) — plus the schedule checker
 (``model/schedule.py::verify``), the schedule normalization and its lazy
 segments, the served certify's decode and encode (``model/job.py``,
 ``model/io.py``, ``obs/sinks.py::jsonable``, the served body writer of
@@ -46,6 +46,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: seeding and warm-start bookkeeping are deliberately excluded where a
 #: mutation only degrades performance (an equivalent mutant for these tests).
 TARGETS: Dict[str, Optional[Set[str]]] = {
+    # The network over the integer tables: its one build, machine-count
+    # retargeting, solve bookkeeping, snapshots and extraction entry points
+    # (the stand-alone Fraction build is tests/oracles.py::reference_network).
     "src/repro/offline/dinic.py": None,
     # The ``py`` kernel: the blocking-flow loop, the greedy pass, the
     # topology build, the capacity fill, grow and drain, the table sweep
@@ -65,12 +68,14 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # The integer table scan every network is built from, the choice of
     # sweep and the tables it fills (base scale, live counts, dropped
     # intervals, per-job windows, node/edge counts, EDF order), and the
-    # points of the lazy Fraction interval lists.  tests/test_tables.py
-    # checks them field by field against the former Fraction sweep,
-    # through both kernels' sweeps; tests/test_sparsify.py against
-    # references built over every elementary interval (the networkx oracle
-    # and the stand-alone build).
-    "src/repro/offline/feascache.py": {"_scan", "_build_tables", "_pairs"},
+    # pair builder of their view (``KeptIntervals.__getitem__``, the only
+    # ``__getitem__`` there).  tests/test_tables.py checks them field by
+    # field against the former Fraction sweep, through both kernels'
+    # sweeps, and its TestLaziness the pairs an infeasible certificate's
+    # region reads; tests/test_sparsify.py against references built over
+    # every elementary interval (the networkx oracle and
+    # tests/oracles.py::reference_network).
+    "src/repro/offline/feascache.py": {"_scan", "_build_tables", "__getitem__"},
     # The checker every feasible certificate is re-verified by: the
     # one-pass integer ``Schedule.verify`` on the runs (plus the
     # normalization whose start order it relies on, and the lazy segments
@@ -145,7 +150,7 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
 DEFAULT_TESTS = [
     "tests/test_corpus.py",
     "tests/test_sparsify.py",
-    "tests/test_tables.py",
+    "tests/test_tables.py",  # TestLaziness included
     "tests/test_integer_time.py",
     "tests/test_integer_paths.py",
     "tests/test_io.py",
