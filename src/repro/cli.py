@@ -53,6 +53,7 @@ from .generators import (
     uniform_random_instance,
 )
 from .model import Instance, Schedule
+from .model.intervals import positive_speed
 from .model.io import InstanceFormatError, load, save
 from .offline.flow import BACKENDS, DEFAULT_BACKEND, PAST_INT64, resolve_backend
 from .offline.kernel import KernelUnavailable
@@ -65,19 +66,8 @@ from .verify import (
     check_certificate,
     differential_optimum,
 )
-from .online.edf import EDF, NonPreemptiveEDF
 from .online.engine import min_machines, simulate
-from .online.llf import LLF
-from .online.nonmigratory import BestFitEDF, EmptiestFitEDF, FirstFitEDF
-
-POLICIES = {
-    "edf": EDF,
-    "llf": LLF,
-    "npedf": NonPreemptiveEDF,
-    "firstfit": FirstFitEDF,
-    "bestfit": BestFitEDF,
-    "emptiestfit": EmptiestFitEDF,
-}
+from .runner.tasks import POLICIES
 
 GENERATORS = {
     "uniform": lambda args: uniform_random_instance(args.n, seed=args.seed),
@@ -86,6 +76,41 @@ GENERATORS = {
     "agreeable": lambda args: agreeable_instance(args.n, seed=args.seed),
     "laminar": lambda args: laminar_random(args.n, seed=args.seed),
 }
+
+
+def _speed_arg(text: str) -> str:
+    """argparse type of ``--speed``: a positive exact speed, else exit 2."""
+    try:
+        positive_speed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"invalid speed {text!r}") from None
+    return text
+
+
+def _speeds_arg(text: str) -> list:
+    """argparse type of ``--speeds``: comma-separated positive speeds."""
+    return [_speed_arg(s) for s in text.split(",") if s]
+
+
+def _bounded(kind, lo, strict: bool = False):
+    """argparse type: ``kind(text)`` at least ``lo`` (above it if ``strict``)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (value > lo if strict else value >= lo):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {lo}, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def _load_instance(path: str) -> Instance:
@@ -444,16 +469,22 @@ def cmd_sweep(args) -> int:
     from .runner import (
         FAMILIES,
         FaultPlan,
-        InstanceSpec,
         JournalError,
-        SweepPlan,
         journal_status,
         merge_journals,
+        plan_from_spec,
         run_sweep,
-        split_seed,
     )
-    from .runner.tasks import POLICIES as SWEEP_POLICIES
     from .verify.differential import DifferentialReport
+
+    def print_ratio_table(title: str, report) -> None:
+        print_table(
+            title,
+            ["policy", "family", "samples", "worst", "avg", "median"],
+            [p.row() for p in profiles_from_samples(report.values())],
+        )
+        print()
+        print(report.summary())
 
     if args.kind == "status":
         # Progress of a journaled sweep, from the durable file alone — no
@@ -520,14 +551,10 @@ def cmd_sweep(args) -> int:
         elif report.results and all(
             r.task == "ratio_sample" for r in report.results
         ):
-            profiles = profiles_from_samples(report.values())
-            print_table(
+            print_ratio_table(
                 f"repro sweep merge ({len(args.journals)} shard journal(s))",
-                ["policy", "family", "samples", "worst", "avg", "median"],
-                [p.row() for p in profiles],
+                report,
             )
-            print()
-            print(report.summary())
         else:
             print(report.summary())
         return 0 if report.ok else 1
@@ -543,33 +570,22 @@ def cmd_sweep(args) -> int:
     policies = [p for p in args.policies.split(",") if p]
     families = [f for f in args.families.split(",") if f]
     for policy in policies:
-        if policy not in SWEEP_POLICIES:
-            raise SystemExit(f"unknown policy {policy!r}; known: {sorted(SWEEP_POLICIES)}")
+        if policy not in POLICIES:
+            raise SystemExit(f"unknown policy {policy!r}; known: {sorted(POLICIES)}")
     for family in families:
         if family not in FAMILIES:
             raise SystemExit(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
 
-    if args.kind == "ratio":
-        plan = SweepPlan.competitive(
-            policies=policies,
-            families=families,
-            n=args.n,
-            seeds=args.seeds,
-            root_seed=args.root_seed,
-        )
-    elif args.kind == "differential":
-        specs = [
-            InstanceSpec(family, args.n, split_seed(args.root_seed, i))
-            for family in families
-            for i in range(args.seeds)
-        ]
-        plan = SweepPlan.differential(
-            specs, speeds=[s for s in args.speeds.split(",") if s]
-        )
-    elif args.kind == "corpus":
-        plan = SweepPlan.corpus(args.dir)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown sweep kind {args.kind}")
+    plan = plan_from_spec({
+        "kind": args.kind,
+        "policies": policies,
+        "families": families,
+        "n": args.n,
+        "seeds": args.seeds,
+        "root_seed": args.root_seed,
+        "speeds": args.speeds,
+        "dir": args.dir,
+    })
 
     if args.shard:
         try:
@@ -622,7 +638,6 @@ def cmd_sweep(args) -> int:
             journal=args.journal,
             resume=args.resume,
             progress=ticker,
-            progress_interval=0.2 if args.progress else 1.0,
         )
     except KeyboardInterrupt:
         # The interrupt landed outside run_sweep's own catch (e.g. between
@@ -650,15 +665,11 @@ def cmd_sweep(args) -> int:
     if args.json:
         print(_json.dumps(report.snapshot(), indent=2))
     elif args.kind == "ratio":
-        profiles = profiles_from_samples(report.values())
-        print_table(
+        print_ratio_table(
             f"repro sweep ratio (n={args.n}, seeds={args.seeds}, "
             f"workers={args.workers})",
-            ["policy", "family", "samples", "worst", "avg", "median"],
-            [p.row() for p in profiles],
+            report,
         )
-        print()
-        print(report.summary())
     elif args.kind == "differential":
         diff = DifferentialReport(
             tuple(rec for records in report.values() for rec in records)
@@ -789,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="edf", choices=sorted(POLICIES))
     p.add_argument("--machines", type=int, default=None,
                    help="fixed machine count (omit to search the minimum)")
-    p.add_argument("--speed", default="1")
+    p.add_argument("--speed", default="1", type=_speed_arg)
     p.add_argument("--gantt", action="store_true")
     p.add_argument("--width", type=int, default=100)
     p.set_defaults(func=cmd_simulate)
@@ -828,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--m", type=int, default=None,
                    help="certify at this machine count (default: certified optimum)")
-    p.add_argument("--speed", default="1")
+    p.add_argument("--speed", default="1", type=_speed_arg)
     p.add_argument("--backend", default=DEFAULT_BACKEND,
                    choices=["auto", *sorted(BACKENDS)])
     p.add_argument("--schedule",
@@ -843,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one-shot observability report (counters + span timings)",
     )
     p.add_argument("instance")
-    p.add_argument("--speed", default="1")
+    p.add_argument("--speed", default="1", type=_speed_arg)
     p.add_argument("--backend", default=DEFAULT_BACKEND,
                    choices=["auto", *sorted(BACKENDS)])
     p.add_argument("--policy", default=None, choices=sorted(POLICIES),
@@ -891,17 +902,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated policy names (ratio sweeps)")
     p.add_argument("--families", default="uniform",
                    help="comma-separated instance families")
-    p.add_argument("-n", type=int, default=30, help="jobs per instance")
+    p.add_argument("-n", type=_bounded(int, 1), default=30,
+                   help="jobs per instance")
     p.add_argument("--seeds", type=int, default=5,
                    help="seed count (split deterministically from --root-seed)")
     p.add_argument("--root-seed", type=int, default=0)
-    p.add_argument("--speeds", default="1",
+    p.add_argument("--speeds", default="1", type=_speeds_arg,
                    help="comma-separated speeds (differential sweeps)")
     p.add_argument("--dir", default="tests/data/corpus",
                    help="corpus directory (corpus sweeps)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_bounded(int, 1), default=1,
                    help="worker processes (1 = serial fast path, no pool)")
-    p.add_argument("--chunksize", type=int, default=4,
+    p.add_argument("--chunksize", type=_bounded(int, 1), default=4,
                    help="minimum items per worker chunk (groups never split)")
     p.add_argument("--json", action="store_true",
                    help="emit results + merged counter snapshot as JSON")
@@ -920,11 +932,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="restore settled groups from --journal and run only "
                         "the rest (requires --journal)")
-    p.add_argument("--retries", type=int, default=None, metavar="K",
+    p.add_argument("--retries", type=_bounded(int, 0), default=None, metavar="K",
                    help="transient-failure retry budget per item "
                         "(default 2; exhausted items are quarantined as "
                         "'failed', not fatal)")
-    p.add_argument("--item-timeout", type=float, default=None, metavar="SEC",
+    p.add_argument("--item-timeout", type=_bounded(float, 0, strict=True),
+                   default=None, metavar="SEC",
                    help="per-item deadline in seconds (timeouts are "
                         "transient: retried, then quarantined)")
     p.add_argument("--chaos", metavar="SPEC", default=None,

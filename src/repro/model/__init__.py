@@ -1,6 +1,13 @@
 """Substrate: exact job/instance/interval/schedule model."""
 
-from .intervals import Interval, IntervalUnion, Numeric, event_points, to_fraction
+from .intervals import (
+    Interval,
+    IntervalUnion,
+    Numeric,
+    event_points,
+    positive_speed,
+    to_fraction,
+)
 from .job import Job
 from .instance import Instance, dominates, paper_order_key
 from .schedule import FeasibilityReport, Schedule, Segment
@@ -11,6 +18,7 @@ __all__ = [
     "IntervalUnion",
     "Numeric",
     "event_points",
+    "positive_speed",
     "to_fraction",
     "Job",
     "Instance",

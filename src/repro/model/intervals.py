@@ -37,6 +37,19 @@ def to_fraction(x: Numeric) -> Fraction:
     return Fraction(x)
 
 
+def positive_speed(speed: Numeric) -> Fraction:
+    """The exact machine speed ``speed``; raises ``ValueError`` unless positive.
+
+    Every public entry point that takes a machine speed checks it here: at
+    a speed of zero or below no job can run, so no verdict, schedule or
+    certificate means anything.
+    """
+    value = to_fraction(speed)
+    if value <= 0:
+        raise ValueError(f"speed must be positive, got {speed}")
+    return value
+
+
 class Interval:
     """A single half-open interval ``[start, end)`` with exact endpoints."""
 

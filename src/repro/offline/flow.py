@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..model.instance import Instance
-from ..model.intervals import Numeric, to_fraction
+from ..model.intervals import Numeric, positive_speed
 from ..model.schedule import Schedule, Segment
 from . import kernel as _kernel
 from .dinic import FlowPieces
@@ -146,11 +146,11 @@ def max_flow_assignment(
     (``cache.tables.intervals``).
     """
     backend = resolve_backend(backend)
+    speed = positive_speed(speed)
     if len(instance) == 0:
         return True, {}, []
     if m <= 0:
         return False, {}, []
-    speed = to_fraction(speed)
     cache = cache_for(instance)
     network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
     ticks = _tick_base(cache.scale_for(speed), speed)
@@ -175,11 +175,12 @@ def migratory_feasible(
     flows, and memoize ``(m, speed)`` verdicts.
     """
     kernel = _DINIC_KERNELS[resolve_backend(backend)]
+    speed = positive_speed(speed)
     if len(instance) == 0:
         return True
     if m <= 0:
         return False
-    return cache_for(instance).feasible(m, to_fraction(speed), kernel)
+    return cache_for(instance).feasible(m, speed, kernel)
 
 
 def mcnaughton(
@@ -244,11 +245,11 @@ def migratory_schedule(
 ) -> Optional[Schedule]:
     """An explicit feasible migratory schedule on ``m`` machines, or ``None``."""
     backend = resolve_backend(backend)
+    speed = positive_speed(speed)
     if len(instance) == 0:
         return Schedule([])
     if m <= 0:
         return None
-    speed = to_fraction(speed)
     cache = cache_for(instance)
     network = cache.solved_network(m, speed, _DINIC_KERNELS[backend])
     if not network.feasible:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..model.instance import Instance
-from ..model.intervals import Numeric, to_fraction
+from ..model.intervals import Numeric, positive_speed
 from ..model.job import Job
 from ..model.schedule import Schedule, Segment
 from .optimum import migratory_optimum, window_concurrency
@@ -69,14 +69,14 @@ def _edf_sweep(
 
 def single_machine_feasible(jobs: Sequence[Job], speed: Numeric = 1) -> bool:
     """Exact single-machine preemptive feasibility at the given speed."""
-    return _edf_sweep(list(jobs), to_fraction(speed), 0) is not None
+    return _edf_sweep(list(jobs), positive_speed(speed), 0) is not None
 
 
 def edf_single_machine_schedule(
     jobs: Sequence[Job], speed: Numeric = 1, machine: int = 0
 ) -> Optional[Schedule]:
     """Single-machine preemptive EDF schedule, or ``None`` if infeasible."""
-    segs = _edf_sweep(list(jobs), to_fraction(speed), machine)
+    segs = _edf_sweep(list(jobs), positive_speed(speed), machine)
     if segs is None:
         return None
     return Schedule(segs)
@@ -93,7 +93,7 @@ def first_fit_assignment(
     the lowest-index machine whose job set stays single-machine feasible.
     Always succeeds by opening new machines.
     """
-    speed = to_fraction(speed)
+    speed = positive_speed(speed)
     if order_key is None:
         order_key = lambda j: (j.release, j.deadline, j.id)
     machines: List[List[Job]] = []
@@ -116,7 +116,7 @@ def schedule_from_assignment(
     instance: Instance, assignment: Dict[int, int], speed: Numeric = 1
 ) -> Schedule:
     """Run per-machine EDF under a fixed partition; raises if infeasible."""
-    speed = to_fraction(speed)
+    speed = positive_speed(speed)
     buckets: Dict[int, List[Job]] = {}
     for job in instance:
         buckets.setdefault(assignment[job.id], []).append(job)

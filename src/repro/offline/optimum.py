@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..model.instance import Instance
-from ..model.intervals import Numeric, to_fraction
+from ..model.intervals import Numeric, positive_speed
 from ..model.schedule import Schedule
 from ..obs import core as _obs
 from .feascache import cache_for
@@ -48,14 +48,12 @@ def migratory_optimum(
     ``p_j / speed > d_j − r_j`` cannot finish at any ``m`` because it cannot
     self-parallelize; only possible for ``speed < 1``).
     """
+    speed = positive_speed(speed)
     if len(instance) == 0:
         return 0
     # Resolve "auto" once, up front: every probe of the search runs on the
     # same kernel and the search span records the concrete backend.
     backend = resolve_backend(backend)
-    speed = to_fraction(speed)
-    if speed <= 0:
-        raise ValueError("speed must be positive")
     if speed < 1 and any(j.processing > speed * j.window for j in instance):
         raise ValueError(
             "infeasible at every machine count: a job's window is shorter "

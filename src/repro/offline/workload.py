@@ -28,7 +28,7 @@ from math import ceil
 from typing import Iterable, List, Optional, Tuple
 
 from ..model.instance import Instance
-from ..model.intervals import Interval, IntervalUnion, Numeric, to_fraction
+from ..model.intervals import Interval, IntervalUnion, Numeric, positive_speed
 from ..model.job import Job
 from .feascache import cache_for
 
@@ -156,9 +156,9 @@ def scaled_lower_bound(instance: Instance, speed: Numeric = 1) -> int:
     its whole window).  At ``speed == 1`` this coincides with
     :func:`trivial_lower_bounds`.
     """
+    speed = positive_speed(speed)
     if len(instance) == 0:
         return 0
-    speed = to_fraction(speed)
     # Both components come from the per-instance cache's integer tables
     # (semantically identical to instance.total_work / instance.span /
     # instance.zero_laxity_concurrency, but computed once per instance).

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..model.instance import Instance
-from ..model.intervals import Numeric, to_fraction
+from ..model.intervals import Numeric, positive_speed, to_fraction
 from ..model.job import Job
 from ..model.schedule import Schedule, Segment
 from ..obs import core as _obs
@@ -50,7 +50,7 @@ class OnlineEngine:
             raise ValueError("on_miss must be 'record' or 'raise'")
         self.policy = policy
         self.machines = machines
-        self.speed = to_fraction(speed)
+        self.speed = positive_speed(speed)
         self.on_miss = on_miss
         #: extra work a job incurs each time it resumes on a new machine
         #: (the practical overhead the paper's non-migratory model avoids)
@@ -434,6 +434,7 @@ def min_machines(
     in this repo); performs binary search with a geometric upper-bound scan.
     A fresh policy instance is created per trial via ``policy_factory(k)``.
     """
+    speed = positive_speed(speed)
     if len(instance) == 0:
         return 0
     if hi is None:

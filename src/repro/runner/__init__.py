@@ -43,15 +43,20 @@ The guarantee extends through failures — *crash-only* operation:
 
 The guarantee also extends across hosts — *sharded* operation:
 :meth:`SweepPlan.shard(k, n) <repro.runner.plan.SweepPlan.shard>` cuts a
-plan into ``n`` disjoint, group-preserving
-:class:`~repro.runner.plan.SweepShard`\\s (a pure function of the plan, so
+plan into ``n`` disjoint, group-preserving shards, each itself a
+:class:`~repro.runner.plan.SweepPlan` (a pure function of the plan, so
 every host computes the same partition), each shard journals under its own
 ``(k, n)`` identity, and :func:`~repro.runner.merge.merge_journals` folds
 the N journals back into one report byte-identical to the unsharded run —
 ``repro sweep ... --shard k/n`` plus ``repro sweep merge j*.jsonl``.
 
-``n_jobs=1`` is a true serial fast path: no pool, no pickling.  The CLI
-front-end is ``repro sweep``.
+Execution has one path: one function starts and runs every process pool
+(the shared one and each ladder rung), one loop runs every in-process
+execution (``n_jobs=1`` — no pool, no pickling — and the rungs where no
+pool can start), every finished row is journaled as it lands, and one
+``KeyboardInterrupt`` handler returns the partial report from any of them.
+The front ends are ``repro sweep`` and the daemon's ``/v1/sweeps``; both
+build their plan with :func:`~repro.runner.plan.plan_from_spec`.
 """
 
 from .faults import (
@@ -84,10 +89,10 @@ from .plan import (
     FAMILIES,
     InstanceSpec,
     SweepPlan,
-    SweepShard,
     WorkItem,
     chunk_items,
     instance_key,
+    plan_from_spec,
     split_seed,
 )
 from .pool import (
@@ -119,7 +124,6 @@ __all__ = [
     "SweepPlan",
     "SweepProgress",
     "SweepReport",
-    "SweepShard",
     "TASKS",
     "TransientError",
     "WorkItem",
@@ -131,6 +135,7 @@ __all__ = [
     "merge_journals",
     "merge_snapshot_into",
     "merge_snapshots",
+    "plan_from_spec",
     "read_journal",
     "register_task",
     "replay_into_ambient",

@@ -23,7 +23,8 @@ Three pieces, all picklable so they travel to pool workers:
   chaos runs byte-comparable to fault-free runs (see
   ``docs/ARCHITECTURE.md`` § Failure model).
 
-Fault indices are **parent-plan-global**: a :class:`~repro.runner.plan.SweepShard`
+Fault indices are **parent-plan-global**: a shard (the
+:class:`~repro.runner.plan.SweepPlan` that ``plan.shard(k, n)`` returns)
 keeps its items' original plan indices, so the same ``FaultPlan`` spec
 (``sigkill:2``) strikes the same logical item whether the plan runs whole
 or as ``--shard k/n`` on another host — chaos specs need no per-shard

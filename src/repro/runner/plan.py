@@ -22,11 +22,18 @@ Three properties make plans safe to parallelize:
   ``chunksize`` alone (never of the worker count), which is what makes
   merged observability counters bit-identical for every ``n_jobs``.
 * **Group-preserving sharding** — :meth:`SweepPlan.shard` cuts the plan
-  into ``n`` disjoint :class:`SweepShard`\\ s for multi-host fan-out.  The
-  partition is a pure function of the plan and ``(k, n)`` (every host
-  computes the same split), never splits a group, and keeps parent-plan
-  item indices — so per-shard journals can later be folded back into one
-  canonical report by :func:`repro.runner.merge.merge_journals`.
+  into ``n`` disjoint shards for multi-host fan-out.  A shard is itself a
+  :class:`SweepPlan` (a whole plan is shard ``(0, 1)`` of itself) that
+  carries its ``shard_id``, the parent's item count and the parent's
+  fingerprint.  The partition is a pure function of the plan and
+  ``(k, n)`` (every host computes the same split), never splits a group,
+  and keeps parent-plan item indices — so per-shard journals can later be
+  folded back into one canonical report by
+  :func:`repro.runner.merge.merge_journals`.
+
+:func:`plan_from_spec` builds the plan a sweep spec names (``kind``
+ratio / differential / corpus, the same fields ``repro sweep`` takes and
+``/v1/sweeps`` accepts): both front ends build their plan with it.
 """
 
 from __future__ import annotations
@@ -49,10 +56,10 @@ __all__ = [
     "FAMILIES",
     "InstanceSpec",
     "SweepPlan",
-    "SweepShard",
     "WorkItem",
     "chunk_items",
     "instance_key",
+    "plan_from_spec",
     "split_seed",
 ]
 
@@ -183,17 +190,37 @@ def chunk_items(
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """An ordered, immutable batch of work items."""
+    """An ordered, immutable batch of work items, or one shard of one.
+
+    A whole plan is densely indexed and is shard ``(0, 1)`` of itself.  A
+    shard from :meth:`shard` keeps its items' **parent-plan indices** and
+    canonical order — results, journals, and
+    :class:`~repro.runner.faults.FaultPlan` indices all speak the parent's
+    index space — and its :meth:`fingerprint` is the *parent's*: a shard
+    journal is identified by the pair ``(parent fingerprint, shard_id)``,
+    which is what both the resume path and
+    :func:`repro.runner.merge.merge_journals` validate.  A shard runs
+    anywhere a plan does: ``run_sweep(plan.shard(k, n), ...)``.
+    """
 
     items: Tuple[WorkItem, ...]
+    #: ``(k, n)`` — this plan's identity within its parent plan
+    shard_id: Tuple[int, int] = (0, 1)
+    #: item count of the parent plan (a shard may hold fewer)
+    plan_items: int = -1
+    #: the parent's fingerprint; set on shards only
+    parent_fingerprint: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.shard_id != (0, 1):
+            return
         for expected, item in enumerate(self.items):
             if item.index != expected:
                 raise ValueError(
                     f"item {expected} carries index {item.index}; plans must "
                     "be densely indexed in order"
                 )
+        object.__setattr__(self, "plan_items", len(self.items))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -217,8 +244,11 @@ class SweepPlan:
         Covers every item's index, task, group key (instance content or
         generator recipe), and task parameters — everything that determines
         what a sweep computes.  The journal header pins this value so a
-        resume cannot silently apply another plan's results.
+        resume cannot silently apply another plan's results.  A shard
+        returns its parent's (shard identity travels separately).
         """
+        if self.parent_fingerprint is not None:
+            return self.parent_fingerprint
         h = hashlib.sha256()
         for item in self.items:
             h.update(
@@ -226,7 +256,7 @@ class SweepPlan:
             )
         return h.hexdigest()
 
-    def shard(self, k: int, n: int) -> "SweepShard":
+    def shard(self, k: int, n: int) -> "SweepPlan":
         """Deterministic, group-preserving shard ``k`` of ``n``.
 
         Groups are numbered in first-appearance (plan) order, and group
@@ -237,21 +267,29 @@ class SweepPlan:
         splits a group, so each shard reproduces exactly the warm-cache
         counter pattern its items have in the unsharded run.  That
         invariant is what makes :func:`repro.runner.merge.merge_journals`
-        byte-identical to a single-host sweep.
+        byte-identical to a single-host sweep.  A shard cannot be sharded
+        again; shard ``(0, 1)`` is the plan itself.
         """
+        if self.shard_id != (0, 1):
+            raise ValueError(
+                f"shard {self.shard_id[0]}/{self.shard_id[1]} cannot be "
+                "sharded again; shard the whole plan"
+            )
         if n < 1:
             raise ValueError("shard count must be >= 1")
         if not 0 <= k < n:
             raise ValueError(
                 f"shard index must satisfy 0 <= k < n; got shard {k}/{n}"
             )
+        if n == 1:
+            return self
         ordinal: Dict[str, int] = {}
         for item in self.items:
             ordinal.setdefault(item.group, len(ordinal))
         selected = tuple(
             item for item in self.items if ordinal[item.group] % n == k
         )
-        return SweepShard(selected, k, n, self.fingerprint(), len(self.items))
+        return SweepPlan(selected, (k, n), len(self.items), self.fingerprint())
 
     # -- builders ------------------------------------------------------------
 
@@ -349,43 +387,30 @@ class SweepPlan:
         return cls.build(entries)
 
 
-@dataclass(frozen=True)
-class SweepShard:
-    """Shard ``k`` of ``n`` of a parent plan (see :meth:`SweepPlan.shard`).
+def plan_from_spec(spec: Dict[str, Any]) -> SweepPlan:
+    """Build the :class:`SweepPlan` a sweep spec describes.
 
-    Items keep their **parent-plan indices** and canonical order — results,
-    journals, and :class:`~repro.runner.faults.FaultPlan` indices all speak
-    the parent's index space, so one fault spec or one merged report covers
-    every shard uniformly.  :meth:`fingerprint` returns the *parent* plan's
-    fingerprint: a shard journal is identified by the pair
-    ``(parent fingerprint, shard identity)``, which is what both the resume
-    path and :func:`repro.runner.merge.merge_journals` validate.
-
-    A shard runs anywhere a plan does: ``run_sweep(plan.shard(k, n), ...)``.
+    ``spec["kind"]`` is ``ratio`` (``policies``, ``families``, ``n``,
+    ``seeds``, ``root_seed``), ``differential`` (``families``, ``n``,
+    ``seeds``, ``root_seed``, ``speeds``) or ``corpus`` (``dir``).  Pure
+    function of the spec: every daemon generation that reads the same
+    ``<id>.spec.json`` builds the byte-identical plan (same fingerprint),
+    which is what lets a restart resume the old journal at all.
     """
-
-    items: Tuple[WorkItem, ...]
-    shard_index: int
-    shard_count: int
-    plan_fingerprint: str
-    #: item count of the parent plan (shards of it may be smaller)
-    plan_items: int
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    @property
-    def shard_id(self) -> Tuple[int, int]:
-        """``(k, n)`` — this shard's identity within the parent plan."""
-        return (self.shard_index, self.shard_count)
-
-    def chunks(self, chunksize: int = 1) -> List[Tuple[WorkItem, ...]]:
-        """Group-preserving chunks of the shard (see :meth:`SweepPlan.chunks`)."""
-        return chunk_items(self.items, chunksize)
-
-    def fingerprint(self) -> str:
-        """The **parent** plan's fingerprint (shard identity travels separately)."""
-        return self.plan_fingerprint
+    kind = spec["kind"]
+    if kind == "ratio":
+        return SweepPlan.competitive(
+            policies=spec["policies"],
+            families=spec["families"],
+            n=spec["n"],
+            seeds=spec["seeds"],
+            root_seed=spec["root_seed"],
+        )
+    if kind == "differential":
+        specs = [
+            InstanceSpec(family, spec["n"], split_seed(spec["root_seed"], i))
+            for family in spec["families"]
+            for i in range(spec["seeds"])
+        ]
+        return SweepPlan.differential(specs, speeds=spec["speeds"])
+    return SweepPlan.corpus(spec["dir"])

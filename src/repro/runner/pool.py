@@ -11,9 +11,12 @@
   attempt runs under its own :func:`repro.obs.capture`, and only the
   *successful* attempt's snapshot is kept — merged in plan order — so
   faults, retries, and resumes cannot shift a single task-level counter.
-* **Serial fast path.**  ``n_jobs=1`` executes the same chunk loop inline:
-  no pool is spawned, no pickling happens, ambient obs sinks see the raw
-  event stream exactly as before this module existed.
+* **One execution path.**  Every process pool — the shared one and each
+  ladder rung below — is started and run by :func:`_run_pool`; every
+  in-process execution — ``n_jobs=1``, and the rungs where no pool starts —
+  by :func:`_run_inline`.  Both hand each finished row to the same landing
+  step, which journals and records it.  ``n_jobs=1`` spawns no pool and
+  pickles nothing, and ambient obs sinks see its raw event stream.
 * **Warm caches.**  A chunk materializes each instance group once, so every
   item of the group shares the instance's
   :class:`~repro.offline.feascache.FeasibilityCache` (verdict memo + warm
@@ -24,19 +27,25 @@
   quarantined as ``"failed"`` records.  Deterministic task exceptions
   become ``"error"`` records immediately (retrying cannot change them).
   Either way the sweep continues.
-* **Graceful degradation.**  A worker that dies mid-chunk (OOM-killed,
-  segfault) breaks the pool; the runner walks a ladder — pool → fresh pool
-  per *group* → fresh pool per *item* → in-process serial — re-running the
-  unresolved work at each rung until exactly the crasher is blamed with a
+* **Graceful degradation.**  A pool starts at its first ``submit``: under
+  the fork start method that is where CPython forks the workers.  A start
+  that fails (``OSError``, e.g. ``EAGAIN`` from ``fork``) kills any worker
+  it had forked and runs the work in-process instead (pool → serial, with
+  ``sigkill`` faults demoted).  A worker that dies mid-chunk (OOM-killed,
+  segfault), or while chunks are still being submitted, breaks the pool;
+  the runner walks a ladder — fresh pool per *group* → fresh pool per
+  *item* → in-process once no pool starts — re-running the unresolved work
+  at each rung until exactly the crasher is blamed with a
   ``"crashed"``/:class:`WorkerCrash` record.  Each transition is logged as
   a ``runner.degraded`` obs event; a sweep always terminates with a
   complete report, never silently dropping an item.
 * **Durability.**  With ``journal=`` every completed item is appended to a
-  checksummed JSONL journal (:mod:`repro.runner.journal`) as it lands;
-  ``resume=True`` restores settled groups from the journal and executes
-  only the rest.  ``KeyboardInterrupt`` cancels outstanding work, fsyncs
-  the journal, and returns the partial report with remaining items marked
-  ``"cancelled"`` — a Ctrl-C'd sweep is always resumable.
+  checksummed JSONL journal (:mod:`repro.runner.journal`) as it lands, on
+  every path and rung; ``resume=True`` restores settled groups from the
+  journal and executes only the rest.  A ``KeyboardInterrupt`` anywhere
+  cancels outstanding work, fsyncs the journal, and returns the partial
+  report: finished items kept, the rest marked ``"cancelled"`` — a
+  Ctrl-C'd sweep is always resumable.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from ..obs.sinks import Registry, jsonable
 from .faults import FaultPlan, ItemTimeout, RetryPolicy, time_limit
 from .journal import Journal, JournalError, JournalRecord, read_journal
 from .merge import merge_snapshot_into, replay_into_ambient
-from .plan import SweepPlan, SweepShard, WorkItem, chunk_items
+from .plan import SweepPlan, WorkItem, chunk_items
 from .tasks import TASKS
 
 __all__ = [
@@ -72,6 +81,9 @@ __all__ = [
 #: executed item ships back.  The snapshot is the successful attempt's obs
 #: registry dump ({} for quarantined items: their attempts left no trace).
 _Row = Tuple[int, str, Any, Optional[str], int, Dict[str, Any]]
+
+#: Seconds between two live progress samples (plus a forced final one).
+PROGRESS_INTERVAL = 0.2
 
 
 class WorkerCrash(RuntimeError):
@@ -163,23 +175,21 @@ class SweepProgress:
 class _ProgressTracker:
     """Samples sweep state into :class:`SweepProgress` at a bounded cadence.
 
-    Opt-in (``run_sweep(progress=...)``): each emission goes to the ambient
-    obs stream as a ``runner.progress`` event and to the callback, rate-
-    limited to one per ``interval`` seconds plus a forced final sample —
-    so even an instant sweep reports once.
+    Opt-in (``run_sweep(progress=callback)``): each emission goes to the
+    ambient obs stream as a ``runner.progress`` event and to the callback,
+    rate-limited to one per :data:`PROGRESS_INTERVAL` seconds plus a forced
+    final sample — so even an instant sweep reports once.
     """
 
     def __init__(
         self,
         total: int,
         resumed: int,
-        callback: Optional[Callable[[SweepProgress], None]],
-        interval: float,
+        callback: Callable[[SweepProgress], None],
     ) -> None:
         self._total = total
         self._resumed = resumed
         self._callback = callback
-        self._interval = interval
         self._t0 = time.perf_counter()
         self._last_emit: Optional[float] = None
 
@@ -214,7 +224,7 @@ class _ProgressTracker:
         if (
             not force
             and self._last_emit is not None
-            and now - self._last_emit < self._interval
+            and now - self._last_emit < PROGRESS_INTERVAL
         ):
             return
         self._last_emit = now
@@ -236,8 +246,7 @@ class _ProgressTracker:
                 else round(progress.eta_seconds, 1)
             ),
         )
-        if self._callback is not None:
-            self._callback(progress)
+        self._callback(progress)
 
 
 @dataclass
@@ -252,7 +261,7 @@ class SweepReport:
     wall_seconds: float
     interrupted: bool = False
     resumed: int = 0  # items restored from the journal instead of re-run
-    shard: Optional[Tuple[int, int]] = None  # (k, n) when a SweepShard ran
+    shard: Optional[Tuple[int, int]] = None  # (k, n) when a shard ran
 
     @property
     def ok(self) -> bool:
@@ -423,13 +432,14 @@ def _execute_chunk(
 ) -> List[_Row]:
     """Run one chunk; returns finished rows in item order.
 
-    This is the single execution path for the serial loop, the pool
+    This is the single item executor for the in-process loop, the pool
     workers, and every degradation rung — which is precisely why their
     counter totals agree.  The chunk materializes each instance group once;
     all items of the group share its warm
-    :class:`~repro.offline.feascache.FeasibilityCache`.  ``on_row`` (serial
-    path only) streams each row the moment it finishes, which is what makes
-    an interrupted chunk's completed items durable in the journal.
+    :class:`~repro.offline.feascache.FeasibilityCache`.  ``on_row`` (the
+    in-process loop only) streams each row the moment it finishes, which is
+    what makes an interrupted chunk's completed items durable in the
+    journal.
     """
     if policy is None:
         policy = ExecPolicy()
@@ -460,12 +470,89 @@ def _crash_row(item: WorkItem, attempts: int) -> _Row:
     )
 
 
-def _isolated_retry(
+def _run_pool(
+    chunks: Sequence[Sequence[WorkItem]],
+    workers: int,
+    mp_context,
+    policy: ExecPolicy,
+    base_attempt: int,
+    on_chunk: Callable[[int, List[_Row]], None],
+) -> Optional[List[int]]:
+    """Run ``chunks`` on one fresh pool of ``workers`` processes.
+
+    Each finished chunk's rows go to ``on_chunk(ci, rows)`` as it lands.
+    Returns the indices of the chunks the pool died under — a worker death
+    mid-chunk, or during submission (that chunk and every later one) — or
+    ``None`` when the pool could not start.  The start is the constructor
+    *and* the submits: under the fork start method CPython forks the
+    workers inside the first ``submit``.  A start that fails after forking
+    some workers kills them, so none outlives the failure.
+    """
+    pool = None
+    futures: Dict[concurrent.futures.Future, int] = {}
+    broken: List[int] = []
+    finished = False
+    try:
+        try:
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=mp_context, initializer=_init_worker
+            )
+            for ci, chunk in enumerate(chunks):
+                try:
+                    future = pool.submit(_execute_chunk, chunk, policy, base_attempt)
+                except BrokenProcessPool:
+                    broken.extend(range(ci, len(chunks)))
+                    break
+                futures[future] = ci
+        except OSError:
+            # The manager thread that would stop these workers never
+            # started, and the executor has no public handle on them.
+            for process in list((getattr(pool, "_processes", None) or {}).values()):
+                process.kill()
+                process.join()
+            return None
+        for future in concurrent.futures.as_completed(futures):
+            try:
+                rows = future.result()
+            except BrokenProcessPool:
+                broken.append(futures[future])
+                continue
+            on_chunk(futures[future], rows)
+        finished = True
+        return sorted(broken)
+    finally:
+        if pool is not None:
+            # An interrupt must not hang on the join: drop queued chunks and
+            # let running workers finish on their own.
+            pool.shutdown(wait=finished, cancel_futures=not finished)
+
+
+def _run_inline(
+    chunks: Sequence[Sequence[WorkItem]],
+    policy: ExecPolicy,
+    base_attempt: int,
+    on_row: Callable[[_Row], Any],
+    on_chunk: Optional[Callable[[int, List[_Row]], None]] = None,
+) -> None:
+    """Run ``chunks`` in this process: the one in-process loop.
+
+    Each row goes to ``on_row`` the moment it finishes, so an interrupt
+    keeps every finished row; each finished chunk then goes to
+    ``on_chunk(ci, rows)``.
+    """
+    for ci, chunk in enumerate(chunks):
+        rows = _execute_chunk(chunk, policy, base_attempt, on_row)
+        if on_chunk is not None:
+            on_chunk(ci, rows)
+
+
+def _run_ladder(
     chunk: Sequence[WorkItem],
     mp_context,
     policy: ExecPolicy,
+    land: Callable[[_Row], Any],
     degradations: List[Tuple[str, str]],
-) -> Dict[int, _Row]:
+) -> None:
     """Degradation rungs below a broken pool; see the module docstring.
 
     First each *group* of the dead chunk is re-run whole in a fresh
@@ -474,62 +561,35 @@ def _isolated_retry(
     cache counter pattern of a clean run.  A group whose fresh pool breaks
     again holds a genuine crasher: its items re-run one per pool
     (``base_attempt=3``) so exactly the killer is blamed and its mates
-    still recover.  If pools cannot be created at all (fork failure), the
-    remaining work runs in-process — with ``sigkill`` faults demoted, since
-    an in-process SIGKILL would take the parent down.
+    still recover.  Once a pool cannot start (fork failure), the remaining
+    work runs in-process — with ``sigkill`` faults demoted, since an
+    in-process SIGKILL would take the parent down.  Every group's or item's
+    rows go to ``land`` as soon as they settle.
     """
-    rows: Dict[int, _Row] = {}
-    serial = False
+    inline = False
 
-    def run_serial(items: Sequence[WorkItem], base_attempt: int) -> None:
-        for row in _execute_chunk(items, policy.without_kills(), base_attempt):
-            rows[row[0]] = row
+    def land_rows(_ci: int, rows: List[_Row]) -> None:
+        for row in rows:
+            land(row)
 
-    def run_pooled(
-        items: Sequence[WorkItem], base_attempt: int
-    ) -> Optional[List[_Row]]:
-        """One fresh single-worker pool; None means the pool broke."""
-        nonlocal serial
-        pool = None
-        try:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=1, mp_context=mp_context, initializer=_init_worker
-            )
-            return pool.submit(_execute_chunk, items, policy, base_attempt).result()
-        except BrokenProcessPool:
-            return None
-        except OSError:
-            # Couldn't even stand a pool up (fork/resource exhaustion):
-            # last rung — run the rest of the ladder in-process.
+    def rung(items: Sequence[WorkItem], base_attempt: int) -> bool:
+        """Run ``items`` on their own pool (or in-process); False iff it died."""
+        nonlocal inline
+        if not inline:
+            broken = _run_pool([items], 1, mp_context, policy, base_attempt, land_rows)
+            if broken is not None:
+                return not broken
             degradations.append(("isolated", "serial"))
-            serial = True
-            run_serial(items, base_attempt)
-            return list()  # handled; nothing further to do for these items
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+            inline = True
+        _run_inline([items], policy.without_kills(), base_attempt, land)
+        return True
 
     for group in chunk_items(chunk, 1):  # chunksize=1 splits at group bounds
-        if serial:
-            run_serial(group, 2)
-            continue
-        group_rows = run_pooled(group, base_attempt=2)
-        if group_rows is None:
+        if not rung(group, 2):
             # The group still kills its worker: isolate item by item.
             for item in group:
-                if serial:
-                    run_serial((item,), 3)
-                    continue
-                item_rows = run_pooled((item,), base_attempt=3)
-                if item_rows is None:
-                    rows[item.index] = _crash_row(item, attempts=3)
-                else:
-                    for row in item_rows:
-                        rows[row[0]] = row
-        else:
-            for row in group_rows:
-                rows[row[0]] = row
-    return rows
+                if not rung((item,), 3):
+                    land(_crash_row(item, attempts=3))
 
 
 class _ResultStream:
@@ -570,7 +630,7 @@ class _ResultStream:
 
 
 def run_sweep(
-    plan: Union[SweepPlan, SweepShard],
+    plan: SweepPlan,
     n_jobs: int = 1,
     chunksize: int = 1,
     on_result: Optional[Callable[[ItemResult], None]] = None,
@@ -579,8 +639,7 @@ def run_sweep(
     faults: Optional[FaultPlan] = None,
     journal: Optional[str] = None,
     resume: bool = False,
-    progress: Union[bool, Callable[[SweepProgress], None], None] = None,
-    progress_interval: float = 1.0,
+    progress: Optional[Callable[[SweepProgress], None]] = None,
 ) -> SweepReport:
     """Execute ``plan`` on ``n_jobs`` processes; see the module contract.
 
@@ -595,19 +654,18 @@ def run_sweep(
     a different plan — or a different shard of the same plan — raises
     :class:`~repro.runner.journal.JournalMismatch`).
 
-    ``plan`` may also be a :class:`~repro.runner.plan.SweepShard` from
-    :meth:`SweepPlan.shard(k, n) <repro.runner.plan.SweepPlan.shard>`:
-    the run executes just that shard's items (keeping their parent-plan
-    indices, so ``faults`` and journals speak parent-global indices) and
-    stamps the shard identity into the journal header for
-    :func:`~repro.runner.merge.merge_journals`.
+    ``plan`` may be a shard from :meth:`SweepPlan.shard(k, n)
+    <repro.runner.plan.SweepPlan.shard>`: the run executes just that
+    shard's items (keeping their parent-plan indices, so ``faults`` and
+    journals speak parent-global indices) and stamps the shard identity
+    into the journal header for :func:`~repro.runner.merge.merge_journals`.
 
-    ``progress`` opts into live telemetry: ``True`` emits periodic
-    ``runner.progress`` obs events (ambient sinks only, at most one per
-    ``progress_interval`` seconds plus a final sample); a callable is
-    additionally invoked with each :class:`SweepProgress` sample — the
+    ``progress`` is a callback for live telemetry: it is invoked with a
+    :class:`SweepProgress` sample at most once per
+    :data:`PROGRESS_INTERVAL` seconds plus a final sample, each also
+    emitted as a ``runner.progress`` obs event (ambient sinks only) — the
     hook behind the ``repro sweep --progress`` ticker.  Progress never
-    touches the merged report registry, so enabling it cannot perturb the
+    touches the merged report registry, so it cannot perturb the
     determinism contract.
     """
     if n_jobs < 1:
@@ -622,18 +680,15 @@ def run_sweep(
     interrupted = False
     stream = _ResultStream(on_result)
     degradations: List[Tuple[str, str]] = []
-    tracker: Optional[_ProgressTracker] = None
 
     results_by_index: Dict[int, ItemResult] = {}
     snapshots_by_index: Dict[int, Dict[str, Any]] = {}
 
     # -- journal: restore settled groups, open for append --------------------
-    # A SweepShard carries its parent identity; an unsharded plan journals
-    # as shard (0, 1) of itself.  Stamping both into the header is what
-    # lets merge_journals() and shard-aware resume validate without the
+    # The header stamps the parent fingerprint and the shard identity (a
+    # whole plan is shard (0, 1) of itself): that is what lets
+    # merge_journals() and shard-aware resume validate without the
     # original plan object in hand.
-    shard_id: Tuple[int, int] = getattr(plan, "shard_id", (0, 1))
-    parent_items: int = getattr(plan, "plan_items", len(plan))
     journal_obj: Optional[Journal] = None
     resumed_records: Dict[int, JournalRecord] = {}
     journal_dropped = 0
@@ -669,46 +724,15 @@ def run_sweep(
                     if items_by_index[idx].group in whole
                 }
         if header is not None:
-            journal_obj = Journal.append_to(journal, fingerprint, shard=shard_id)
+            journal_obj = Journal.append_to(journal, fingerprint, shard=plan.shard_id)
         else:
             journal_obj = Journal.create(
                 journal,
                 fingerprint,
                 len(plan),
-                shard=shard_id,
-                plan_items=parent_items,
+                shard=plan.shard_id,
+                plan_items=plan.plan_items,
             )
-
-    def record_row(row: _Row) -> None:
-        """Make one finished row durable the moment the parent learns it."""
-        if journal_obj is None:
-            return
-        index = row[0]
-        corrupt = faults is not None and faults.should("corrupt", index, 1)
-        journal_obj.append_item(
-            index=index,
-            task=items_by_index[index].task,
-            status=row[1],
-            value=row[2],
-            error=row[3],
-            attempts=row[4],
-            snapshot=row[5],
-            corrupt=corrupt,
-        )
-
-    def absorb(rows: Sequence[_Row]) -> List[ItemResult]:
-        out = []
-        for index, status, value, error, attempts, snapshot in rows:
-            item = items_by_index[index]
-            result = ItemResult(
-                index, item.task, item.group, status, value, error, attempts
-            )
-            results_by_index[index] = result
-            snapshots_by_index[index] = snapshot
-            out.append(result)
-        if tracker is not None and out:
-            tracker.tick(results_by_index)
-        return out
 
     for index, rec in resumed_records.items():
         item = items_by_index[index]
@@ -720,98 +744,61 @@ def run_sweep(
 
     pending = [item for item in plan if item.index not in resumed_records]
     chunks = chunk_items(pending, chunksize) if pending else []
-    n_worker_crashes = 0
+    tracker = (
+        _ProgressTracker(len(plan), len(resumed_records), progress)
+        if progress is not None
+        else None
+    )
 
-    if progress:
-        tracker = _ProgressTracker(
-            total=len(plan),
-            resumed=len(resumed_records),
-            callback=progress if callable(progress) else None,
-            interval=progress_interval,
-        )
+    def land(row: _Row) -> ItemResult:
+        """Make one finished row durable and recorded the moment it lands."""
+        index, status, value, error, attempts, snapshot = row
+        item = items_by_index[index]
+        if journal_obj is not None:
+            journal_obj.append_item(
+                index=index,
+                task=item.task,
+                status=status,
+                value=value,
+                error=error,
+                attempts=attempts,
+                snapshot=snapshot,
+                corrupt=faults is not None and faults.should("corrupt", index, 1),
+            )
+        result = ItemResult(index, item.task, item.group, status, value, error, attempts)
+        results_by_index[index] = result
+        snapshots_by_index[index] = snapshot
+        if tracker is not None:
+            tracker.tick(results_by_index)
+        return result
 
-    # -- execution ------------------------------------------------------------
+    def land_chunk(ci: int, rows: List[_Row]) -> None:
+        stream.chunk_done(ci, [land(row) for row in rows])
+
+    def stream_chunk(ci: int, rows: List[_Row]) -> None:
+        stream.chunk_done(ci, [results_by_index[row[0]] for row in rows])
+
+    # -- execution: one pool runner, one in-process loop ---------------------
+    broken: Optional[List[int]] = None
     try:
-        if n_jobs == 1:
-            for ci, chunk in enumerate(chunks):
-                streamed: List[_Row] = []
-
-                def on_row(row: _Row, _acc: List[_Row] = streamed) -> None:
-                    _acc.append(row)
-                    record_row(row)
-
-                try:
-                    rows = _execute_chunk(chunk, policy, on_row=on_row)
-                except KeyboardInterrupt:
-                    # Completed items of the cut-short chunk are already
-                    # journaled and kept; the rest become "cancelled".
-                    interrupted = True
-                    absorb(streamed)
-                    break
-                stream.chunk_done(ci, absorb(rows))
-        else:
+        if n_jobs > 1:
             mp_context = _default_context()
-            broken_chunks: List[int] = []
-            try:
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=n_jobs,
-                    mp_context=mp_context,
-                    initializer=_init_worker,
-                )
-            except OSError:
-                # Can't stand up a pool at all: degrade straight to serial.
+            broken = _run_pool(chunks, n_jobs, mp_context, policy, 1, land_chunk)
+            if broken is None:
                 degradations.append(("pool", "serial"))
-                serial_policy = policy.without_kills()
-                for ci, chunk in enumerate(chunks):
-                    try:
-                        rows = _execute_chunk(chunk, serial_policy, on_row=record_row)
-                    except KeyboardInterrupt:
-                        interrupted = True
-                        break
-                    stream.chunk_done(ci, absorb(rows))
-                pool = None
-            if pool is not None:
-                try:
-                    futures = {
-                        pool.submit(_execute_chunk, chunk, policy): ci
-                        for ci, chunk in enumerate(chunks)
-                    }
-                    try:
-                        for future in concurrent.futures.as_completed(futures):
-                            ci = futures[future]
-                            try:
-                                rows = future.result()
-                            except BrokenProcessPool:
-                                broken_chunks.append(ci)
-                                continue
-                            except concurrent.futures.CancelledError:
-                                continue
-                            for row in rows:
-                                record_row(row)
-                            stream.chunk_done(ci, absorb(rows))
-                    except KeyboardInterrupt:
-                        # Report partial results instead of hanging on the join.
-                        interrupted = True
-                        pool.shutdown(wait=False, cancel_futures=True)
-                finally:
-                    if not interrupted:
-                        pool.shutdown(wait=True)
-                if broken_chunks and not interrupted:
-                    # The pool died under these chunks: walk the degradation
-                    # ladder so exactly the killers are blamed and every
-                    # innocent item recovers its clean-run outcome.
-                    degradations.append(("pool", "isolated"))
-                    for ci in sorted(broken_chunks):
-                        rows_by_index = _isolated_retry(
-                            chunks[ci], mp_context, policy, degradations
-                        )
-                        ordered_rows = [
-                            rows_by_index[i] for i in sorted(rows_by_index)
-                        ]
-                        for row in ordered_rows:
-                            record_row(row)
-                        absorb(ordered_rows)
-                        n_worker_crashes += 1
+        if broken is None:
+            inline_policy = policy if n_jobs == 1 else policy.without_kills()
+            _run_inline(chunks, inline_policy, 1, land, stream_chunk)
+        elif broken:
+            # The pool died under these chunks: walk the degradation ladder
+            # so exactly the killers are blamed and every innocent item
+            # recovers its clean-run outcome.
+            degradations.append(("pool", "isolated"))
+            for ci in broken:
+                _run_ladder(chunks[ci], mp_context, policy, land, degradations)
+    except KeyboardInterrupt:
+        # Every finished row already landed; the rest become "cancelled".
+        interrupted = True
     finally:
         if journal_obj is not None:
             journal_obj.close()  # flush + fsync: interrupted runs resume too
@@ -851,7 +838,7 @@ def run_sweep(
         ("runner.crashes", n_crashed),
         ("runner.cancelled", n_cancelled),
         ("runner.retries", n_retries),
-        ("runner.worker_crashes", n_worker_crashes),
+        ("runner.worker_crashes", len(broken or ())),
         ("runner.resumed", len(resumed_records)),
         ("runner.journal_dropped", journal_dropped),
     ]
@@ -893,5 +880,5 @@ def run_sweep(
         wall_seconds=time.perf_counter() - t0,
         interrupted=interrupted,
         resumed=len(resumed_records),
-        shard=shard_id if shard_id != (0, 1) else None,
+        shard=plan.shard_id if plan.shard_id != (0, 1) else None,
     )

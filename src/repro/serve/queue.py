@@ -13,7 +13,11 @@ On-disk layout under ``journal_dir`` (one flat directory):
 * ``<id>.spec.json``    — the accepted spec; existence == acknowledged,
 * ``<id>.journal.jsonl`` — the runner's item journal (PR 5 format),
 * ``<id>.report.json``  — the finished report snapshot; existence == done,
-* ``<id>.error.json``   — a terminal submission-independent failure.
+* ``<id>.error.json``   — a terminal failure: an exception ``run_sweep``
+  does not contain (a spec that validated but cannot run, or a runner
+  bug).  A pool that cannot start (``EAGAIN`` from ``fork``) or a worker
+  that dies is not one: the runner degrades and the sweep still ends in
+  ``report.json``.
 
 ``<id>`` is the SHA-256 (truncated) of the normalized spec, so
 resubmitting the same spec is idempotent — same id, no duplicate work —
@@ -27,8 +31,9 @@ degradation ladder, journaling every item.  The drain state machine is::
 
 While DRAINING no new sweep starts and the in-flight sweep is
 *checkpointed*: the per-item ``on_result`` hook raises KeyboardInterrupt,
-``run_sweep`` flushes + fsyncs the journal on its way out (both its serial
-and parallel paths), and the sweep's state returns to ``accepted`` — on
+``run_sweep``'s one interrupt handler flushes + fsyncs the journal and
+returns the partial report (on every execution path), and the sweep's
+state returns to ``accepted`` — on
 disk it is indistinguishable from a SIGKILL at that journal prefix, which
 is exactly why the kill-resume conformance property holds for graceful
 and violent deaths alike.  Restart scans the directory, re-enqueues every
@@ -47,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..runner.faults import FaultPlan
 from ..runner.journal import JournalError, _fsync_dir, journal_status
-from ..runner.plan import FAMILIES, InstanceSpec, SweepPlan, split_seed
+from ..runner.plan import FAMILIES, plan_from_spec
 from .errors import BadRequest, ServiceUnavailable, TooManyRequests
 
 __all__ = ["SweepQueue", "normalize_spec", "plan_from_spec",
@@ -166,32 +171,6 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
             raise BadRequest(f"bad chaos plan: {exc}")
     out["chaos"] = chaos
     return out
-
-
-def plan_from_spec(spec: Dict[str, Any]) -> SweepPlan:
-    """Build the :class:`SweepPlan` a normalized spec describes.
-
-    Pure function of the spec: every daemon generation that reads the same
-    ``<id>.spec.json`` builds the byte-identical plan (same fingerprint),
-    which is what lets a restart resume the old journal at all.
-    """
-    kind = spec["kind"]
-    if kind == "ratio":
-        return SweepPlan.competitive(
-            policies=spec["policies"],
-            families=spec["families"],
-            n=spec["n"],
-            seeds=spec["seeds"],
-            root_seed=spec["root_seed"],
-        )
-    if kind == "differential":
-        specs = [
-            InstanceSpec(family, spec["n"], split_seed(spec["root_seed"], i))
-            for family in spec["families"]
-            for i in range(spec["seeds"])
-        ]
-        return SweepPlan.differential(specs, speeds=spec["speeds"])
-    return SweepPlan.corpus(spec["dir"])
 
 
 def _sweep_id(normalized: Dict[str, Any]) -> str:
@@ -421,8 +400,9 @@ class SweepQueue:
                 on_result=tick,
             )
         except KeyboardInterrupt:
-            # Serial-path drain: run_sweep's finally already fsynced the
-            # journal — on disk this is a SIGKILL at a record boundary.
+            # The hook raised again while the partial report's unrun items
+            # streamed out; run_sweep had already fsynced the journal — on
+            # disk this is a SIGKILL at a record boundary.
             self._checkpoint(sweep_id)
             return
         except Exception as exc:  # noqa: BLE001 — a spec-level defect
@@ -441,8 +421,8 @@ class SweepQueue:
 
         ``done`` iff every item settled (``ok``/``error`` — the journal
         reader's own settledness rule).  An incomplete report while
-        DRAINING is a checkpoint (the parallel path returns instead of
-        raising on interrupt); incomplete while SERVING means the ladder
+        DRAINING is a checkpoint (``run_sweep`` returns the partial report
+        on interrupt); incomplete while SERVING means the ladder
         was exhausted — ``stalled``, terminal for this process life so the
         executor cannot hot-loop, but *not* terminal on disk: a restart
         retries it.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..model.instance import Instance
-from ..model.intervals import IntervalUnion, Numeric, to_fraction
+from ..model.intervals import IntervalUnion, Numeric, positive_speed
 from ..model.schedule import Schedule
 from ..obs import core as _obs
 from ..offline.feascache import cache_for
@@ -63,7 +63,7 @@ def unsat_certificate(
     work ``C_s(j, ∅) = p_j − s·|I(j)| > 0`` exceeds the zero capacity at
     every ``m``.  Returns ``None`` when no such job exists.
     """
-    speed = to_fraction(speed)
+    speed = positive_speed(speed)
     culprits = tuple(j.id for j in instance if j.processing > speed * j.window)
     if not culprits:
         return None
@@ -79,9 +79,7 @@ def certify(
 ) -> Certificate:
     """Feasibility verdict at ``m`` machines with an attached witness."""
     backend = resolve_backend(backend)
-    speed = to_fraction(speed)
-    if speed <= 0:
-        raise ValueError("speed must be positive")
+    speed = positive_speed(speed)
     if m < 0:
         raise ValueError("machine count must be non-negative")
 
@@ -142,7 +140,7 @@ def certified_optimum(
     when no machine count is feasible.
     """
     backend = resolve_backend(backend)
-    speed = to_fraction(speed)
+    speed = positive_speed(speed)
     unsat = unsat_certificate(instance, speed)
     if unsat is not None:
         if check:

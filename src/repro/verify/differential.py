@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..model.instance import Instance
-from ..model.intervals import Numeric, to_fraction
+from ..model.intervals import Numeric, positive_speed
 from ..obs import core as _obs
 from ..offline.flow import available_backends, migratory_feasible
 from ..offline.optimum import migratory_optimum
@@ -91,7 +91,7 @@ def differential_check(
     """
     if backends is None:
         backends = available_backends()
-    speed = to_fraction(speed)
+    speed = positive_speed(speed)
     failures: List[str] = []
     verdicts: Dict[str, bool] = {}
     timings: List[Tuple[str, float]] = []
@@ -137,7 +137,7 @@ def differential_optimum(
     """
     if backends is None:
         backends = available_backends()
-    speed = to_fraction(speed)
+    speed = positive_speed(speed)
     unsat = unsat_certificate(instance, speed)
     if unsat is not None:
         failures: List[str] = []
@@ -193,7 +193,7 @@ def differential_sweep(
             (
                 "differential_optimum",
                 instance,
-                {"speed": str(to_fraction(speed)), "backends": tuple(backends)},
+                {"speed": str(positive_speed(speed)), "backends": tuple(backends)},
             )
             for instance in instances
             for speed in speeds

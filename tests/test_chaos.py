@@ -18,8 +18,10 @@ Covers:
   ambient obs) and quarantine (`"failed"` records, retried on resume),
 * the KeyboardInterrupt journal-flush regression (a Ctrl-C'd sweep is
   resumable, including completed items of a cut-short chunk),
-* the degradation ladder (pool-creation failure → serial, logged as a
-  ``runner.degraded`` event),
+* the degradation ladder (pool-start failure → serial, logged as a
+  ``runner.degraded`` event; a worker death during submission → the
+  per-group/per-item rungs; a failed start leaves no forked worker alive)
+  and interrupts on every path (finished items kept and journaled),
 * the `repro sweep --journal/--resume/--retries/--item-timeout/--chaos` CLI,
 * sharded sweeps (ISSUE 7): kill any shard — fault it, quarantine it, or
   truncate its journal mid-run — resume it, and `merge_journals` folds the
@@ -30,10 +32,15 @@ Covers:
   fingerprint *and* shard identity.
 """
 
+import concurrent.futures
+import errno
+import itertools
 import json
 import multiprocessing
+import os
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +49,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.cli import main
 from repro.model import Instance, Job
+from repro.obs.sinks import Registry
 from repro.runner import (
     Fault,
     FaultPlan,
@@ -111,6 +119,54 @@ def _grouped_plan(n_items: int = 8) -> SweepPlan:
 
 def _canon(report):
     return canonical_report_view(report.snapshot())
+
+
+def _fail_fork(monkeypatch, from_call: int = 1) -> None:
+    """Make ``os.fork`` raise ``EAGAIN`` from its ``from_call``-th call on."""
+    real_fork = os.fork
+    calls = itertools.count(1)
+
+    def fork():
+        if next(calls) >= from_call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _degraded(monkeypatch):
+    """The ``runner.degraded`` (from, to) pairs report registries receive."""
+    seen = []
+    on_event = Registry.on_event
+
+    def spy(self, name, attrs, span_path):
+        if name == "runner.degraded" and "from" in attrs:
+            seen.append((attrs["from"], attrs["to"]))
+        on_event(self, name, attrs, span_path)
+
+    monkeypatch.setattr(Registry, "on_event", spy)
+    return seen
+
+
+def _pool_breaking_at_submit(k: int, start_fails_after: int = 0):
+    """A pool class whose ``k``-th submit (counted over every pool) finds it
+    broken, as when a worker dies mid-submission; with
+    ``start_fails_after`` pools built, every later pool fails to start."""
+    submits = itertools.count(1)
+    pools = itertools.count(1)
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            if start_fails_after and next(pools) > start_fails_after:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            if next(submits) == k:
+                raise BrokenProcessPool("a worker died during submission")
+            return super().submit(*args, **kwargs)
+
+    return Pool
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +532,74 @@ class TestInterruptDurability:
         assert report.interrupted and len(report.results) == len(plan)
         assert report.registry.snapshot()["counters"]["runner.cancelled"] == 3
 
+    def test_interrupt_on_the_no_pool_loop_keeps_finished_items(
+        self, tmp_path, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        instances = [Instance([Job(0, 1, 2, id=i)]) for i in range(6)]
+        plan = SweepPlan.build(
+            ("interrupter", instances[i], {"index": i}) for i in range(6)
+        )
+        path = str(tmp_path / "j.jsonl")
+        _INTERRUPT_AT["index"] = 3
+        try:
+            report = run_sweep(plan, n_jobs=2, chunksize=6, journal=path)
+        finally:
+            _INTERRUPT_AT["index"] = None
+        assert report.interrupted
+        assert [r.status for r in report.results] == ["ok"] * 3 + ["cancelled"] * 3
+        _, records, dropped = read_journal(path)
+        assert dropped == 0 and sorted(records) == [0, 1, 2]
+
+    @fork_only
+    def test_interrupt_in_the_ladder_keeps_settled_groups(self, tmp_path):
+        # One chunk of three groups: sigkill:0 breaks the shared pool, the
+        # ladder re-runs group 0 to ok, then item 2 interrupts in group 1.
+        instances = [Instance([Job(0, 1, 2, id=i)]) for i in range(3)]
+        plan = SweepPlan.build(
+            ("interrupter", instances[i // 2], {"index": i}) for i in range(6)
+        )
+        path = str(tmp_path / "j.jsonl")
+        _INTERRUPT_AT["index"] = 2
+        try:
+            report = run_sweep(
+                plan, n_jobs=2, chunksize=6, journal=path,
+                faults=FaultPlan.parse("sigkill:0"),
+            )
+        finally:
+            _INTERRUPT_AT["index"] = None
+        assert report.interrupted
+        assert [r.status for r in report.results] == ["ok"] * 2 + ["cancelled"] * 4
+        _, records, dropped = read_journal(path)
+        assert dropped == 0 and sorted(records) == [0, 1]
+        assert all(records[i].status == "ok" for i in (0, 1))
+
+    @fork_only
+    def test_interrupt_on_the_shared_pool_returns_the_partial_report(
+        self, tmp_path
+    ):
+        instances = [Instance([Job(0, 1, 2, id=i)]) for i in range(6)]
+        plan = SweepPlan.build(
+            ("interrupter", instances[i], {"index": i}) for i in range(6)
+        )
+        path = str(tmp_path / "j.jsonl")
+        _INTERRUPT_AT["index"] = 0
+        try:
+            report = run_sweep(plan, n_jobs=2, chunksize=3, journal=path)
+        finally:
+            _INTERRUPT_AT["index"] = None
+        assert report.interrupted
+        statuses = [r.status for r in report.results]
+        assert statuses[:3] == ["cancelled"] * 3
+        # whatever the other worker finished first is kept and journaled
+        _, records, dropped = read_journal(path)
+        assert dropped == 0
+        assert sorted(records) == [i for i, s in enumerate(statuses) if s == "ok"]
+        assert set(statuses[3:]) <= {"ok", "cancelled"}
+
 
 # ---------------------------------------------------------------------------
 # degradation ladder
@@ -514,6 +638,69 @@ class TestDegradation:
         # demoted to transient -> retried -> recovered; parent survived
         assert report.ok
         assert report.results[1].attempts == 2
+
+    @fork_only
+    def test_fork_failure_at_pool_start_degrades_to_serial(self, monkeypatch):
+        # Under the fork start method the pool forks in its first submit,
+        # not in the constructor: that is where EAGAIN lands.
+        plan = _grouped_plan(6)
+        clean = _canon(run_sweep(plan, n_jobs=1))
+        _fail_fork(monkeypatch)
+        seen = _degraded(monkeypatch)
+        report = run_sweep(plan, n_jobs=2, chunksize=2)
+        assert report.ok and not report.interrupted
+        assert _canon(report) == clean
+        assert seen == [("pool", "serial")]
+
+    @fork_only
+    def test_failed_start_leaves_no_forked_worker(self, monkeypatch):
+        plan = _grouped_plan(6)
+        clean = _canon(run_sweep(plan, n_jobs=1))
+        before = set(multiprocessing.active_children())
+        _fail_fork(monkeypatch, from_call=2)  # one worker forks, then EAGAIN
+        seen = _degraded(monkeypatch)
+        report = run_sweep(plan, n_jobs=2, chunksize=2)
+        assert _canon(report) == clean
+        assert seen == [("pool", "serial")]
+        assert set(multiprocessing.active_children()) <= before
+
+    @fork_only
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_worker_death_during_submission_takes_the_ladder(
+        self, k, monkeypatch
+    ):
+        plan = _grouped_plan(8)  # four chunks of one group each
+        clean = _canon(run_sweep(plan, n_jobs=1))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _pool_breaking_at_submit(k)
+        )
+        seen = _degraded(monkeypatch)
+        report = run_sweep(plan, n_jobs=2, chunksize=2)
+        assert report.ok and _canon(report) == clean
+        assert seen == [("pool", "isolated")]
+        # the chunk whose submit broke and every later one re-ran at rung 2
+        assert [r.attempts for r in report.results] == (
+            [1] * (2 * k - 2) + [2] * (8 - 2 * k + 2)
+        )
+        counters = report.registry.snapshot()["counters"]
+        assert counters["runner.worker_crashes"] == 4 - k + 1
+
+    @fork_only
+    def test_ladder_runs_in_process_once_no_pool_starts(self, monkeypatch):
+        plan = _grouped_plan(6)
+        clean = _canon(run_sweep(plan, n_jobs=1))
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            _pool_breaking_at_submit(1, start_fails_after=2),
+        )
+        seen = _degraded(monkeypatch)
+        report = run_sweep(plan, n_jobs=2, chunksize=6)  # one chunk
+        # pool 1 breaks at its first submit; pool 2 re-runs group 0; pool 3
+        # cannot start, so groups 1 and 2 run in-process at attempt 2
+        assert report.ok and _canon(report) == clean
+        assert seen == [("pool", "isolated"), ("isolated", "serial")]
+        assert [r.attempts for r in report.results] == [2] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +1012,24 @@ class TestChaosCLI:
     def test_bad_chaos_spec_rejected(self):
         with pytest.raises(SystemExit, match="bad fault spec"):
             main(["sweep", "ratio", "--chaos", "meteor"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--chunksize", "0"),
+        ("--retries", "-1"),
+        ("-n", "0"),
+        ("--item-timeout", "-1"),
+        ("--item-timeout", "0"),
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "sweep", "ratio", "--policies", "edf", "--families", "uniform",
+                "--seeds", "1", flag, value,
+            ])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
 
     @alarm_only
     def test_item_timeout_flag_accepted(self, capsys):

@@ -377,6 +377,23 @@ class TestErrorPaths:
         finally:
             kernel.reset()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", MCNAUGHTON3, "--speed", "0"],
+        ["verify", MCNAUGHTON3, "--speed=-1/2"],
+        ["verify", MCNAUGHTON3, "--speed", "1/0"],
+        ["verify", MCNAUGHTON3, "--speed", "abc"],
+        ["verify", MCNAUGHTON3, "--m", "2", "--speed", "-1"],
+        ["stats", MCNAUGHTON3, "--speed", "0"],
+        ["simulate", MCNAUGHTON3, "--machines", "2", "--speed", "0"],
+        ["sweep", "differential", "-n", "4", "--seeds", "1", "--speeds", "1,0"],
+    ])
+    def test_bad_speed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--speed" in err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises((SystemExit, FileNotFoundError)):
             main(["classify", str(tmp_path / "nope.json")])

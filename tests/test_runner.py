@@ -156,6 +156,14 @@ class TestSharding:
         assert shard.shard_id == (0, 1)
         assert shard.plan_items == len(plan)
 
+    def test_shard_is_a_plan_that_cannot_be_sharded_again(self):
+        plan = _ratio_plan()
+        shard = plan.shard(1, 3)
+        assert isinstance(shard, SweepPlan)
+        assert plan.shard(0, 1) is plan
+        with pytest.raises(ValueError, match="cannot be sharded again"):
+            shard.shard(0, 2)
+
     def test_known_partition_is_pinned(self):
         # 5 groups of 2 items (2 policies x 5 seeds); groups round-robin
         # over shards in first-appearance order.  Pinned: a change here

@@ -25,6 +25,7 @@ subprocess tests pin the real-signal ends of the spectrum:
   for the client's delayed ACK (the daemon sets TCP_NODELAY).
 """
 
+import errno
 import http.client
 import json
 import os
@@ -95,6 +96,36 @@ def run_to_done(journal_dir, sweep_id, timeout=60.0):
         return queue.status(sweep_id)
     finally:
         assert queue.drain(10) is True
+
+
+class TestPoolStartFailure:
+    def test_fork_failure_degrades_and_the_sweep_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        """EAGAIN at the pool's start is a degraded run, not a lost sweep."""
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        journal_dir = str(tmp_path)
+        queue = SweepQueue(journal_dir, sweep_workers=2).start()
+        try:
+            monkeypatch.setattr(os, "fork", fork)
+            sweep_id, _, _ = queue.submit(
+                dict(SMALL_SPEC, workers=2, chunksize=2)
+            )
+            wait_for(
+                lambda: queue.status(sweep_id)["state"] in ("done", "failed"),
+                60, f"sweep {sweep_id} to end",
+            )
+            status = queue.status(sweep_id)
+        finally:
+            assert queue.drain(10) is True
+        assert status["state"] == "done"
+        assert not os.path.exists(
+            os.path.join(journal_dir, f"{sweep_id}.error.json")
+        )
+        assert canonical_report_view(status["report"]) == baseline(SMALL_SPEC)
 
 
 class TestKillPointConformance:

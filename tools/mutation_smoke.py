@@ -9,7 +9,9 @@ builder of its interval view and the ``py`` kernel's extraction twins) — plus 
 segments, the served certify's decode and encode (``model/job.py``,
 ``model/io.py``, ``obs/sinks.py::jsonable``, the served body writer of
 ``serve/app.py``) and the certificate checkers (``verify/checkers.py``), the
-sweep-sharding partition (``runner/plan.py::shard``), the
+sweep-sharding partition (``runner/plan.py::shard``), the sweep runner's
+execution path (``runner/pool.py``: the pool runner, the degradation ladder
+and the in-process loop), the
 multi-journal merge (``runner/merge.py::merge_journals``), and the obs v2
 histogram core (``obs/hist.py`` bucket/merge/quantile logic) — and re-runs
 the kill-set tests for each mutant.  Every mutant must be *killed* — a
@@ -105,6 +107,13 @@ TARGETS: Dict[str, Optional[Set[str]]] = {
     # journal) must be caught by the sharding and merge kill-sets below.
     "src/repro/runner/plan.py": {"shard"},
     "src/repro/runner/merge.py": {"merge_journals"},
+    # The sweep runner's one execution path: the pool runner that starts
+    # and runs every process pool (the shared one and each ladder rung),
+    # the ladder, and the in-process loop.  A mutant that misreads a failed
+    # start, skips a rung or drops the finished rows of an interrupted run
+    # must be caught by tests/test_chaos.py's TestDegradation and
+    # TestInterruptDurability.
+    "src/repro/runner/pool.py": {"_run_pool", "_run_ladder", "_run_inline"},
     # Obs v2 histograms (ISSUE 8): mutated bucket geometry, inexact merges,
     # or skewed quantiles would silently corrupt every latency report and
     # break the bit-identical sweep-merge invariant; tests/test_hist.py is
@@ -158,6 +167,8 @@ DEFAULT_TESTS = [
     "tests/test_checker_mutations.py",
     "tests/test_runner.py::TestSharding",
     "tests/test_chaos.py::TestMergeJournals",
+    "tests/test_chaos.py::TestDegradation",
+    "tests/test_chaos.py::TestInterruptDurability",
     "tests/test_hist.py",
     "tests/test_kernel.py::TestKillSet",
     "tests/test_kernel.py::TestBuildCache",
@@ -188,11 +199,13 @@ NAME_SWAP = {"min": "max", "max": "min"}
 NO_EQ_SWAP_FUNCS = {"max_flow"}
 
 #: Functions whose decisions are ``is``/``in`` tests (exact-type dispatch,
-#: memo lookups, duplicate ids): there ``is``/``is not`` and ``in``/``not in``
-#: swap too.  Elsewhere such a test mostly guards a cache, where a swap only
-#: costs time — an equivalent mutant for correctness tests.
+#: memo lookups, duplicate ids, "did the pool start"): there ``is``/``is not``
+#: and ``in``/``not in`` swap too.  Elsewhere such a test mostly guards a
+#: cache, where a swap only costs time — an equivalent mutant for
+#: correctness tests.
 IDENTITY_SWAP_FUNCS = {
     "__post_init__", "from_ticks", "instance_from_dict", "_dec_field", "jsonable",
+    "_run_pool", "_run_ladder", "_run_inline",
 }
 
 class Site:
